@@ -1,0 +1,72 @@
+"""Golden reports: the SHA-256 digest and exit code of `verify` (all suites,
+default flags) and `table` for a fixed set of catalog entries.
+
+Report bytes are the fixed point of every refactor. A change that alters
+them on purpose says why and regenerates the digests with
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden/reports.json
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from pqnverify.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "reports.json"
+
+# entry name -> catalog arguments
+ENTRIES = {
+    "das-okubo-n2": ["das-okubo", "--n", "2"],
+    "das-okubo-n3": ["das-okubo", "--n", "3"],
+    "closed-toda-n2": ["closed-toda", "--n", "2"],
+    "closed-toda-n3": ["closed-toda", "--n", "3"],
+    "r3-recipe-flat": ["r3-recipe", "--lam", "z", "--a", "y", "--g", "0"],
+    "r3-recipe-local": ["r3-recipe", "--lam", "z/2", "--a", "x/2", "--g", "z"],
+    "prop-local": ["prop-local", "--lam", "z/2", "--a", "x/2", "--g", "z"],
+    "magri-veselov": ["magri-veselov"],
+}
+CASES = [
+    (entry, command)
+    for entry in ENTRIES
+    for command in ("verify", "table")
+    if not (entry == "magri-veselov" and command == "table")
+]
+
+
+def report_digest(workdir: Path, entry: str, command: str) -> dict:
+    structure = workdir / f"{entry}.json"
+    if not structure.exists():
+        assert main(["catalog", *ENTRIES[entry], "--out", str(structure)]) == 0
+    out = workdir / f"{entry}.{command}.json"
+    code = main([command, str(structure), "--out", str(out)])
+    return {"sha256": hashlib.sha256(out.read_bytes()).hexdigest(), "exit": code}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden")
+
+
+def test_golden_file_lists_every_case(golden):
+    assert sorted(golden) == sorted(f"{e}.{c}" for e, c in CASES)
+
+
+@pytest.mark.parametrize("entry,command", CASES, ids=[f"{e}.{c}" for e, c in CASES])
+def test_report_matches_golden(golden, workdir, entry, command):
+    assert report_digest(workdir, entry, command) == golden[f"{entry}.{command}"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {f"{e}.{c}": report_digest(Path(tmp), e, c) for e, c in CASES}
+    sys.stdout.write(json.dumps(digests, indent=2, sort_keys=True) + "\n")
