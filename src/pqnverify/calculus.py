@@ -18,13 +18,14 @@ from .fields import (
     add_kforms,
     compose,
     dual_apply,
-    identity_endomorphism,
     interior_endomorphism,
-    interior_vector,
+    interior_mv,
     pairing,
+    power,
     scalar_form,
     sharp,
     sub_kforms,
+    trace,
     volume_kform,
     zero_vector,
 )
@@ -78,10 +79,10 @@ def lie_derivative(x: VectorField, omega):
         return VolumeForm(omega.chart, res.components.get(top, ZERO))
     chart = _require_same_chart(x, omega)
     if omega.degree == 0:
-        return interior_vector(x, d(omega))
+        return interior_mv(x, d(omega))
     if omega.degree == chart.dim:
-        return d(interior_vector(x, omega))
-    return add_kforms(d(interior_vector(x, omega)), interior_vector(x, d(omega)))
+        return d(interior_mv(x, omega))
+    return add_kforms(d(interior_mv(x, omega)), interior_mv(x, d(omega)))
 
 
 def d_n(n: Endomorphism, omega: KForm) -> KForm:
@@ -283,16 +284,8 @@ def invariant(n: Endomorphism, k: int, powers: list[Endomorphism] | None = None)
     """The k-th trace invariant Tr(N^k) / (2k)."""
     if k < 1:
         raise ValueError("invariant index must be at least 1")
-    if powers is not None and len(powers) > k:
-        nk = powers[k]
-    else:
-        nk = identity_endomorphism(n.chart)
-        for _ in range(k):
-            nk = compose(nk, n)
-    acc = ZERO
-    for i in range(n.chart.dim):
-        acc = add(acc, nk.matrix[i][i])
-    return div(acc, constant(2.0 * k))
+    nk = powers[k] if powers is not None and len(powers) > k else power(n, k)
+    return div(trace(nk), constant(2.0 * k))
 
 
 def phi_sequence_term(
@@ -309,12 +302,7 @@ def phi_sequence_term(
         raise ValueError("sequence index must be non-negative")
     chart = n.chart
     t = torsion if torsion is not None else nijenhuis_torsion(n)
-    if powers is not None and len(powers) > s:
-        ns = powers[s]
-    else:
-        ns = identity_endomorphism(chart)
-        for _ in range(s):
-            ns = compose(ns, n)
+    ns = powers[s] if powers is not None and len(powers) > s else power(n, s)
     comps = {}
     for j in range(chart.dim):
         m = t.slot_matrix(j)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 from .catalog import by_name
@@ -109,21 +110,14 @@ def _indices(key: str, size: int, dim: int, where: str, increasing: bool):
 
 
 def _form_from_doc(chart: Chart, block, degree: int, where: str) -> KForm:
+    if degree > chart.dim:
+        raise InputError(f"{where}: needs a chart of dimension at least {degree}")
     comps = {}
     raw = _components_of(block, where)
     for key in sorted(raw):
         idx = _indices(key, degree, chart.dim, where, increasing=True)
         comps[idx] = _expr(chart, raw[key], f"{where}.components[{key!r}]")
     return KForm(chart, degree, comps)
-
-
-def _bivector_from_doc(chart: Chart, block, where: str) -> Bivector:
-    comps = {}
-    raw = _components_of(block, where)
-    for key in sorted(raw):
-        idx = _indices(key, 2, chart.dim, where, increasing=True)
-        comps[idx] = _expr(chart, raw[key], f"{where}.components[{key!r}]")
-    return Bivector(chart, comps)
 
 
 def _endomorphism_from_doc(chart: Chart, block, where: str) -> Endomorphism:
@@ -183,14 +177,12 @@ def structure_from_doc(doc: dict, source: str) -> Structure:
 
     pi = None
     if "bivector" in doc:
-        pi = _bivector_from_doc(chart, doc["bivector"], "bivector")
+        pi = Bivector(chart, _form_from_doc(chart, doc["bivector"], 2, "bivector").components)
     n = None
     if "endomorphism" in doc:
         n = _endomorphism_from_doc(chart, doc["endomorphism"], "endomorphism")
     phi = None
     if "threeform" in doc:
-        if chart.dim < 3:
-            raise InputError("threeform: needs a chart of dimension at least 3")
         phi = _form_from_doc(chart, doc["threeform"], 3, "threeform")
     omega = None
     if "twoform" in doc:
@@ -450,9 +442,11 @@ def _plan_for(args, st: Structure):
     return plan, box
 
 
-def _check_kmax(args):
+def _check_flags(args):
     if args.kmax < 2:
         raise InputError("kmax must be at least 2")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise InputError(f"tol must be a finite positive number, got {args.tol}")
 
 
 def _exit_code(checks) -> int:
@@ -460,7 +454,7 @@ def _exit_code(checks) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_kmax(args)
+    _check_flags(args)
     suites = _parse_suites(args.suites)
     raw, source = _read_input(args.file)
     st = structure_from_doc(_load_document(raw, source), source)
@@ -476,7 +470,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    _check_kmax(args)
+    _check_flags(args)
     raw, source = _read_input(args.file)
     st = structure_from_doc(_load_document(raw, source), source)
     if st.pi is None or st.n is None:
@@ -560,6 +554,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except InputError as exc:
         print(f"pqnverify: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("pqnverify: input nested too deeply", file=sys.stderr)
         return 2
 
 

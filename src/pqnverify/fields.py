@@ -2,10 +2,11 @@
 
 Conventions used throughout the package:
 
-* Alternating forms and multivectors are stored sparsely as mappings from
-  strictly increasing index tuples to coefficient expressions; components
-  that would be zero are omitted.  Looking a component up with indices in
-  any order applies the permutation sign.
+* Alternating forms and multivectors share one container, KForm, stored
+  sparsely as a mapping from strictly increasing index tuples to
+  coefficient expressions; components that would be zero are omitted.
+  Looking a component up with indices in any order applies the
+  permutation sign.
 * The wedge of one-forms is the determinant pairing without factorials:
   (a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X).
 * Interior products insert at the front: for a decomposable argument
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .expr import (
     Chart,
@@ -125,47 +126,11 @@ class KForm:
         return e if sign > 0 else neg(e)
 
 
-@dataclass(frozen=True, eq=False)
-class Multivector:
-    chart: Chart
-    degree: int
-    components: dict = field(default_factory=dict)
+class Bivector(KForm):
+    """A KForm of degree 2, read as a bivector."""
 
-    def __post_init__(self):
-        if self.degree < 0 or self.degree > self.chart.dim:
-            raise DegreeError(f"degree {self.degree} outside 0..{self.chart.dim}")
-        object.__setattr__(
-            self, "components", _normalize_components(self.chart, self.degree, self.components)
-        )
-
-    def component(self, *idx: int) -> Expr:
-        sign, key = _sorted_with_sign(idx)
-        if sign == 0:
-            return ZERO
-        e = self.components.get(key)
-        if e is None:
-            return ZERO
-        return e if sign > 0 else neg(e)
-
-
-@dataclass(frozen=True, eq=False)
-class Bivector:
-    chart: Chart
-    components: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "components", _normalize_components(self.chart, 2, self.components)
-        )
-
-    def component(self, i: int, j: int) -> Expr:
-        sign, key = _sorted_with_sign((i, j))
-        if sign == 0:
-            return ZERO
-        e = self.components.get(key)
-        if e is None:
-            return ZERO
-        return e if sign > 0 else neg(e)
+    def __init__(self, chart: Chart, components: Mapping | None = None):
+        super().__init__(chart, 2, {} if components is None else components)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,21 +180,11 @@ def identity_endomorphism(chart: Chart) -> Endomorphism:
     return Endomorphism(chart, tuple(tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d)))
 
 
-def zero_endomorphism(chart: Chart) -> Endomorphism:
-    d = chart.dim
-    return Endomorphism(chart, ((ZERO,) * d,) * d)
-
-
 def volume_kform(v: VolumeForm) -> KForm:
     return KForm(v.chart, v.chart.dim, {tuple(range(v.chart.dim)): v.coefficient})
 
 
 # Linear arithmetic on each type.
-
-def add_vectors(x: VectorField, y: VectorField) -> VectorField:
-    chart = _require_same_chart(x, y)
-    return VectorField(chart, tuple(add(a, b) for a, b in zip(x.components, y.components)))
-
 
 def sub_vectors(x: VectorField, y: VectorField) -> VectorField:
     chart = _require_same_chart(x, y)
@@ -308,7 +263,7 @@ def apply_form(omega: KForm, *vectors: VectorField) -> Expr:
         raise DegreeError("wrong number of arguments for the form degree")
     w = omega
     for x in vectors:
-        w = interior_vector(x, w)
+        w = interior_mv(x, w)
     return w.components.get((), ZERO)
 
 
@@ -432,42 +387,31 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm(chart, degree, comps)
 
 
-def mv_from_vector(x: VectorField) -> Multivector:
-    comps = {(i,): c for i, c in enumerate(x.components) if not is_zero(c)}
-    return Multivector(x.chart, 1, comps)
-
-
-def mv_from_bivector(p: Bivector) -> Multivector:
-    return Multivector(p.chart, 2, dict(p.components))
-
-
-def mv_from_scalar(chart: Chart, e: Expr) -> Multivector:
-    return Multivector(chart, 0, {(): e})
-
-
-def mv_wedge(a: Multivector, b: Multivector) -> Multivector:
-    chart = _require_same_chart(a, b)
-    degree = a.degree + b.degree
-    if degree > chart.dim:
-        raise DegreeError("wedge degree exceeds the chart dimension")
-    comps: dict[tuple[int, ...], Expr] = {}
-    for ka, ea in a.components.items():
-        for kb, eb in b.components.items():
-            sign, key = _sorted_with_sign(ka + kb)
-            if sign == 0:
-                continue
-            term = mul(ea, eb)
-            if sign < 0:
-                term = neg(term)
-            comps[key] = add(comps.get(key, ZERO), term)
-    return Multivector(chart, degree, comps)
+def _as_multivector(p, chart: Chart) -> KForm:
+    """p as a multivector in the KForm container: KForms pass through, a
+    vector field has degree 1, a function degree 0, and a sequence of
+    vector fields stands for their wedge."""
+    if isinstance(p, KForm):
+        return p
+    if isinstance(p, VectorField):
+        return KForm(p.chart, 1, {(i,): c for i, c in enumerate(p.components)})
+    if isinstance(p, Expr):
+        return scalar_form(chart, p)
+    if isinstance(p, (list, tuple)):
+        mv = _as_multivector(p[0], chart)
+        for x in p[1:]:
+            mv = wedge(mv, _as_multivector(x, chart))
+        return mv
+    raise TypeError(f"cannot read {type(p).__name__} as a multivector")
 
 
 # Interior products.
 
-def interior_multivector(p: Multivector, omega: KForm) -> KForm:
-    """i_P omega; for decomposable P = X1 ^ ... ^ Xm this is i_Xm ... i_X1
-    applied front-first, i.e. (i_P omega)(...) = omega(X1, ..., Xm, ...)."""
+def interior_mv(p, omega: KForm) -> KForm:
+    """i_P omega, for P anything _as_multivector reads as a multivector; for
+    decomposable P = X1 ^ ... ^ Xm this is i_Xm ... i_X1 applied
+    front-first, i.e. (i_P omega)(...) = omega(X1, ..., Xm, ...)."""
+    p = _as_multivector(p, omega.chart)
     chart = _require_same_chart(p, omega)
     if p.degree > omega.degree:
         raise DegreeError("multivector degree exceeds the form degree")
@@ -486,31 +430,6 @@ def interior_multivector(p: Multivector, omega: KForm) -> KForm:
                 term = neg(term)
             comps[rest] = add(comps.get(rest, ZERO), term)
     return KForm(chart, omega.degree - p.degree, comps)
-
-
-def interior_vector(x: VectorField, omega: KForm) -> KForm:
-    return interior_multivector(mv_from_vector(x), omega)
-
-
-def interior_bivector(p: Bivector, omega: KForm) -> KForm:
-    return interior_multivector(mv_from_bivector(p), omega)
-
-
-def interior_mv(p, omega: KForm) -> KForm:
-    """Interior product, accepting a Multivector, Bivector, VectorField or a
-    sequence of vector fields (interpreted as their wedge)."""
-    if isinstance(p, Multivector):
-        return interior_multivector(p, omega)
-    if isinstance(p, Bivector):
-        return interior_bivector(p, omega)
-    if isinstance(p, VectorField):
-        return interior_vector(p, omega)
-    if isinstance(p, (list, tuple)):
-        mv = mv_from_vector(p[0])
-        for x in p[1:]:
-            mv = mv_wedge(mv, mv_from_vector(x))
-        return interior_multivector(mv, omega)
-    raise TypeError(f"cannot take the interior product with {type(p).__name__}")
 
 
 def interior_form_on_bivectorfield(eta: KForm, x: VectorField, y: VectorField) -> VectorField:
@@ -555,18 +474,11 @@ def star(p, v: VolumeForm) -> KForm:
     Defined for every degree when the chart is three dimensional; in other
     dimensions only degrees 0 and dim are supported.
     """
-    if isinstance(p, Bivector):
-        p = mv_from_bivector(p)
-    elif isinstance(p, VectorField):
-        p = mv_from_vector(p)
-    elif isinstance(p, Expr):
-        p = mv_from_scalar(v.chart, p)
-    if not isinstance(p, Multivector):
-        raise TypeError(f"cannot star {type(p).__name__}")
+    p = _as_multivector(p, v.chart)
     chart = _require_same_chart(p, v)
     if chart.dim != 3 and p.degree not in (0, chart.dim):
         raise DegreeError("intermediate degrees are only supported on 3d charts")
-    return interior_multivector(p, volume_kform(v))
+    return interior_mv(p, volume_kform(v))
 
 
 def divergence(x: VectorField, v: VolumeForm) -> Expr:

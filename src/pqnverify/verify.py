@@ -369,15 +369,6 @@ def component_pairs(lhs, rhs) -> list[tuple[Expr, Expr]]:
         return [
             (lhs.components.get(k, ZERO), rhs.components.get(k, ZERO)) for k in keys
         ]
-    if isinstance(lhs, Bivector):
-        if rhs is None:
-            rhs = Bivector(lhs.chart, {})
-        if not isinstance(rhs, Bivector) or rhs.chart != lhs.chart:
-            raise TypeError("kind mismatch: bivector expected on both sides")
-        keys = sorted(set(lhs.components) | set(rhs.components))
-        return [
-            (lhs.components.get(k, ZERO), rhs.components.get(k, ZERO)) for k in keys
-        ]
     if isinstance(lhs, Endomorphism):
         if rhs is not None and (
             not isinstance(rhs, Endomorphism) or rhs.chart != lhs.chart
@@ -614,45 +605,46 @@ def reconstruct_decomposition(
     return None
 
 
-def decompose_3d(
-    n: Endomorphism, xi: KForm, point, tol: float = 1e-8
-) -> tuple[float, tuple[float, ...]]:
-    """Pointwise split N = lam I + Z (x) xi at one sample point.
+def _split(
+    n: Endomorphism, xi: KForm, plan: SamplePlan, lam: Expr | None, z: VectorField | None
+) -> tuple[Expr, VectorField] | None:
+    """(lam, Z) when both are given, else reconstructed from N and xi."""
+    if lam is not None and z is not None:
+        return lam, z
+    return reconstruct_decomposition(n, xi, plan)
 
-    j maximises |xi_j| (lowest index on ties), e = xi_j d_k - xi_k d_j
-    with k the lowest other index, lam reads off the largest component of
-    e, and Z is the j-th column of N - lam I over xi_j.  Raises ValueError
-    when xi vanishes at the point or the reconstruction residual exceeds
-    tol times the matrix scale.
-    """
-    chart = n.chart
-    dim = chart.dim
-    xivals = [evaluate(xi.component(i), point) for i in range(dim)]
-    if not all(np.isfinite(v) for v in xivals) or max(abs(v) for v in xivals) <= 0.0:
-        raise ValueError("the dual one-form vanishes at the probe point")
-    j = max(range(dim), key=lambda t: (abs(xivals[t]), -t))
-    k = min(t for t in range(dim) if t != j)
-    nvals = [[evaluate(n.matrix[r][c], point) for c in range(dim)] for r in range(dim)]
-    e = [0.0] * dim
-    e[k] = xivals[j]
-    e[j] = -xivals[k]
-    ne = [sum(nvals[r][c] * e[c] for c in range(dim)) for r in range(dim)]
-    m = max(range(dim), key=lambda t: (abs(e[t]), -t))
-    lam = ne[m] / e[m]
-    z = tuple(
-        (nvals[i][j] - (lam if i == j else 0.0)) / xivals[j] for i in range(dim)
-    )
-    scale = max(1.0, max(abs(v) for row in nvals for v in row))
-    residual = 0.0
-    for r in range(dim):
-        for c in range(dim):
-            model = (lam if r == c else 0.0) + z[r] * xivals[c]
-            residual = max(residual, abs(nvals[r][c] - model))
-    if not np.isfinite(residual) or residual / scale > tol:
-        raise ValueError(
-            f"no rank-one split at this point (scaled residual {residual / scale:.3e})"
+
+def _xi_on_pairs(xi: KForm) -> dict:
+    """i_xi (d_a ^ d_b) on the coordinate pairs a < b of a 3d chart."""
+    chart = xi.chart
+    return {
+        (a, b): interior_form_on_bivectorfield(
+            xi, basis_vector(chart, a), basis_vector(chart, b)
         )
-    return lam, z
+        for a, b in combinations(range(3), 2)
+    }
+
+
+def _torsion_closed_form_pairs(
+    torsion: TorsionEvaluator, xi: KForm, ds: KForm, z: VectorField, zlam: Expr
+) -> list[tuple[Expr, Expr]]:
+    """Component pairs of the torsion of N = lam I + Z (x) xi on a 3d chart
+    against its closed form
+
+        T_N(d_a, d_b) = (xi ^ ds)(d_a, d_b) Z + Z(lam) i_xi (d_a ^ d_b),
+
+    where ds is the differential of lam + <xi, Z> and zlam is Z(lam)."""
+    chart = xi.chart
+    xids = wedge(xi, ds)
+    pairs = []
+    for (a, b), ixi in _xi_on_pairs(xi).items():
+        term1 = scale_vector(xids.component(a, b), z)
+        term2 = scale_vector(zlam, ixi)
+        rhs = VectorField(
+            chart, tuple(add(u, v) for u, v in zip(term1.components, term2.components))
+        )
+        pairs.extend(zip(torsion.pair(a, b).components, rhs.components))
+    return pairs
 
 
 def verify_3d_conditions(
@@ -682,49 +674,25 @@ def verify_3d_conditions(
         "3d.phi_value",
         "3d.torsion_closed_form",
     )
-    if lam is None or z is None:
-        rec = reconstruct_decomposition(n, xi, plan)
-        if rec is None:
-            note = "the dual one-form vanishes at every probe point; no split available"
-            return [_skip(nm, tol, note) for nm in names]
-        lam, z = rec
+    split = _split(n, xi, plan, lam, z)
+    if split is None:
+        note = "the dual one-form vanishes at every probe point; no split available"
+        return [_skip(nm, tol, note) for nm in names]
+    lam, z = split
     model = add_endomorphisms(
         scale_endomorphism(lam, identity_endomorphism(chart)), tensor_product(z, xi)
     )
     reports = [check_identity(names[0], n, model, plan, tol)]
-    s = add(lam, pairing(xi, z))
+    ds = d_scalar(chart, add(lam, pairing(xi, z)))
     reports.append(
-        check_identity(
-            names[1],
-            d_scalar(chart, s),
-            scale_kform(divergence(z, volume), xi),
-            plan,
-            tol,
-        )
+        check_identity(names[1], ds, scale_kform(divergence(z, volume), xi), plan, tol)
     )
     zlam = pairing(d_scalar(chart, lam), z)
     if phi is None:
         phi = zero_kform(chart, 3)
     model_phi = KForm(chart, 3, {(0, 1, 2): neg(mul(zlam, volume.coefficient))})
     reports.append(check_identity(names[2], phi, model_phi, plan, tol))
-    t = nijenhuis_torsion(n)
-    xids = wedge(xi, d_scalar(chart, s))
-    pairs = []
-    for a in range(3):
-        for b in range(a + 1, 3):
-            lhs = t.pair(a, b)
-            term1 = scale_vector(xids.component(a, b), z)
-            term2 = scale_vector(
-                zlam,
-                interior_form_on_bivectorfield(
-                    xi, basis_vector(chart, a), basis_vector(chart, b)
-                ),
-            )
-            rhs = VectorField(
-                chart,
-                tuple(add(u, v) for u, v in zip(term1.components, term2.components)),
-            )
-            pairs.extend(zip(lhs.components, rhs.components))
+    pairs = _torsion_closed_form_pairs(nijenhuis_torsion(n), xi, ds, z, zlam)
     reports.append(run_pairs(names[3], pairs, plan, tol))
     return reports
 
@@ -1202,43 +1170,23 @@ def run_identity_battery(
         reports.append(run_pairs(threed_names[0], pairs, plan, tol))
 
         torsion = nijenhuis_torsion(n)
-        xids = wedge(xi, d_scalar(chart, add(lam, s)))
-        pairs = []
-        for a in range(3):
-            for b in range(a + 1, 3):
-                ixi = interior_form_on_bivectorfield(
-                    xi, basis_vector(chart, a), basis_vector(chart, b)
-                )
-                term1 = scale_vector(xids.component(a, b), z)
-                term2 = scale_vector(zlam, ixi)
-                rhs = VectorField(
-                    chart,
-                    tuple(add(u, v) for u, v in zip(term1.components, term2.components)),
-                )
-                pairs.extend(zip(torsion.pair(a, b).components, rhs.components))
+        ds = d_scalar(chart, add(lam, s))
+        pairs = _torsion_closed_form_pairs(torsion, xi, ds, z, zlam)
         reports.append(run_pairs(threed_names[1], pairs, plan, tol))
 
         pairs = []
-        for a in range(3):
-            for b in range(a + 1, 3):
-                ixi = interior_form_on_bivectorfield(
-                    xi, basis_vector(chart, a), basis_vector(chart, b)
-                )
-                rhs = scale_vector(zlam, ixi)
-                pairs.extend(zip(torsion.pair(a, b).components, rhs.components))
+        for (a, b), ixi in _xi_on_pairs(xi).items():
+            rhs = scale_vector(zlam, ixi)
+            pairs.extend(zip(torsion.pair(a, b).components, rhs.components))
         reports.append(run_pairs(threed_names[2], pairs, plan, tol))
 
         pairs = []
         for k in range(1, kpow + 1):
             tk = torsion if k == 1 else nijenhuis_torsion(powers[k])
             coeff = mul(_f_poly(lam, s, k), pairing(d_scalar(chart, intpow(lam, k)), z))
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    ixi = interior_form_on_bivectorfield(
-                        xi, basis_vector(chart, a), basis_vector(chart, b)
-                    )
-                    rhs = scale_vector(coeff, ixi)
-                    pairs.extend(zip(tk.pair(a, b).components, rhs.components))
+            for (a, b), ixi in _xi_on_pairs(xi).items():
+                rhs = scale_vector(coeff, ixi)
+                pairs.extend(zip(tk.pair(a, b).components, rhs.components))
         reports.append(run_pairs(threed_names[3], pairs, plan, tol))
 
         eig = add(lam, s)
@@ -1316,23 +1264,59 @@ def run_identity_battery(
     return reports
 
 
-SUITES = (
-    "poisson",
-    "pn",
-    "pqn",
-    "3d",
-    "haantjes",
-    "chain",
-    "recursion",
-    "minpoly",
-    "theoinv",
-    "battery",
-)
+def _present(st: Structure, member: str):
+    if member == "3d chart":
+        return st.chart if st.chart.dim == 3 else None
+    return getattr(st, member)
 
 
 def _missing(tol: float, suite: str, members: dict) -> list[CheckReport]:
     absent = sorted(name for name, value in members.items() if value is None)
     return [_skip(f"{suite}.skipped", tol, "missing members: " + ", ".join(absent))]
+
+
+def _run_minpoly(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[CheckReport]:
+    xi = xi_form(st.pi, st.volume)
+    split = _split(st.n, xi, plan, st.lam, st.z)
+    if split is None:
+        note = "no split data and reconstruction found no usable point"
+        return [_skip("minpoly.skipped", tol, note)]
+    return verify_minpoly(st.n, *split, xi, plan, tol)
+
+
+# suite -> (members it needs, runner).  A runner takes (structure s, plan p,
+# tol t, kmax k) and looks its suite function up by module-level name when
+# called.  "3d chart" is a pseudo-member, present on three-dimensional charts.
+_SUITE_TABLE = {
+    "poisson": (("pi",), lambda s, p, t, k: verify_poisson(s.pi, p, t, volume=s.volume)),
+    "pn": (("pi", "n"), lambda s, p, t, k: verify_pn(s.pi, s.n, p, t)),
+    "pqn": (("pi", "n", "phi"), lambda s, p, t, k: verify_pqn(s.pi, s.n, s.phi, p, t)),
+    "3d": (
+        ("pi", "n", "volume", "3d chart"),
+        lambda s, p, t, k: verify_3d_conditions(
+            s.pi, s.n, s.phi, s.volume, p, t, lam=s.lam, z=s.z
+        ),
+    ),
+    "haantjes": (
+        ("n", "theta"),
+        lambda s, p, t, k: verify_haantjes_structure(s.n, s.theta, p, t),
+    ),
+    "chain": (
+        ("chain", "theta"),
+        lambda s, p, t, k: verify_lm_chain(s.chain, s.theta, p, t, n=s.n),
+    ),
+    "recursion": (
+        ("pi", "n"),
+        lambda s, p, t, k: verify_recursion_involutivity(s.pi, s.n, k, p, t).reports,
+    ),
+    "minpoly": (("pi", "n", "volume", "3d chart"), _run_minpoly),
+    "theoinv": (
+        ("pi", "n", "phi", "omega"),
+        lambda s, p, t, k: verify_theo_inv(s.pi, s.n, s.phi, s.omega, k, p, t),
+    ),
+    "battery": ((), lambda s, p, t, k: run_identity_battery(s, p, t)),
+}
+SUITES = tuple(_SUITE_TABLE)
 
 
 def run_suites(
@@ -1350,90 +1334,13 @@ def run_suites(
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise ValueError("unknown suites: " + ", ".join(sorted(unknown)))
-    st = structure
     reports: list[CheckReport] = []
-    for suite in SUITES:
+    for suite, (members, runner) in _SUITE_TABLE.items():
         if suite not in suites:
             continue
-        if suite == "poisson":
-            if st.pi is None:
-                reports += _missing(tol, suite, {"pi": None})
-            else:
-                reports += verify_poisson(st.pi, plan, tol, volume=st.volume)
-        elif suite == "pn":
-            if st.pi is None or st.n is None:
-                reports += _missing(tol, suite, {"pi": st.pi, "n": st.n})
-            else:
-                reports += verify_pn(st.pi, st.n, plan, tol)
-        elif suite == "pqn":
-            if st.pi is None or st.n is None or st.phi is None:
-                reports += _missing(tol, suite, {"pi": st.pi, "n": st.n, "phi": st.phi})
-            else:
-                reports += verify_pqn(st.pi, st.n, st.phi, plan, tol)
-        elif suite == "3d":
-            if st.pi is None or st.n is None or st.volume is None or st.chart.dim != 3:
-                members = {"pi": st.pi, "n": st.n, "volume": st.volume}
-                if st.chart.dim != 3:
-                    members["3d chart"] = None
-                reports += _missing(tol, suite, members)
-            else:
-                reports += verify_3d_conditions(
-                    st.pi, st.n, st.phi, st.volume, plan, tol, lam=st.lam, z=st.z
-                )
-        elif suite == "haantjes":
-            if st.n is None or st.theta is None:
-                reports += _missing(tol, suite, {"n": st.n, "theta": st.theta})
-            else:
-                reports += verify_haantjes_structure(st.n, st.theta, plan, tol)
-        elif suite == "chain":
-            if st.chain is None or st.theta is None:
-                reports += _missing(tol, suite, {"chain": st.chain, "theta": st.theta})
-            else:
-                reports += verify_lm_chain(st.chain, st.theta, plan, tol, n=st.n)
-        elif suite == "recursion":
-            if st.pi is None or st.n is None:
-                reports += _missing(tol, suite, {"pi": st.pi, "n": st.n})
-            else:
-                reports += verify_recursion_involutivity(
-                    st.pi, st.n, kmax, plan, tol
-                ).reports
-        elif suite == "minpoly":
-            ready = (
-                st.n is not None
-                and st.pi is not None
-                and st.volume is not None
-                and st.chart.dim == 3
-            )
-            if not ready:
-                members = {"pi": st.pi, "n": st.n, "volume": st.volume}
-                if st.chart.dim != 3:
-                    members["3d chart"] = None
-                reports += _missing(tol, suite, members)
-            else:
-                xi = xi_form(st.pi, st.volume)
-                lam, z = st.lam, st.z
-                if lam is None or z is None:
-                    rec = reconstruct_decomposition(st.n, xi, plan)
-                    if rec is None:
-                        reports.append(
-                            _skip(
-                                "minpoly.skipped",
-                                tol,
-                                "no split data and reconstruction found no usable point",
-                            )
-                        )
-                        continue
-                    lam, z = rec
-                reports += verify_minpoly(st.n, lam, z, xi, plan, tol)
-        elif suite == "theoinv":
-            if st.pi is None or st.n is None or st.phi is None or st.omega is None:
-                reports += _missing(
-                    tol,
-                    suite,
-                    {"pi": st.pi, "n": st.n, "phi": st.phi, "omega": st.omega},
-                )
-            else:
-                reports += verify_theo_inv(st.pi, st.n, st.phi, st.omega, kmax, plan, tol)
-        elif suite == "battery":
-            reports += run_identity_battery(structure, plan, tol)
+        have = {m: _present(structure, m) for m in members}
+        if any(value is None for value in have.values()):
+            reports += _missing(tol, suite, have)
+        else:
+            reports += runner(structure, plan, tol, kmax)
     return reports

@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +154,8 @@ CHART2 = {"dim": 2, "coords": ["x", "y"]}
         (json.dumps({"bivector": {"components": {}}}), "chart"),
         (json.dumps({"chart": CHART2, "scalars": {"mu": "1"}}), "unknown keys: mu"),
         (json.dumps({"chart": {"dim": 3, "coords": ["x", "y"]}}), "coords lists 2"),
+        (json.dumps({"chart": {"dim": 1, "coords": ["x"]}, "twoform": {"components": {}}}),
+         "twoform: needs a chart of dimension at least 2"),
     ],
 )
 def test_malformed_inputs_exit_two(tmp_path, capsys, payload, fragment):
@@ -242,3 +248,51 @@ def test_output_files_end_with_a_newline(tmp_path, capsys):
     text = out_path.read_text(encoding="utf-8")
     assert text.endswith("\n")
     assert not text.endswith("\n\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_bad_tolerances_exit_two(tmp_path, capsys, command, tol):
+    sf = tmp_path / "toda2.json"
+    run_cli(["catalog", "closed-toda", "--n", "2", "--out", str(sf)], capsys)
+    code, out, err = run_cli([command, str(sf), f"--tol={tol}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("pqnverify: tol must be a finite positive number")
+    assert err.count("\n") == 1
+
+
+def _sum_of_products(terms: int) -> str:
+    return "+".join(["x*y"] * terms)
+
+
+@pytest.mark.parametrize(
+    "component",
+    ["(" * 3000 + "x" + ")" * 3000, _sum_of_products(5000)],
+    ids=["3000-parentheses", "5000-term-sum"],
+)
+def test_deeply_nested_input_exits_two(tmp_path, component):
+    doc = dict(MINIMAL, bivector={"components": {"1,2": component}})
+    path = write_structure(tmp_path, doc)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqnverify.cli", "verify", path],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "pqnverify: input nested too deeply\n"
+
+
+def test_a_400_term_sum_still_verifies(tmp_path, capsys):
+    doc = dict(MINIMAL, bivector={"components": {"1,2": _sum_of_products(400)}})
+    path = write_structure(tmp_path, doc)
+    code, out, _ = run_cli(["verify", path, "--suites", "poisson"], capsys)
+    assert code == 0
+    assert {c["status"] for c in json.loads(out)["checks"]} == {"pass"}
