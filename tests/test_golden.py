@@ -1,5 +1,6 @@
 """Golden reports: the SHA-256 digest and exit code of `verify` (all suites,
-default flags) and `table` for a fixed set of catalog entries.
+default flags) and `table` for a fixed set of catalog entries, plus a few
+`verify` runs at non-default sampling flags.
 
 Report bytes are the fixed point of every refactor. A change that alters
 them on purpose says why and regenerates the digests with
@@ -29,21 +30,38 @@ ENTRIES = {
     "r3-recipe-local": ["r3-recipe", "--lam", "z/2", "--a", "x/2", "--g", "z"],
     "prop-local": ["prop-local", "--lam", "z/2", "--a", "x/2", "--g", "z"],
     "magri-veselov": ["magri-veselov"],
+    "r3-recipe-log": ["r3-recipe", "--lam", "log(x)", "--a", "y", "--g", "0"],
 }
-CASES = [
-    (entry, command)
+# case name -> (entry, command, sampling flags)
+CASES = {
+    f"{entry}.{command}": (entry, command, [])
     for entry in ENTRIES
+    if entry != "r3-recipe-log"
     for command in ("verify", "table")
     if not (entry == "magri-veselov" and command == "table")
-]
+}
+# log(x) is undefined on half the box: 75 checks replace 995 of 1024 points,
+# which pins how resampling continues the point stream.
+CASES["r3-recipe-log.verify.resample"] = (
+    "r3-recipe-log",
+    "verify",
+    ["--samples", "1024", "--seed", "7", "--resample-limit", "4096"],
+)
+# a large cloud in an offset box at a non-default seed
+CASES["das-okubo-n2.verify.wide-box"] = (
+    "das-okubo-n2",
+    "verify",
+    ["--samples", "4096", "--seed", "7", "--box=-0.5:2"],
+)
 
 
-def report_digest(workdir: Path, entry: str, command: str) -> dict:
+def report_digest(workdir: Path, case: str) -> dict:
+    entry, command, flags = CASES[case]
     structure = workdir / f"{entry}.json"
     if not structure.exists():
         assert main(["catalog", *ENTRIES[entry], "--out", str(structure)]) == 0
-    out = workdir / f"{entry}.{command}.json"
-    code = main([command, str(structure), "--out", str(out)])
+    out = workdir / f"{case}.json"
+    code = main([command, str(structure), *flags, "--out", str(out)])
     return {"sha256": hashlib.sha256(out.read_bytes()).hexdigest(), "exit": code}
 
 
@@ -58,15 +76,15 @@ def workdir(tmp_path_factory):
 
 
 def test_golden_file_lists_every_case(golden):
-    assert sorted(golden) == sorted(f"{e}.{c}" for e, c in CASES)
+    assert sorted(golden) == sorted(CASES)
 
 
-@pytest.mark.parametrize("entry,command", CASES, ids=[f"{e}.{c}" for e, c in CASES])
-def test_report_matches_golden(golden, workdir, entry, command):
-    assert report_digest(workdir, entry, command) == golden[f"{entry}.{command}"]
+@pytest.mark.parametrize("case", CASES)
+def test_report_matches_golden(golden, workdir, case):
+    assert report_digest(workdir, case) == golden[case]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {f"{e}.{c}": report_digest(Path(tmp), e, c) for e, c in CASES}
+        digests = {case: report_digest(Path(tmp), case) for case in CASES}
     sys.stdout.write(json.dumps(digests, indent=2, sort_keys=True) + "\n")
