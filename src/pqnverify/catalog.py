@@ -57,7 +57,7 @@ from .fields import (
     tensor_product,
     zero_kform,
 )
-from .verify import Structure, evaluate_batch, points, sample_plan
+from .verify import Structure, evaluate_batch, point_block, sample_plan
 
 R3_COORDS = ("x", "y", "z")
 
@@ -224,7 +224,7 @@ def _antiderivative_in_y(integrand: Expr) -> Expr:
 
 def _check_explicit_b(chart: Chart, b: Expr, integrand: Expr):
     plan = sample_plan(chart)
-    pts = np.array(points(plan), dtype=float)
+    pts = point_block(plan, 0, plan.count)
     vals = evaluate_batch([derive(b, 1), integrand], pts)
     if not np.isfinite(vals).all():
         raise ValueError("the explicit b or the integrand fails to evaluate on the box")

@@ -33,6 +33,11 @@ from .verify import (
 
 SCHEMA_VERSION = 1
 
+# Upper bound on --samples and on --resample-limit: every check holds its
+# point cloud, and one value per point for each expression node it
+# evaluates, in memory at once.
+MAX_POINTS = 65_536
+
 _BLOCKS = (
     "chart",
     "name",
@@ -447,6 +452,12 @@ def _check_flags(args):
         raise InputError("kmax must be at least 2")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise InputError(f"tol must be a finite positive number, got {args.tol}")
+    if args.samples > MAX_POINTS:
+        raise InputError(f"samples must be at most {MAX_POINTS}, got {args.samples}")
+    if args.resample_limit > MAX_POINTS:
+        raise InputError(
+            f"resample-limit must be at most {MAX_POINTS}, got {args.resample_limit}"
+        )
 
 
 def _exit_code(checks) -> int:

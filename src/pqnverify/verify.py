@@ -12,6 +12,15 @@ reimplementation) sees the same cloud.  Points where any participating
 component fails to evaluate to a finite number are replaced by further
 stream points, up to a per-check resample budget.
 
+splitmix64 is counter based: with gamma = 0x9E3779B97F4A7C15, output k
+(from 0) of the stream seeded s is mix(s + (k + 1) * gamma mod 2^64),
+where mix is the generator's finaliser (two xor-shift-multiply rounds and
+a final xor-shift, all mod 2^64).  On a chart of dimension dim,
+coordinate c of point j is output j * dim + c mapped to
+lo + (hi - lo) * (output / 2^64), so any point of the stream is computed
+directly, without replaying the outputs before it.  Replacement points
+continue the stream after every point a check has drawn so far.
+
 Every universally quantified identity here is tensorial in its vector
 arguments, so checking it on coordinate fields at sampled points is
 equivalent to checking it on arbitrary fields.
@@ -20,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -104,16 +113,19 @@ from .calculus import (
 
 _MASK = (1 << 64) - 1
 _TWO64 = 2.0 ** 64
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def splitmix64(seed: int):
     """The splitmix64 generator as an endless iterator of uint64 values."""
     state = seed & _MASK
     while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK
+        state = (state + _GAMMA) & _MASK
         z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         yield z ^ (z >> 31)
 
 
@@ -121,8 +133,8 @@ def splitmix64(seed: int):
 class SamplePlan:
     """Where and how densely a check samples.
 
-    box holds one closed interval per coordinate; the j-th point uses
-    stream outputs j*dim .. j*dim+dim-1 mapped affinely into the box.
+    box holds one closed, finite interval per coordinate; the j-th point
+    uses stream outputs j*dim .. j*dim+dim-1 mapped affinely into the box.
     """
 
     seed: int
@@ -138,6 +150,8 @@ class SamplePlan:
         if self.resample_limit < 0:
             raise ValueError("resample_limit must be non-negative")
         for lo, hi in box:
+            if not (isfinite(lo) and isfinite(hi)):
+                raise ValueError(f"box bounds must be finite, got [{lo}, {hi}]")
             if not (lo < hi):
                 raise ValueError(f"empty box interval [{lo}, {hi}]")
 
@@ -160,20 +174,36 @@ def sample_plan(
     return SamplePlan(seed, count, intervals, resample_limit)
 
 
+def point_block(plan: SamplePlan, start: int, count: int) -> np.ndarray:
+    """Points start .. start+count-1 of the plan's stream as a (count, dim)
+    float64 array, equal bit for bit to the scalar splitmix64 draw.
+
+    uint64 arithmetic wraps mod 2^64, so the counter form of the generator
+    is evaluated for every coordinate at once."""
+    dim = len(plan.box)
+    k = np.arange(start * dim + 1, (start + count) * dim + 1, dtype=np.uint64)
+    z = np.uint64(plan.seed & _MASK) + k * np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    u = z.reshape(count, dim).astype(np.float64) / _TWO64
+    lo, hi = np.array(plan.box).T
+    return lo + (hi - lo) * u
+
+
 def point_stream(plan: SamplePlan):
-    gen = splitmix64(plan.seed)
+    """The plan's points as an endless iterator of tuples, drawn a block of
+    plan.count points at a time."""
+    start = 0
     while True:
-        coords = []
-        for lo, hi in plan.box:
-            u = next(gen)
-            coords.append(lo + (hi - lo) * (u / _TWO64))
-        yield tuple(coords)
+        for row in point_block(plan, start, plan.count).tolist():
+            yield tuple(row)
+        start += plan.count
 
 
 def points(plan: SamplePlan) -> list[tuple[float, ...]]:
     """The plan's base point list (before any resampling)."""
-    stream = point_stream(plan)
-    return [next(stream) for _ in range(plan.count)]
+    return [tuple(row) for row in point_block(plan, 0, plan.count).tolist()]
 
 
 # Vectorised evaluation over the shared expression DAG.  The per-node
@@ -293,21 +323,19 @@ def run_pairs(
         exprs.append(rhs)
     if not exprs:
         return CheckReport(name, "pass", 0.0, None, 0, tol, _join(detail, "no components"))
-    stream = point_stream(plan)
-    pts = np.array([next(stream) for _ in range(plan.count)], dtype=float)
+    pts = point_block(plan, 0, plan.count)
     vals = evaluate_batch(exprs, pts)
     finite = np.isfinite(vals).all(axis=0)
     budget = plan.resample_limit
     replaced = 0
     while not finite.all() and budget > 0:
-        bad = np.flatnonzero(~finite)
-        take = min(budget, len(bad))
-        fresh = np.array([next(stream) for _ in range(take)], dtype=float)
+        slots = np.flatnonzero(~finite)[:budget]
+        take = len(slots)
+        # replacements continue the stream after every point drawn so far
+        fresh = point_block(plan, plan.count + replaced, take)
         budget -= take
-        fresh_vals = evaluate_batch(exprs, fresh)
-        for col, slot in enumerate(bad[:take]):
-            pts[slot] = fresh[col]
-            vals[:, slot] = fresh_vals[:, col]
+        pts[slots] = fresh
+        vals[:, slots] = evaluate_batch(exprs, fresh)
         replaced += take
         finite = np.isfinite(vals).all(axis=0)
     if not finite.all():
@@ -581,9 +609,8 @@ def reconstruct_decomposition(
     chart = n.chart
     dim = chart.dim
     xicomp = [xi.component(i) for i in range(dim)]
-    stream = point_stream(plan)
-    for _ in range(plan.count + plan.resample_limit):
-        p = next(stream)
+    for row in point_block(plan, 0, plan.count + plan.resample_limit):
+        p = row.tolist()
         vals = [evaluate(c, p) for c in xicomp]
         if not all(np.isfinite(v) for v in vals):
             continue

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from pqnverify.cli import (
+    MAX_POINTS,
     InputError,
     _parse_box,
     emit_document,
@@ -260,6 +261,32 @@ def test_bad_tolerances_exit_two(tmp_path, capsys, command, tol):
     assert out == ""
     assert err.startswith("pqnverify: tol must be a finite positive number")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+@pytest.mark.parametrize("box", ["0:inf", "-inf:0"])
+def test_infinite_boxes_exit_two(tmp_path, capsys, command, box):
+    sf = tmp_path / "toda2.json"
+    run_cli(["catalog", "closed-toda", "--n", "2", "--out", str(sf)], capsys)
+    code, out, err = run_cli([command, str(sf), f"--box={box}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("pqnverify: box bounds must be finite")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+@pytest.mark.parametrize("flag", ["--samples", "--resample-limit"])
+@pytest.mark.parametrize("value", [MAX_POINTS + 1, 10**12])
+def test_oversized_point_counts_exit_two(tmp_path, capsys, command, flag, value):
+    # The structure file does not exist: the bound is checked before the
+    # input is read, so nothing is ever sampled at these sizes.
+    absent = str(tmp_path / "absent.json")
+    code, out, err = run_cli([command, absent, flag, str(value)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"pqnverify: {flag[2:]} must be at most {MAX_POINTS}, got {value}\n"
 
 
 def _sum_of_products(terms: int) -> str:

@@ -3,6 +3,7 @@
 from dataclasses import replace
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from pqnverify import verify as verify_module
@@ -37,6 +38,8 @@ from pqnverify.verify import (
     Structure,
     check_identity,
     deform_3d,
+    point_block,
+    point_stream,
     points,
     random_endomorphism,
     random_oneform,
@@ -111,6 +114,44 @@ def test_sample_plan_validation():
         sample_plan(CH, box=(1.0, -1.0))
     with pytest.raises(ValueError):
         sample_plan(CH, count=0)
+    with pytest.raises(ValueError, match="finite"):
+        sample_plan(CH, box=(0, float("inf")))
+    with pytest.raises(ValueError, match="finite"):
+        sample_plan(CH, box=((0.0, 1.0), (float("-inf"), 0.0), (0.0, 1.0)))
+
+
+def _scalar_points(plan, start, count):
+    """Points start .. start+count-1 replayed one splitmix64 output at a
+    time: the reference the block sampler must reproduce bit for bit."""
+    gen = islice(splitmix64(plan.seed), start * len(plan.box), None)
+    return np.array(
+        [
+            [lo + (hi - lo) * (next(gen) / 2.0**64) for lo, hi in plan.box]
+            for _ in range(count)
+        ]
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**63 + 5, 2**64 - 1, -7])
+@pytest.mark.parametrize("dim", [1, 3, 8])
+@pytest.mark.parametrize("box", [(-1.0, 1.0), (0.5, 3.25), (-1e-3, 7.0)])
+def test_point_block_matches_the_scalar_stream(seed, dim, box):
+    chart = Chart(tuple(f"u{i}" for i in range(dim)))
+    plan = sample_plan(chart, box=box, count=40, seed=seed)
+    for start in (0, plan.count, plan.count + 17):
+        block = point_block(plan, start, plan.count)
+        assert block.shape == (plan.count, dim) and block.dtype == np.float64
+        reference = _scalar_points(plan, start, plan.count)
+        assert np.array_equal(block.view(np.uint64), reference.view(np.uint64))
+    base = points(plan)
+    assert base == [tuple(row) for row in _scalar_points(plan, 0, plan.count).tolist()]
+    assert all(type(c) is float for p in base for c in p)
+
+
+def test_point_stream_continues_across_blocks():
+    plan = sample_plan(CH, count=5, seed=3)
+    drawn = np.array(list(islice(point_stream(plan), 12)))
+    assert np.array_equal(drawn.view(np.uint64), point_block(plan, 0, 12).view(np.uint64))
 
 
 def test_run_pairs_resamples_past_domain_failures(plan):
@@ -405,6 +446,24 @@ def test_run_suites_looks_suite_functions_up_when_called(plan, monkeypatch):
     st = replace(r3_recipe(RECIPE), omega=KForm(CH, 2, {}))
     assert run_suites(st, plan, 1e-8) == []
     assert called == list(SUITES)
+
+
+def test_run_pairs_reaches_the_rebound_evaluator(plan, monkeypatch):
+    # The benchmark's tracer rebinds verify.evaluate_batch and wraps
+    # verify.point_stream by name; both must stay reachable.
+    calls = []
+    original = verify_module.evaluate_batch
+
+    def counting(exprs, pts):
+        calls.append(pts.shape[0])
+        return original(exprs, pts)
+
+    monkeypatch.setattr(verify_module, "evaluate_batch", counting)
+    rep = run_pairs("half_domain", [(sqrt(X), sqrt(X))], plan, 1e-8)
+    assert rep.detail == "resampled 55 points"
+    assert calls[0] == plan.count and sum(calls[1:]) == 55
+    first = list(islice(verify_module.point_stream(plan), 3))
+    assert first == [tuple(row) for row in point_block(plan, 0, 3).tolist()]
 
 
 def test_suite_names_are_stable():
