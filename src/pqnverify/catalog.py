@@ -32,8 +32,10 @@ from .expr import (
     ZERO,
     add,
     constant,
+    coord,
     derive,
     div,
+    exp,
     intpow,
     mul,
     neg,
@@ -81,14 +83,14 @@ def _das_okubo_matrix(chart: Chart, n: int):
     dim = 2 * n
     m = [[ZERO for _ in range(dim)] for _ in range(dim)]
     for i in range(1, n + 1):
-        m[i - 1][i - 1] = Coord(i - 1)
-        m[n + i - 1][n + i - 1] = Coord(i - 1)
+        m[i - 1][i - 1] = coord(i - 1)
+        m[n + i - 1][n + i - 1] = coord(i - 1)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             m[n + i - 1][j - 1] = add(m[n + i - 1][j - 1], ONE)
             m[n + j - 1][i - 1] = sub(m[n + j - 1][i - 1], ONE)
     for i in range(1, n):
-        hop = Exp(sub(Coord(n + i - 1), Coord(n + i)))
+        hop = exp(sub(coord(n + i - 1), coord(n + i)))
         m[i][n + i - 1] = add(m[i][n + i - 1], hop)
         m[i - 1][n + i] = sub(m[i - 1][n + i], hop)
     return m
@@ -118,7 +120,7 @@ def closed_toda(n: int = 3) -> Structure:
         raise ValueError("the lattice needs at least two sites")
     chart = lattice_chart(n)
     m = _das_okubo_matrix(chart, n)
-    wrap = Exp(sub(Coord(2 * n - 1), Coord(n)))
+    wrap = exp(sub(coord(2 * n - 1), coord(n)))
     m[0][2 * n - 1] = sub(m[0][2 * n - 1], wrap)
     m[n - 1][n] = add(m[n - 1][n], wrap)
     phi = KForm(
@@ -217,7 +219,7 @@ def _antiderivative_in_y(integrand: Expr) -> Expr:
         )
     acc: Expr = ZERO
     for k in sorted(coeffs):
-        term = div(mul(coeffs[k], intpow(Coord(1), k + 1)), constant(float(k + 1)))
+        term = div(mul(coeffs[k], intpow(coord(1), k + 1)), constant(float(k + 1)))
         acc = add(acc, term)
     return acc
 
@@ -311,10 +313,10 @@ def magri_veselov() -> Structure:
     """The cubic-root endomorphism with its annihilated one-form dz and the
     power family {I, N, N^2} attached as a (failing) chain candidate."""
     chart = r3_chart()
-    half_y = div(Coord(1), constant(2.0))
+    half_y = div(coord(1), constant(2.0))
     matrix = (
         (ZERO, ZERO, neg(half_y)),
-        (constant(2.0), ZERO, neg(Coord(2))),
+        (constant(2.0), ZERO, neg(coord(2))),
         (ZERO, constant(2.0), ZERO),
     )
     n = Endomorphism(chart, matrix)

@@ -37,6 +37,12 @@ SCHEMA_VERSION = 1
 # point cloud, and one value per point for each expression node it
 # evaluates, in memory at once.
 MAX_POINTS = 65_536
+# Upper bound on --kmax: the invariant and recursion checks build
+# endomorphism powers up to this order.
+MAX_KMAX = 32
+# Upper bound on catalog --n: a lattice of n sites has a 2n-coordinate
+# chart and a dense 2n x 2n endomorphism.
+MAX_SITES = 64
 
 _BLOCKS = (
     "chart",
@@ -450,6 +456,8 @@ def _plan_for(args, st: Structure):
 def _check_flags(args):
     if args.kmax < 2:
         raise InputError("kmax must be at least 2")
+    if args.kmax > MAX_KMAX:
+        raise InputError(f"kmax must be at most {MAX_KMAX}, got {args.kmax}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise InputError(f"tol must be a finite positive number, got {args.tol}")
     if args.samples > MAX_POINTS:
@@ -498,6 +506,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    if args.n is not None and args.n > MAX_SITES:
+        raise InputError(f"n must be at most {MAX_SITES}, got {args.n}")
     try:
         st = by_name(args.name, n=args.n, lam=args.lam, a=args.a, g=args.g, b=args.b)
     except (ValueError, ExprError) as exc:

@@ -4,8 +4,18 @@ A small fixed-function AST: enough to write the component functions that
 occur in low-dimensional Poisson geometry (polynomials, rational functions,
 exp/log/sin/cos/sqrt), differentiate them exactly, print and re-parse them,
 and evaluate them at points. Nodes are immutable and compare by identity;
-shared subtrees form a DAG and every traversal here is memoised on node id,
-never on structural equality.
+shared subtrees form a DAG and every traversal here is memoised on node
+identity.
+
+Nodes are hash-consed: every node is built through one table, `_TABLE`,
+keyed on its class and its fields, with child nodes as keys by identity,
+so two structurally equal nodes built since the table was last emptied
+are the same object. `derive` memoises into one table, `_DERIVED`, keyed
+on (node, coordinate index). Both tables live for one verdict:
+`verify.run_suites` empties them with `clear_tables` when it returns, so
+a process that runs many verdicts holds the nodes of one at a time. A
+node that outlives a clear stays valid; nodes built after it just do not
+share with it.
 """
 from __future__ import annotations
 
@@ -59,7 +69,7 @@ class Chart:
 
     def coords(self) -> tuple["Expr", ...]:
         """The coordinate functions themselves, as expressions."""
-        return tuple(Coord(i) for i in range(self.dim))
+        return tuple(coord(i) for i in range(self.dim))
 
 
 class Expr:
@@ -168,15 +178,44 @@ class Sqrt(Expr):
     arg: Expr
 
 
-ZERO = Constant(0.0)
-ONE = Constant(1.0)
+# The hash-consing table: (class, *fields) -> node, with a Constant keyed
+# on (value, sign of value) so that 0.0 and -0.0 stay distinct.
+_TABLE: dict[tuple, Expr] = {}
+# derive's memo: (node, coordinate index) -> derivative.
+_DERIVED: dict[tuple[Expr, int], Expr] = {}
+
+
+def _node(cls, *args) -> Expr:
+    """The one node of this class and these fields, built if new."""
+    key = (cls, *args, math.copysign(1.0, args[0])) if cls is Constant else (cls, *args)
+    got = _TABLE.get(key)
+    if got is None:
+        got = _TABLE[key] = cls(*args)
+    return got
+
+
+ZERO = _node(Constant, 0.0)
+ONE = _node(Constant, 1.0)
+_PINNED = dict(_TABLE)  # ZERO and ONE live as long as the module
+
+
+def clear_tables() -> None:
+    """Empty the node table and derive's memo, keeping ZERO and ONE."""
+    _TABLE.clear()
+    _DERIVED.clear()
+    _TABLE.update(_PINNED)
 
 
 def constant(value) -> Constant:
     v = float(value)
     if not math.isfinite(v):
         raise ExprError("constants must be finite")
-    return Constant(v)
+    return _node(Constant, v)
+
+
+def coord(index: int) -> Coord:
+    """The coordinate function with this index."""
+    return _node(Coord, index)
 
 
 def _coerce(value) -> Expr:
@@ -203,38 +242,38 @@ def add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Constant) and isinstance(b, Constant):
         v = a.value + b.value
         if math.isfinite(v):
-            return Constant(v)
+            return _node(Constant, v)
     if is_zero(a):
         return b
     if is_zero(b):
         return a
-    return Add(a, b)
+    return _node(Add, a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Constant) and isinstance(b, Constant):
         v = a.value - b.value
         if math.isfinite(v):
-            return Constant(v)
+            return _node(Constant, v)
     if is_zero(b):
         return a
     if is_zero(a):
         return neg(b)
-    return Sub(a, b)
+    return _node(Sub, a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Constant) and isinstance(b, Constant):
         v = a.value * b.value
         if math.isfinite(v):
-            return Constant(v)
+            return _node(Constant, v)
     if is_zero(a) or is_zero(b):
         return ZERO
     if is_one(a):
         return b
     if is_one(b):
         return a
-    return Mul(a, b)
+    return _node(Mul, a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
@@ -244,18 +283,18 @@ def div(a: Expr, b: Expr) -> Expr:
         if isinstance(a, Constant):
             v = a.value / b.value
             if math.isfinite(v):
-                return Constant(v)
+                return _node(Constant, v)
         if is_zero(a):
             return ZERO
-    return Div(a, b)
+    return _node(Div, a, b)
 
 
 def neg(a: Expr) -> Expr:
     if isinstance(a, Constant):
-        return Constant(-a.value)
+        return _node(Constant, -a.value)
     if isinstance(a, Neg):
         return a.arg
-    return Neg(a)
+    return _node(Neg, a)
 
 
 def intpow(base: Expr, exponent) -> Expr:
@@ -268,8 +307,8 @@ def intpow(base: Expr, exponent) -> Expr:
     if isinstance(base, Constant):
         v = base.value ** exponent
         if math.isfinite(v):
-            return Constant(v)
-    return IntPow(base, exponent)
+            return _node(Constant, v)
+    return _node(IntPow, base, exponent)
 
 
 def _fold_unary(cls, fn, a: Expr) -> Expr:
@@ -277,10 +316,10 @@ def _fold_unary(cls, fn, a: Expr) -> Expr:
         try:
             v = fn(a.value)
         except (ValueError, OverflowError):
-            return cls(a)
+            return _node(cls, a)
         if math.isfinite(v):
-            return Constant(v)
-    return cls(a)
+            return _node(Constant, v)
+    return _node(cls, a)
 
 
 def exp(a) -> Expr:
@@ -315,10 +354,9 @@ def _children(e: Expr) -> tuple[Expr, ...]:
 
 def derive(e: Expr, i: int) -> Expr:
     """Exact partial derivative with respect to coordinate index i."""
-    memo: dict[int, Expr] = {}
 
     def go(n: Expr) -> Expr:
-        got = memo.get(id(n))
+        got = _DERIVED.get((n, i))
         if got is not None:
             return got
         if isinstance(n, Constant):
@@ -342,14 +380,14 @@ def derive(e: Expr, i: int) -> Expr:
         elif isinstance(n, Log):
             r = div(go(n.arg), n.arg)
         elif isinstance(n, Sin):
-            r = mul(Cos(n.arg), go(n.arg))
+            r = mul(_node(Cos, n.arg), go(n.arg))
         elif isinstance(n, Cos):
-            r = neg(mul(Sin(n.arg), go(n.arg)))
+            r = neg(mul(_node(Sin, n.arg), go(n.arg)))
         elif isinstance(n, Sqrt):
             r = div(go(n.arg), mul(constant(2.0), n))
         else:
             raise TypeError(f"unknown node {type(n).__name__}")
-        memo[id(n)] = r
+        _DERIVED[(n, i)] = r
         return r
 
     return go(e)
@@ -620,7 +658,7 @@ class _Parser:
                 self.expect(")")
                 return ctor(inner)
             if t.text in self.chart.coord_names:
-                return Coord(self.chart.coord_names.index(t.text))
+                return coord(self.chart.coord_names.index(t.text))
             raise ExprError(f"unknown identifier {t.text!r}", t.offset)
         if t.kind == "(":
             self.advance()

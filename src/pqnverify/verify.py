@@ -52,7 +52,9 @@ from .expr import (
     ZERO,
     _children,
     add,
+    clear_tables,
     constant,
+    coord,
     derive,
     div,
     evaluate,
@@ -207,9 +209,13 @@ def points(plan: SamplePlan) -> list[tuple[float, ...]]:
 
 
 # Vectorised evaluation over the shared expression DAG.  The per-node
-# Python overhead is paid once per node, not once per node and point,
-# which keeps the larger bundles (endomorphism powers in six dimensions)
-# at interactive speed.
+# Python overhead is paid once per node and block, not once per node and
+# point, which keeps the larger bundles (endomorphism powers in six
+# dimensions) at interactive speed.
+
+# Points per pass over the DAG: bounds the memory that live intermediate
+# values hold at wide point clouds.
+EVAL_BLOCK = 2048
 
 def _topo_order(roots: list[Expr]) -> list[Expr]:
     order: list[Expr] = []
@@ -264,25 +270,37 @@ def evaluate_batch(exprs: list[Expr], pts: np.ndarray) -> np.ndarray:
     """Evaluate expressions at points; result shape (len(exprs), npts).
 
     Domain failures surface as nan or inf entries, mirroring evaluate().
+    The DAG is walked once per block of at most EVAL_BLOCK points; a value
+    is freed once its last parent is computed, and a root is copied into
+    its rows of the output as soon as it is computed.
     """
     npts = pts.shape[0]
-    if not exprs:
-        return np.zeros((0, npts))
+    out = np.empty((len(exprs), npts))
     order = _topo_order(list(exprs))
     refs: dict[int, int] = {}
     for node in order:
         for c in _children(node):
             refs[id(c)] = refs.get(id(c), 0) + 1
-    roots = {id(e) for e in exprs}
-    vals: dict[int, np.ndarray] = {}
+    rows: dict[int, list[int]] = {}
+    for r, e in enumerate(exprs):
+        rows.setdefault(id(e), []).append(r)
     with np.errstate(all="ignore"):
-        for node in order:
-            vals[id(node)] = _eval_node_np(node, pts, vals)
-            for c in _children(node):
-                refs[id(c)] -= 1
-                if refs[id(c)] == 0 and id(c) not in roots:
-                    del vals[id(c)]
-    return np.stack([vals[id(e)] for e in exprs])
+        for lo in range(0, npts, EVAL_BLOCK):
+            hi = min(lo + EVAL_BLOCK, npts)
+            block = pts[lo:hi]
+            left = dict(refs)
+            vals: dict[int, np.ndarray] = {}
+            for node in order:
+                v = _eval_node_np(node, block, vals)
+                for r in rows.get(id(node), ()):
+                    out[r, lo:hi] = v
+                if id(node) in left:
+                    vals[id(node)] = v
+                for c in _children(node):
+                    left[id(c)] -= 1
+                    if left[id(c)] == 0:
+                        del vals[id(c)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -456,7 +474,7 @@ def random_polynomial(chart: Chart, gen, max_terms: int = 3, max_degree: int = 2
         term: Expr = constant(float(c))
         degree = next(gen) % (max_degree + 1)
         for _ in range(degree):
-            term = mul(term, Coord(next(gen) % chart.dim))
+            term = mul(term, coord(next(gen) % chart.dim))
         acc = add(acc, term)
     return acc
 
@@ -1103,8 +1121,9 @@ def rank_one_identity_reports(
 ) -> list[CheckReport]:
     """Closed forms of the torsion and Haantjes tensors of W (x) eta."""
     chart = w.chart
-    t = nijenhuis_torsion(tensor_product(w, eta))
-    h = haantjes_tensor(tensor_product(w, eta), torsion=t)
+    m = tensor_product(w, eta)
+    t = nijenhuis_torsion(m)
+    h = haantjes_tensor(m, torsion=t)
     f = pairing(eta, w)
     df = d_scalar(chart, f)
     eta_deta = wedge(eta, d(eta)) if chart.dim >= 3 else None
@@ -1355,19 +1374,25 @@ def run_suites(
 ) -> list[CheckReport]:
     """Dispatch the named suites against whatever members the structure
     carries; a suite whose members are absent contributes one skipped
-    report naming them."""
+    report naming them.
+
+    Empties the expression tables on return, so the nodes one verdict
+    builds are not held for the next."""
     if suites is None:
         suites = SUITES
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise ValueError("unknown suites: " + ", ".join(sorted(unknown)))
     reports: list[CheckReport] = []
-    for suite, (members, runner) in _SUITE_TABLE.items():
-        if suite not in suites:
-            continue
-        have = {m: _present(structure, m) for m in members}
-        if any(value is None for value in have.values()):
-            reports += _missing(tol, suite, have)
-        else:
-            reports += runner(structure, plan, tol, kmax)
+    try:
+        for suite, (members, runner) in _SUITE_TABLE.items():
+            if suite not in suites:
+                continue
+            have = {m: _present(structure, m) for m in members}
+            if any(value is None for value in have.values()):
+                reports += _missing(tol, suite, have)
+            else:
+                reports += runner(structure, plan, tol, kmax)
+    finally:
+        clear_tables()
     return reports

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from pqnverify.cli import (
+    MAX_KMAX,
     MAX_POINTS,
+    MAX_SITES,
     InputError,
     _parse_box,
     emit_document,
@@ -287,6 +289,39 @@ def test_oversized_point_counts_exit_two(tmp_path, capsys, command, flag, value)
     assert code == 2
     assert out == ""
     assert err == f"pqnverify: {flag[2:]} must be at most {MAX_POINTS}, got {value}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+@pytest.mark.parametrize("value", [MAX_KMAX + 1, 10**12])
+def test_oversized_kmax_exits_two(tmp_path, capsys, command, value):
+    # As above: the structure file does not exist, so the bound fires
+    # before anything is read or built.
+    absent = str(tmp_path / "absent.json")
+    code, out, err = run_cli([command, absent, "--kmax", str(value)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"pqnverify: kmax must be at most {MAX_KMAX}, got {value}\n"
+
+
+def test_largest_kmax_is_accepted(tmp_path, capsys):
+    path = write_structure(tmp_path, MINIMAL)
+    code, _, err = run_cli(
+        ["verify", path, "--suites", "poisson", "--kmax", str(MAX_KMAX)], capsys
+    )
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("name", ["das-okubo", "closed-toda"])
+@pytest.mark.parametrize("value", [MAX_SITES + 1, 10**6, 10**12])
+def test_oversized_lattices_exit_two(tmp_path, capsys, name, value):
+    out_file = tmp_path / "lattice.json"
+    code, out, err = run_cli(
+        ["catalog", name, "--n", str(value), "--out", str(out_file)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"pqnverify: n must be at most {MAX_SITES}, got {value}\n"
+    assert not out_file.exists()
 
 
 def _sum_of_products(terms: int) -> str:

@@ -3,10 +3,12 @@
 import math
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
 from pqnverify.expr import (
+    ONE,
     Add,
     Chart,
     Coord,
@@ -16,7 +18,9 @@ from pqnverify.expr import (
     Sub,
     add,
     constant,
+    coord,
     derive,
+    div,
     evaluate,
     intpow,
     mul,
@@ -25,6 +29,7 @@ from pqnverify.expr import (
     sub,
     to_string,
 )
+from pqnverify.verify import evaluate_batch
 
 CHART = Chart(("x", "y", "z"))
 X, Y, Z = Coord(0), Coord(1), Coord(2)
@@ -175,3 +180,28 @@ def test_printed_functions_round_trip(p):
     e = parse("exp(x) + sin(y)*cos(z) - sqrt(x^2 + 1)", CHART)
     again = parse(to_string(e, CHART), CHART)
     assert evaluate(again, p) == evaluate(e, p)
+
+
+def test_equal_text_parses_to_one_object():
+    text = "x*y + exp(z) - sin(x)/2"
+    assert parse(text, CHART) is parse(text, CHART)
+    assert parse("x", CHART) is coord(0) is CHART.coords()[0]
+    assert constant(2) is constant(2.0)
+    assert add(coord(0), coord(1)) is not add(coord(1), coord(0))
+
+
+def test_signed_zero_constants_stay_distinct():
+    pos, neg_zero = constant(0.0), constant(-0.0)
+    assert pos is not neg_zero
+    assert neg(pos) is neg_zero
+    assert math.copysign(1.0, neg_zero.value) == -1.0
+    values = evaluate_batch([div(ONE, pos), div(ONE, neg_zero)], np.zeros((1, 3)))
+    assert values[0, 0] == math.inf
+    assert values[1, 0] == -math.inf
+
+
+def test_derivatives_are_shared():
+    e = parse("x*y^3 + exp(x*z)/cos(y)", CHART)
+    for i in range(3):
+        assert derive(e, i) is derive(e, i)
+        assert derive(e, i) is derive(parse(to_string(e, CHART), CHART), i)

@@ -1,27 +1,36 @@
 """Sampling engine, residual reports, and the structure verifiers."""
 
+import json
+import struct
 from dataclasses import replace
 from itertools import islice
 
 import numpy as np
 import pytest
 
+import pqnverify
+from pqnverify import calculus, catalog, cli, expr, fields
 from pqnverify import verify as verify_module
 from pqnverify.catalog import RecipeInput, closed_toda, das_okubo, magri_veselov, prop_local_pair, r3_recipe
 from pqnverify.expr import (
     ONE,
     ZERO,
     Chart,
+    Constant,
     Coord,
+    IntPow,
+    _children,
     add,
     constant,
     div,
     evaluate,
     intpow,
     log,
+    mul,
     neg,
     parse,
     sqrt,
+    sub,
     to_string,
 )
 from pqnverify.fields import (
@@ -33,11 +42,13 @@ from pqnverify.fields import (
     star,
 )
 from pqnverify.verify import (
+    EVAL_BLOCK,
     SUITES,
     CheckReport,
     Structure,
     check_identity,
     deform_3d,
+    evaluate_batch,
     point_block,
     point_stream,
     points,
@@ -464,6 +475,94 @@ def test_run_pairs_reaches_the_rebound_evaluator(plan, monkeypatch):
     assert calls[0] == plan.count and sum(calls[1:]) == 55
     first = list(islice(verify_module.point_stream(plan), 3))
     assert first == [tuple(row) for row in point_block(plan, 0, 3).tolist()]
+
+
+def test_evaluate_batch_matches_the_scalar_evaluator_across_blocks():
+    npts = 2 * EVAL_BLOCK + 1
+    pts = point_block(sample_plan(CH, box=(-2.0, 2.0), count=npts, seed=5), 0, npts)
+    pts[:3] = 0.0  # x = 0 keeps the overflowing root finite at a few points
+    big = mul(mul(X, constant(1e300)), constant(1e300))  # +-inf wherever x != 0
+    # No IntPow: the scalar evaluator's float ** int goes through the C
+    # pow, which misrounds a few squares that numpy computes as x*x.
+    shared = add(mul(X, Y), mul(Z, Z))
+    roots = [
+        big,
+        sub(big, big),  # nan wherever x != 0
+        shared,
+        div(shared, add(mul(Y, Y), ONE)),
+        shared,  # a root listed twice
+        sqrt(add(mul(X, X), constant(0.25))),
+        Y,
+        constant(-2.5),
+        neg(Z),
+    ]
+    got = evaluate_batch(roots, pts)
+    want = np.array([[evaluate(e, p) for p in pts.tolist()] for e in roots])
+    assert got.shape == (len(roots), npts)
+    assert np.isinf(got[0]).sum() == npts - 3 and np.isnan(got[1]).sum() == npts - 3
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert evaluate_batch([], pts).shape == (0, npts)
+
+
+def _recipe_document(lam: str, a: str, g: str) -> dict:
+    inp = RecipeInput(lam=parse(lam, CH), a=parse(a, CH), g=parse(g, CH))
+    return cli.structure_to_doc(r3_recipe(inp))
+
+
+def test_each_verdict_leaves_the_node_table_as_it_found_it(tmp_path, capsys):
+    paths = []
+    for k, (lam, a, g) in enumerate([("z", "y", "0"), ("z/2", "x/2", "z"), ("x + z", "y^2", "z")]):
+        path = tmp_path / f"recipe{k}.json"
+        path.write_text(json.dumps(_recipe_document(lam, a, g)), encoding="utf-8")
+        paths.append(str(path))
+    expr.clear_tables()
+    before = len(expr._TABLE)
+    for path in paths:
+        assert cli.main(["verify", path]) in (0, 1)
+        assert len(expr._TABLE) == before
+        assert not expr._DERIVED
+    assert constant(0.0) is ZERO and constant(1) is ONE
+    capsys.readouterr()
+
+
+def _duplicate_nodes(roots) -> int:
+    """Node objects reachable from roots that are structurally equal to an
+    earlier one, with constants keyed by their float bit pattern."""
+    klass: dict[int, int] = {}
+    keys: dict[tuple, int] = {}
+    for node in verify_module._topo_order(list(roots)):
+        if isinstance(node, Constant):
+            key = ("C", struct.pack("<d", node.value))
+        elif isinstance(node, Coord):
+            key = ("X", node.index)
+        elif isinstance(node, IntPow):
+            key = ("P", node.exponent, klass[id(node.base)])
+        else:
+            key = (type(node).__name__,) + tuple(klass[id(c)] for c in _children(node))
+        klass[id(node)] = keys.setdefault(key, len(keys))
+    return len(klass) - len(keys)
+
+
+def test_no_evaluation_sees_structurally_equal_nodes(tmp_path, capsys, monkeypatch):
+    # Rebind evaluate_batch in every module that binds it, as the
+    # benchmark's tracer does, and inspect every DAG a verdict evaluates.
+    original = verify_module.evaluate_batch
+    duplicates = []
+
+    def inspecting(exprs, pts):
+        duplicates.append(_duplicate_nodes(exprs))
+        return original(exprs, pts)
+
+    for module in (pqnverify, expr, fields, calculus, verify_module, catalog, cli):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, inspecting)
+    path = tmp_path / "toda2.json"
+    path.write_text(json.dumps(cli.structure_to_doc(closed_toda(2))), encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == 1
+    capsys.readouterr()
+    assert len(duplicates) >= 40
+    assert set(duplicates) == {0}
 
 
 def test_suite_names_are_stable():
