@@ -16,7 +16,6 @@ from .fields import (
     _require_same_chart,
     _sorted_with_sign,
     add_kforms,
-    compose,
     dual_apply,
     interior_endomorphism,
     interior_mv,
@@ -52,18 +51,6 @@ def d(omega: KForm) -> KForm:
 def d_scalar(chart: Chart, f: Expr) -> KForm:
     """Differential of a function, as a one-form."""
     return d(scalar_form(chart, f))
-
-
-def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    chart = _require_same_chart(x, y)
-    comps = []
-    for i in range(chart.dim):
-        acc = ZERO
-        for j in range(chart.dim):
-            acc = add(acc, mul(x.components[j], derive(y.components[i], j)))
-            acc = sub(acc, mul(y.components[j], derive(x.components[i], j)))
-        comps.append(acc)
-    return VectorField(chart, tuple(comps))
 
 
 def lie_derivative(x: VectorField, omega):
@@ -200,32 +187,51 @@ def nijenhuis_torsion(n: Endomorphism) -> TorsionEvaluator:
 
 
 def haantjes_tensor(n: Endomorphism, torsion: TorsionEvaluator | None = None) -> TorsionEvaluator:
-    """H(X,Y) = T(NX,NY) - N(T(NX,Y) + T(X,NY) - N T(X,Y))."""
+    """H(X,Y) = T(NX,NY) - N(T(NX,Y) + T(X,NY) - N T(X,Y)), in O(d^4) products.
+
+    Two-stage contraction: first A^i_{mk} = sum_l T^i_{ml} N^l_k, once for
+    all (i, m, k).  On a coordinate pair (j, k) the identities
+    T(X,NY)^m = A^m_{jk} and T(NX,Y)^m = -A^m_{kj} then give
+        H^i_{jk} = sum_m N^m_j A^i_{mk}
+                   - sum_m N^i_m (A^m_{jk} - A^m_{kj} - sum_p N^m_p T^p_{jk}),
+    where the bracket is built once per (m, j, k) and shared over i.
+    """
     chart = n.chart
     dim = chart.dim
     t = torsion if torsion is not None else nijenhuis_torsion(n)
-    n2 = compose(n, n)
+    nm = n.matrix
+    # A^i_{mk}, read from the stored pairs l > m and, with the sign, l < m.
+    a = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for m in range(dim):
+            row = a[i][m]
+            for k in range(dim):
+                acc = ZERO
+                for l in range(dim):
+                    if l == m:
+                        continue
+                    if l > m:
+                        acc = add(acc, mul(t.component(i, m, l), nm[l][k]))
+                    else:
+                        acc = sub(acc, mul(t.component(i, l, m), nm[l][k]))
+                row[k] = acc
     pairs = {}
     for j in range(dim):
         for k in range(j + 1, dim):
+            tjk = t.pair(j, k).components
+            inner = []
+            for m in range(dim):
+                acc = sub(a[m][j][k], a[m][k][j])
+                for p in range(dim):
+                    acc = sub(acc, mul(nm[m][p], tjk[p]))
+                inner.append(acc)
             comps = []
             for i in range(dim):
                 acc = ZERO
                 for m in range(dim):
-                    for l in range(dim):
-                        if m == l:
-                            continue
-                        tml = t.component(i, m, l)
-                        if is_zero(tml):
-                            continue
-                        acc = add(acc, mul(mul(n.matrix[m][j], n.matrix[l][k]), tml))
+                    acc = add(acc, mul(nm[m][j], a[i][m][k]))
                 for m in range(dim):
-                    inner = ZERO
-                    for l in range(dim):
-                        inner = add(inner, mul(n.matrix[l][j], t.component(m, l, k)))
-                        inner = add(inner, mul(n.matrix[l][k], t.component(m, j, l)))
-                    acc = sub(acc, mul(n.matrix[i][m], inner))
-                    acc = add(acc, mul(n2.matrix[i][m], t.component(m, j, k)))
+                    acc = sub(acc, mul(nm[i][m], inner[m]))
                 comps.append(acc)
             pairs[(j, k)] = VectorField(chart, tuple(comps))
     return TorsionEvaluator(chart, pairs)

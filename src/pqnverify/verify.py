@@ -491,17 +491,6 @@ def random_oneform(chart: Chart, gen, **kw) -> KForm:
     )
 
 
-def random_endomorphism(chart: Chart, gen, **kw) -> Endomorphism:
-    dim = chart.dim
-    return Endomorphism(
-        chart,
-        tuple(
-            tuple(random_polynomial(chart, gen, **kw) for _ in range(dim))
-            for _ in range(dim)
-        ),
-    )
-
-
 # Structures bundle the members the verifiers operate on.  Any member
 # other than the chart may be absent; suites skip what they cannot feed.
 

@@ -31,7 +31,6 @@ from pqnverify.verify import (
     deform_3d,
     evaluate_batch,
     points,
-    random_endomorphism,
     random_oneform,
     random_polynomial,
     random_vectorfield,
@@ -49,6 +48,8 @@ from pqnverify.verify import (
     verify_recursion_involutivity,
     xi_form,
 )
+
+from builders import random_endomorphism
 
 TOL = 1e-8
 BUDGET = 10.0

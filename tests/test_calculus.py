@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from pqnverify.calculus import (
@@ -13,7 +14,6 @@ from pqnverify.calculus import (
     haantjes_tensor,
     invariant,
     jacobiator,
-    lie_bracket,
     lie_derivative,
     nijenhuis_torsion,
     phi_sequence_term,
@@ -35,6 +35,7 @@ from pqnverify.expr import (
     Coord,
     add,
     constant,
+    derive,
     div,
     evaluate,
     intpow,
@@ -54,6 +55,7 @@ from pqnverify.fields import (
     apply_form,
     basis_oneform,
     basis_vector,
+    compose,
     divergence,
     dual_apply,
     identity_endomorphism,
@@ -68,6 +70,9 @@ from pqnverify.fields import (
     tensor_product,
     wedge,
 )
+from pqnverify.verify import evaluate_batch, point_block, sample_plan, splitmix64
+
+from builders import random_endomorphism
 
 CH = Chart(("x", "y", "z"))
 X, Y, Z = Coord(0), Coord(1), Coord(2)
@@ -107,6 +112,18 @@ def test_d_squared_vanishes():
 def test_d_on_top_degree_is_rejected():
     with pytest.raises(DegreeError):
         d(KForm(CH, 3, {(0, 1, 2): X}))
+
+
+def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
+    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i."""
+    comps = []
+    for i in range(x.chart.dim):
+        acc = ZERO
+        for j in range(x.chart.dim):
+            acc = add(acc, mul(x.components[j], derive(y.components[i], j)))
+            acc = sub(acc, mul(y.components[j], derive(x.components[i], j)))
+        comps.append(acc)
+    return VectorField(x.chart, tuple(comps))
 
 
 def test_lie_bracket_basics():
@@ -342,6 +359,52 @@ class TestTorsions:
                     assert got == pytest.approx(
                         [ev(c, p) for c in want.components], abs=1e-12
                     )
+
+
+def haantjes_direct(n: Endomorphism, t) -> dict:
+    """Reference Haantjes tensor in O(d^5) products: on each pair j < k,
+    H^i_{jk} = sum_{m,l} N^m_j N^l_k T^i_{ml}
+               - sum_m N^i_m (T(NX,Y) + T(X,NY))^m + sum_m (N^2)^i_m T^m_{jk}."""
+    dim = n.chart.dim
+    n2 = compose(n, n)
+    pairs = {}
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            comps = []
+            for i in range(dim):
+                acc = ZERO
+                for m in range(dim):
+                    for l in range(dim):
+                        acc = add(acc, mul(mul(n.matrix[m][j], n.matrix[l][k]), t.component(i, m, l)))
+                for m in range(dim):
+                    inner = ZERO
+                    for l in range(dim):
+                        inner = add(inner, mul(n.matrix[l][j], t.component(m, l, k)))
+                        inner = add(inner, mul(n.matrix[l][k], t.component(m, j, l)))
+                    acc = sub(acc, mul(n.matrix[i][m], inner))
+                    acc = add(acc, mul(n2.matrix[i][m], t.component(m, j, k)))
+                comps.append(acc)
+            pairs[(j, k)] = comps
+    return pairs
+
+
+@pytest.mark.parametrize("torsion_given", [True, False], ids=["torsion-given", "torsion-built"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_haantjes_tensor_matches_the_direct_formula(dim, torsion_given):
+    chart = Chart(tuple(f"x{i}" for i in range(dim)))
+    n = random_endomorphism(chart, splitmix64(100 + dim))
+    t = nijenhuis_torsion(n)
+    h = haantjes_tensor(n, torsion=t) if torsion_given else haantjes_tensor(n)
+    want = haantjes_direct(n, t)
+    got_exprs = [c for key in want for c in h.pair(*key).components]
+    want_exprs = [c for key in want for c in want[key]]
+    pts = point_block(sample_plan(chart, count=32, seed=dim), 0, 32)
+    got, ref = evaluate_batch(got_exprs, pts), evaluate_batch(want_exprs, pts)
+    assert np.all(np.isfinite(ref))
+    # Every Haantjes tensor vanishes in dimension 2; above it these do not.
+    assert dim == 2 or np.max(np.abs(ref)) > 1.0
+    scaled = np.abs(got - ref) / np.maximum(1.0, np.maximum(np.abs(got), np.abs(ref)))
+    assert np.max(scaled) <= 1e-9
 
 
 def test_pi_n_skew_symmetrizes_only_compatible_pairs():

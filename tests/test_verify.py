@@ -52,7 +52,6 @@ from pqnverify.verify import (
     point_block,
     point_stream,
     points,
-    random_endomorphism,
     random_oneform,
     random_polynomial,
     random_vectorfield,
@@ -72,6 +71,8 @@ from pqnverify.verify import (
     verify_theo_inv,
     xi_form,
 )
+
+from builders import random_endomorphism
 
 CH = Chart(("x", "y", "z"))
 X, Y, Z = Coord(0), Coord(1), Coord(2)
