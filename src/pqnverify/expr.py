@@ -305,7 +305,10 @@ def intpow(base: Expr, exponent) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Constant):
-        v = base.value ** exponent
+        try:
+            v = base.value ** exponent
+        except OverflowError:  # float ** int raises where float * float gives inf
+            return _node(IntPow, base, exponent)
         if math.isfinite(v):
             return _node(Constant, v)
     return _node(IntPow, base, exponent)

@@ -11,6 +11,7 @@ from pqnverify.expr import (
     ONE,
     Add,
     Chart,
+    Constant,
     Coord,
     Exp,
     ExprError,
@@ -198,6 +199,13 @@ def test_signed_zero_constants_stay_distinct():
     values = evaluate_batch([div(ONE, pos), div(ONE, neg_zero)], np.zeros((1, 3)))
     assert values[0, 0] == math.inf
     assert values[1, 0] == -math.inf
+
+
+def test_overflowing_constant_powers_stay_unfolded():
+    e = parse("((2.5)^21)^37", CHART)
+    assert not isinstance(e, Constant)
+    assert evaluate_batch([e], np.zeros((1, 3)))[0, 0] == math.inf
+    assert intpow(constant(2.5), 21) is constant(2.5**21)
 
 
 def test_derivatives_are_shared():
