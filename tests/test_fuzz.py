@@ -25,6 +25,7 @@ def rare(draw, n: int) -> bool:
     Hypothesis favours the bounds of an integer range."""
     return draw(st.integers(1, n)) == n // 2
 
+
 CONSTANTS = ["1", "2.5", "-3", "0"]
 BROKEN = ["w", "1e308", "1e-300", "exp", "(", "x^", "1/0", "x^-1"]
 
