@@ -16,10 +16,35 @@ on (node, coordinate index). Both tables live for one verdict:
 a process that runs many verdicts holds the nodes of one at a time. A
 node that outlives a clear stays valid; nodes built after it just do not
 share with it.
+
+Building a node also records it on a tape (a Wengert list): flat `array`
+columns with its level (height above the leaves) and opcode, the tape
+indices of its children, and its constant value, coordinate index or
+exponent. Children are built first, so tape order is a topological
+order. `clear_tables` truncates the tape to ZERO and ONE; a node from
+before the clear is recorded again, children first, when it is next
+used.
+
+`evaluate_batch` runs the tape. It finds the entries its roots reach (a
+walk in Python for the first few hundred, then a numpy frontier sweep),
+sorts them by (level, opcode, exponent) into groups, and gives each group
+a contiguous range of rows in a register array: first-fit, and given back
+piece by piece after the last group that reads it, unless one register
+per value fits in an eighth of `REGISTER_BUDGET`. Then, per block of
+points, each group gathers its operands with one `take` each and runs one
+ufunc into its rows. A block is as wide as `REGISTER_BUDGET` floats allow
+for the registers and operand buffers the call needs. Every value is the
+ufunc a node-at-a-time evaluation would apply, on the same operand
+values, so the output is bit-identical to one whatever the grouping or
+block width. The one exception is which nan an operation on two nans
+returns, which depends on whether numpy's SIMD loop or its scalar tail
+computes the element. `evaluate` runs the same tape on a one-row array.
 """
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect
 from dataclasses import dataclass
 
 _RESERVED_NAMES = ("cos", "exp", "log", "sin", "sqrt")
@@ -75,7 +100,7 @@ class Chart:
 class Expr:
     """Base expression node. Arithmetic operators build new nodes."""
 
-    __slots__ = ()
+    __slots__ = ("_slot",)  # set when the node is recorded on the tape
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -184,6 +209,32 @@ _TABLE: dict[tuple, Expr] = {}
 # derive's memo: (node, coordinate index) -> derivative.
 _DERIVED: dict[tuple[Expr, int], Expr] = {}
 
+# The tape: one entry per node, appended by _node as the node is built.
+# _TAPE_KEY holds level << 4 | opcode, the level being the height above
+# the leaves, so that sorting by key groups entries by level, then
+# opcode.  Opcodes are ordered so that one at or above _OP_NEG has a child
+# and one at or above _OP_ADD a second child.  _TAPE_KIDS holds two tape
+# indices per entry: leaves repeat their own and unary nodes their one
+# child's, so both are always indices.  _TAPE_VAL holds a constant's
+# value, a coordinate's index or an integer power's exponent.
+(_OP_CONST, _OP_COORD, _OP_NEG, _OP_EXP, _OP_LOG, _OP_SIN, _OP_COS, _OP_SQRT,
+ _OP_POW, _OP_ADD, _OP_SUB, _OP_MUL, _OP_DIV) = range(13)
+_OPCODE = {
+    Constant: _OP_CONST, Coord: _OP_COORD, Neg: _OP_NEG, Exp: _OP_EXP, Log: _OP_LOG,
+    Sin: _OP_SIN, Cos: _OP_COS, Sqrt: _OP_SQRT, IntPow: _OP_POW, Add: _OP_ADD,
+    Sub: _OP_SUB, Mul: _OP_MUL, Div: _OP_DIV,
+}
+_TAPE_KEY = array("i")
+_TAPE_KIDS = array("i")
+_TAPE_VAL = array("d")
+_TAPE = (_TAPE_KEY, _TAPE_KIDS, _TAPE_VAL)
+_push_key, _push_kid, _push_val = (column.append for column in _TAPE)
+_set_slot = object.__setattr__
+# A node's _slot is _BASE plus its index on the tape.  clear_tables moves
+# _BASE past every slot handed out so far, so a slot below _BASE belongs
+# to an earlier epoch and its node is recorded again before use.
+_BASE = 0
+
 
 def _node(cls, *args) -> Expr:
     """The one node of this class and these fields, built if new."""
@@ -191,19 +242,102 @@ def _node(cls, *args) -> Expr:
     got = _TABLE.get(key)
     if got is None:
         got = _TABLE[key] = cls(*args)
+        _record(got, _OPCODE[cls], args)
     return got
+
+
+def _record(n: Expr, op: int, args: tuple) -> None:
+    """Append n, whose fields are args, to the tape under the current epoch."""
+    value = 0.0
+    if op >= _OP_NEG:
+        try:
+            a = args[0]._slot - _BASE
+        except AttributeError:  # built by calling its class directly
+            a = -1
+        if a < 0:
+            a = _rerecord(args[0])
+        key = _TAPE_KEY[a]
+        if op >= _OP_ADD:
+            try:
+                b = args[1]._slot - _BASE
+            except AttributeError:
+                b = -1
+            if b < 0:
+                b = _rerecord(args[1])
+            if _TAPE_KEY[b] > key:
+                key = _TAPE_KEY[b]
+        else:
+            b = a
+            if op == _OP_POW:
+                value = float(args[1])
+        key = ((key >> 4) + 1) << 4 | op
+        s = len(_TAPE_KEY)
+    else:
+        s = a = b = len(_TAPE_KEY)
+        key = op
+        value = float(args[0])
+    _set_slot(n, "_slot", _BASE + s)
+    _push_key(key)
+    _push_kid(a)
+    _push_kid(b)
+    _push_val(value)
+
+
+def _tape_index(n: Expr) -> int:
+    """n's index on the current tape; negative if it is not on it."""
+    try:
+        return n._slot - _BASE
+    except AttributeError:  # built by calling its class directly
+        return -1
+
+
+def _fields(n: Expr) -> tuple:
+    if isinstance(n, Constant):
+        return (n.value,)
+    if isinstance(n, Coord):
+        return (n.index,)
+    if isinstance(n, IntPow):
+        return (n.base, n.exponent)
+    return _children(n)
+
+
+def _rerecord(root: Expr) -> int:
+    """Record a node that is not on the current tape (built before the last
+    clear_tables, or by calling its class directly), children first, and
+    return its tape index."""
+    stack = [root]
+    while stack:
+        n = stack[-1]
+        if _tape_index(n) >= 0:
+            stack.pop()
+            continue
+        stale = [c for c in _children(n) if _tape_index(c) < 0]
+        if stale:
+            stack.extend(stale)
+            continue
+        stack.pop()
+        _record(n, _OPCODE[type(n)], _fields(n))
+    return _tape_index(root)
 
 
 ZERO = _node(Constant, 0.0)
 ONE = _node(Constant, 1.0)
 _PINNED = dict(_TABLE)  # ZERO and ONE live as long as the module
+_PINNED_TAPE = [len(column) for column in _TAPE]
 
 
 def clear_tables() -> None:
-    """Empty the node table and derive's memo, keeping ZERO and ONE."""
+    """Empty the node table and derive's memo and truncate the tape, keeping
+    ZERO and ONE."""
+    global _BASE
     _TABLE.clear()
     _DERIVED.clear()
     _TABLE.update(_PINNED)
+    _BASE += len(_TAPE_KEY)
+    for column, length in zip(_TAPE, _PINNED_TAPE):
+        del column[length:]
+    for s, n in enumerate(_PINNED.values()):
+        _set_slot(n, "_slot", _BASE + s)
 
 
 def constant(value) -> Constant:
@@ -300,6 +434,8 @@ def neg(a: Expr) -> Expr:
 def intpow(base: Expr, exponent) -> Expr:
     if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
         raise ExprError("exponent must be a non-negative integer")
+    if exponent > _MAX_EXPONENT:
+        raise ExprError("exponent too large")
     if exponent == 0:
         return ONE
     if exponent == 1:
@@ -312,6 +448,9 @@ def intpow(base: Expr, exponent) -> Expr:
         if math.isfinite(v):
             return _node(Constant, v)
     return _node(IntPow, base, exponent)
+
+
+_MAX_EXPONENT = 2**1023  # the tape stores exponents as floats
 
 
 def _fold_unary(cls, fn, a: Expr) -> Expr:
@@ -413,61 +552,259 @@ def used_coords(e: Expr) -> frozenset[int]:
     return frozenset(out)
 
 
+# Floats held by the registers and operand buffers of one call (1 MB).
+REGISTER_BUDGET = 1 << 17
+
+# the numpy ufunc of each opcode, by name
+_UFUNC = {
+    _OP_NEG: "negative", _OP_EXP: "exp", _OP_LOG: "log", _OP_SIN: "sin", _OP_COS: "cos",
+    _OP_SQRT: "sqrt", _OP_ADD: "add", _OP_SUB: "subtract", _OP_MUL: "multiply",
+    _OP_DIV: "true_divide",
+}
+
+# The functions below import numpy where they run. `import pqnverify`
+# loads numpy either way, through `verify`; importing it at the top of
+# this module, before the package's other modules, left a larger heap
+# (about 2 MB more peak RSS on the benchmark's `recipes` workload).
+
+
 def evaluate(e: Expr, point) -> float:
     """Value at a point (sequence of floats, one per coordinate).
 
-    Total: domain failures (division by zero, log of a non-positive value,
-    overflow in exp) come back as nan or inf, never as an exception.
-    Iterative so deep trees cannot hit the recursion limit.
+    Runs the same tape as evaluate_batch on a one-row array, so the two
+    agree bit for bit. Total: domain failures (division by zero, log of a
+    non-positive value, overflow in exp) come back as nan or inf, never as
+    an exception.
     """
-    memo: dict[int, float] = {}
-    stack = [e]
-    while stack:
-        n = stack[-1]
-        if id(n) in memo:
-            stack.pop()
-            continue
-        kids = _children(n)
-        pending = [k for k in kids if id(k) not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        memo[id(n)] = _eval_node(n, point, memo)
-    return memo[id(e)]
+    import numpy as np
+
+    return float(_run([e], np.asarray(point, dtype=float).reshape(1, -1))[0, 0])
 
 
-def _eval_node(n: Expr, point, memo) -> float:
+def evaluate_batch(exprs: list[Expr], pts: np.ndarray) -> np.ndarray:
+    """Evaluate expressions at points; result shape (len(exprs), npts).
+
+    Domain failures surface as nan or inf entries, as in evaluate().
+    """
+    return _run(list(exprs), pts)
+
+
+def _run(roots: list[Expr], pts: np.ndarray) -> np.ndarray:
+    import numpy as np
+
+    pts = np.asarray(pts, dtype=float)
+    npts, dim = pts.shape
+    out = np.empty((len(roots), npts))
+    if not roots or not npts:
+        return out
+    slots = []
+    for r in roots:
+        s = _tape_index(r)
+        slots.append(s if s >= 0 else _rerecord(r))
+    registers, widest, steps, const, coords, rows = _compile(
+        np.array(slots, dtype=np.intp), npts
+    )
+    if coords is not None and int(coords[2].max()) >= dim:
+        raise IndexError(f"points have {dim} coordinates, fewer than the expressions use")
+    width = min(npts, max(1, REGISTER_BUDGET // (registers + 2 * widest)))
+    width = -(-npts // -(-npts // width))  # even blocks
+    reg = np.empty((registers, width))
+    ta, tb = np.empty((widest, width)), np.empty((widest, width))
+    program = [
+        (fn, reg[lo:hi], ia, ta[:hi - lo], ib, None if ib is None else tb[:hi - lo])
+        for fn, lo, hi, ia, ib in steps
+    ]
+    take = reg.take
+    with np.errstate(all="ignore"):
+        if const is not None:
+            reg[const[0]:const[1]] = const[2][:, None]
+        for lo in range(0, npts, width):
+            hi = min(lo + width, npts)
+            if coords is not None:
+                # a short last block leaves stale columns, which no
+                # output row reads
+                pts[lo:hi].T.take(coords[2], 0, reg[coords[0]:coords[1], :hi - lo], "clip")
+            for fn, r, ia, a, ib, b in program:
+                take(ia, 0, a, "clip")
+                if ib is None:
+                    fn(a, r)
+                else:
+                    take(ib, 0, b, "clip")
+                    fn(a, b, r)
+            out[:, lo:hi] = reg[rows, :hi - lo]
+    return out
+
+
+def _compile(roots: np.ndarray, npts: int):
+    """Registers, operand buffer rows and steps for the roots' groups.
+
+    Each step is (ufunc, first register, end register, operand registers,
+    second operand registers or None).  Constants and coordinates come
+    back apart, as (first register, end register, values or indices), and
+    rows are the roots' registers."""
+    import numpy as np
+
+    op, val, kids, starts, rootpos = _schedule(roots)
+    ngroups = len(starts) - 1
+    nodes = len(op)
+    if nodes * npts <= REGISTER_BUDGET // 8:
+        # a register per value fits in an eighth of the budget: placing
+        # ranges for reuse would cost more than it saves
+        registers, base, reg_of = nodes, starts[:-1].tolist(), None
+    else:
+        sizes = np.diff(starts)
+        gid = np.repeat(np.arange(ngroups), sizes)
+        # The last group reading each value; roots and constants are read
+        # at the end, so constants are written once per call.
+        last = gid.copy()
+        np.maximum.at(last, kids.ravel(), np.repeat(gid, 2))
+        last[rootpos] = ngroups
+        last[op == _OP_CONST] = ngroups
+        # Longest-lived first within each group, so that the members a
+        # group reads for the last time form a suffix of their range,
+        # given back before that group is placed.
+        order = np.lexsort((-last, gid))
+        moved = np.empty_like(order)
+        moved[order] = np.arange(nodes)
+        op, val, last = op[order], val[order], last[order]
+        kids, rootpos = moved[kids[order]], moved[rootpos]
+        pieces = np.concatenate(([0], np.flatnonzero(np.diff(gid) | np.diff(last)) + 1))
+        base, registers = _allocate(
+            sizes.tolist(),
+            zip(
+                last[pieces].tolist(),
+                gid[pieces].tolist(),
+                (pieces - starts[gid[pieces]]).tolist(),
+                np.diff(np.append(pieces, nodes)).tolist(),
+            ),
+        )
+        reg_of = np.asarray(base)[gid] + (np.arange(nodes) - starts[gid])
+    operands = kids.T if reg_of is None else reg_of[kids.T]
+    steps = []
+    const = coords = None
+    widest = 0
+    bounds = starts.tolist()
+    for g, code in enumerate(op[starts[:-1]].tolist()):
+        start, stop = bounds[g], bounds[g + 1]
+        lo, hi = base[g], base[g] + stop - start
+        if code == _OP_CONST:
+            const = (lo, hi, val[start:stop])
+            continue
+        if code == _OP_COORD:
+            coords = (lo, hi, val[start:stop].astype(np.intp))
+            continue
+        if code == _OP_POW:
+            k = int(val[start])
+            # the ufunc that x ** k calls: numpy squares for k = 2
+            fn = np.square if k == 2 else lambda x, out, k=k: np.power(x, k, out)
+        else:
+            fn = getattr(np, _UFUNC[code])
+        ib = operands[1, start:stop] if code >= _OP_ADD else None
+        steps.append((fn, lo, hi, operands[0, start:stop], ib))
+        widest = max(widest, stop - start)
+    return registers, widest, steps, const, coords, rootpos if reg_of is None else reg_of[rootpos]
+
+
+def _schedule(roots: np.ndarray):
+    """The tape entries the roots reach, sorted into groups.
+
+    Returns, per reached entry in group order, its opcode, its value and
+    the positions of its two operands (one row each), then the group
+    starts with the total appended, and the positions of the roots."""
+    import numpy as np
+
+    n = len(_TAPE_KEY)
+    seen, rest = _walk(roots.tolist())
+    key = np.frombuffer(_TAPE_KEY, dtype=np.int32)
+    children = np.frombuffer(_TAPE_KIDS, dtype=np.int32).reshape(n, 2)
+    val = np.frombuffer(_TAPE_VAL)
     try:
-        if isinstance(n, Constant):
-            return n.value
-        if isinstance(n, Coord):
-            return float(point[n.index])
-        if isinstance(n, Neg):
-            return -memo[id(n.arg)]
-        if isinstance(n, Add):
-            return memo[id(n.a)] + memo[id(n.b)]
-        if isinstance(n, Sub):
-            return memo[id(n.a)] - memo[id(n.b)]
-        if isinstance(n, Mul):
-            return memo[id(n.a)] * memo[id(n.b)]
-        if isinstance(n, Div):
-            return memo[id(n.a)] / memo[id(n.b)]
-        if isinstance(n, IntPow):
-            return memo[id(n.base)] ** n.exponent
-        if isinstance(n, Exp):
-            return math.exp(memo[id(n.arg)])
-        if isinstance(n, Log):
-            return math.log(memo[id(n.arg)])
-        if isinstance(n, Sin):
-            return math.sin(memo[id(n.arg)])
-        if isinstance(n, Cos):
-            return math.cos(memo[id(n.arg)])
-        if isinstance(n, Sqrt):
-            return math.sqrt(memo[id(n.arg)])
-    except (ZeroDivisionError, ValueError, OverflowError):
-        return math.nan
-    raise TypeError(f"unknown node {type(n).__name__}")
+        reached = np.zeros(n, dtype=bool)
+        reached[list(seen)] = True
+        stamp = np.empty(n, dtype=np.intp)
+        front = np.array(rest, dtype=np.intp)
+        while front.size:
+            kids = children[front].ravel()
+            kids = kids[~reached[kids]]
+            reached[kids] = True
+            seq = np.arange(kids.size)
+            stamp[kids] = seq  # one survivor per slot
+            front = kids[stamp[kids] == seq]
+        nodes = np.flatnonzero(reached)
+        nkey, nval = key[nodes], val[nodes]
+        nop = nkey & 15
+        power = np.where(nop == _OP_POW, nval, 0.0)
+        order = np.lexsort((power, nkey))
+        nodes, nkey, nop, nval, power = nodes[order], nkey[order], nop[order], nval[order], power[order]
+        new = (nkey[1:] != nkey[:-1]) | (power[1:] != power[:-1])
+        starts = np.concatenate(([0], np.flatnonzero(new) + 1, [len(nodes)]))
+        rank = stamp  # reused: tape index -> position in group order
+        rank[nodes] = np.arange(len(nodes))
+        return nop, nval, rank[children[nodes]], starts, rank[roots]
+    finally:
+        del key, children, val  # views pin the tape's size while alive
+
+
+# Entries a reachability walk visits one at a time before it hands the
+# rest to numpy, which pays a dozen calls per level of the DAG instead.
+_WALK_LIMIT = 256
+
+
+def _walk(roots: list[int]) -> tuple[set[int], list[int]]:
+    """Tape indices reachable from roots, found one at a time until more
+    than _WALK_LIMIT are found; returns them and those of them whose
+    children are still to be visited."""
+    kids = _TAPE_KIDS
+    seen = set(roots)
+    stack = list(seen)
+    while stack and len(seen) <= _WALK_LIMIT:
+        s = 2 * stack.pop()
+        for c in (kids[s], kids[s + 1]):
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return seen, stack
+
+
+def _allocate(sizes: list[int], pieces) -> tuple[list[int], int]:
+    """A contiguous register range per group, taken first-fit.  Each piece
+    (t, g, offset, size) of group g's range is given back when group t
+    runs.  Returns the range starts and the number of registers used."""
+    ngroups = len(sizes)
+    release: list[list[tuple[int, int, int]]] = [[] for _ in range(ngroups)]
+    for t, g, offset, size in pieces:
+        if t < ngroups:
+            release[t].append((g, offset, size))
+    base = [0] * ngroups
+    free: list[tuple[int, int]] = []  # (start, size), sorted, never adjacent
+    top = 0
+    for g, size in enumerate(sizes):
+        # g gathers its operands before it writes, so it may reuse them
+        for h, offset, piece in release[g]:
+            _give_back(free, base[h] + offset, piece)
+        for i, (s, room) in enumerate(free):
+            if room >= size:
+                if room == size:
+                    del free[i]
+                else:
+                    free[i] = (s + size, room - size)
+                break
+        else:
+            s = free.pop()[0] if free and sum(free[-1]) == top else top
+            top = s + size
+        base[g] = s
+    return base, top
+
+
+def _give_back(free: list[tuple[int, int]], start: int, size: int) -> None:
+    i = bisect(free, (start,))
+    if i < len(free) and start + size == free[i][0]:
+        size += free.pop(i)[1]
+    if i > 0 and sum(free[i - 1]) == start:
+        start, size = free[i - 1][0], free[i - 1][1] + size
+        i -= 1
+        del free[i]
+    free.insert(i, (start, size))
 
 
 # Printing. Levels mirror the grammar: sum < product < signed factor <

@@ -34,23 +34,9 @@ from math import comb, isfinite
 import numpy as np
 
 from .expr import (
-    Add,
     Chart,
-    Constant,
-    Coord,
-    Cos,
-    Div,
-    Exp,
     Expr,
-    IntPow,
-    Log,
-    Mul,
-    Neg,
-    Sin,
-    Sqrt,
-    Sub,
     ZERO,
-    _children,
     add,
     clear_tables,
     constant,
@@ -58,6 +44,7 @@ from .expr import (
     derive,
     div,
     evaluate,
+    evaluate_batch,
     intpow,
     is_one,
     is_zero,
@@ -206,101 +193,6 @@ def point_stream(plan: SamplePlan):
 def points(plan: SamplePlan) -> list[tuple[float, ...]]:
     """The plan's base point list (before any resampling)."""
     return [tuple(row) for row in point_block(plan, 0, plan.count).tolist()]
-
-
-# Vectorised evaluation over the shared expression DAG.  The per-node
-# Python overhead is paid once per node and block, not once per node and
-# point, which keeps the larger bundles (endomorphism powers in six
-# dimensions) at interactive speed.
-
-# Points per pass over the DAG: bounds the memory that live intermediate
-# values hold at wide point clouds.
-EVAL_BLOCK = 2048
-
-def _topo_order(roots: list[Expr]) -> list[Expr]:
-    order: list[Expr] = []
-    seen: set[int] = set()
-    stack: list[tuple[Expr, bool]] = [(r, False) for r in roots]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for c in _children(node):
-            if id(c) not in seen:
-                stack.append((c, False))
-    return order
-
-
-def _eval_node_np(n: Expr, pts: np.ndarray, vals: dict):
-    if isinstance(n, Constant):
-        return np.full(pts.shape[0], n.value)
-    if isinstance(n, Coord):
-        return pts[:, n.index]
-    if isinstance(n, Add):
-        return vals[id(n.a)] + vals[id(n.b)]
-    if isinstance(n, Sub):
-        return vals[id(n.a)] - vals[id(n.b)]
-    if isinstance(n, Mul):
-        return vals[id(n.a)] * vals[id(n.b)]
-    if isinstance(n, Div):
-        return vals[id(n.a)] / vals[id(n.b)]
-    if isinstance(n, Neg):
-        return -vals[id(n.arg)]
-    if isinstance(n, IntPow):
-        return vals[id(n.base)] ** n.exponent
-    if isinstance(n, Exp):
-        return np.exp(vals[id(n.arg)])
-    if isinstance(n, Log):
-        return np.log(vals[id(n.arg)])
-    if isinstance(n, Sin):
-        return np.sin(vals[id(n.arg)])
-    if isinstance(n, Cos):
-        return np.cos(vals[id(n.arg)])
-    if isinstance(n, Sqrt):
-        return np.sqrt(vals[id(n.arg)])
-    raise TypeError(f"unknown node {type(n).__name__}")
-
-
-def evaluate_batch(exprs: list[Expr], pts: np.ndarray) -> np.ndarray:
-    """Evaluate expressions at points; result shape (len(exprs), npts).
-
-    Domain failures surface as nan or inf entries, mirroring evaluate().
-    The DAG is walked once per block of at most EVAL_BLOCK points; a value
-    is freed once its last parent is computed, and a root is copied into
-    its rows of the output as soon as it is computed.
-    """
-    npts = pts.shape[0]
-    out = np.empty((len(exprs), npts))
-    order = _topo_order(list(exprs))
-    refs: dict[int, int] = {}
-    for node in order:
-        for c in _children(node):
-            refs[id(c)] = refs.get(id(c), 0) + 1
-    rows: dict[int, list[int]] = {}
-    for r, e in enumerate(exprs):
-        rows.setdefault(id(e), []).append(r)
-    with np.errstate(all="ignore"):
-        for lo in range(0, npts, EVAL_BLOCK):
-            hi = min(lo + EVAL_BLOCK, npts)
-            block = pts[lo:hi]
-            left = dict(refs)
-            vals: dict[int, np.ndarray] = {}
-            for node in order:
-                v = _eval_node_np(node, block, vals)
-                for r in rows.get(id(node), ()):
-                    out[r, lo:hi] = v
-                if id(node) in left:
-                    vals[id(node)] = v
-                for c in _children(node):
-                    left[id(c)] -= 1
-                    if left[id(c)] == 0:
-                        del vals[id(c)]
-    return out
 
 
 @dataclass(frozen=True)

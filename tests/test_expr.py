@@ -14,6 +14,7 @@ from pqnverify.expr import (
     Constant,
     Coord,
     Exp,
+    Expr,
     ExprError,
     Mul,
     Sub,
@@ -119,7 +120,8 @@ def test_evaluate_basics():
 
 
 def test_domain_failures_become_nan():
-    assert math.isnan(evaluate(parse("1/x", CHART), (0.0, 0.0, 0.0)))
+    # as in every verdict: numpy gives inf for 1/0
+    assert evaluate(parse("1/x", CHART), (0.0, 0.0, 0.0)) == math.inf
     assert math.isnan(evaluate(parse("log(x)", CHART), (-1.0, 0.0, 0.0)))
     assert math.isnan(evaluate(parse("sqrt(x)", CHART), (-4.0, 0.0, 0.0)))
 
@@ -206,6 +208,14 @@ def test_overflowing_constant_powers_stay_unfolded():
     assert not isinstance(e, Constant)
     assert evaluate_batch([e], np.zeros((1, 3)))[0, 0] == math.inf
     assert intpow(constant(2.5), 21) is constant(2.5**21)
+
+
+def test_exponents_beyond_float_range_are_rejected():
+    assert isinstance(intpow(X, 2**1023), Expr)
+    with pytest.raises(ExprError, match="exponent too large"):
+        intpow(X, 2**1023 + 1)
+    with pytest.raises(ExprError, match="exponent too large"):
+        parse("x^" + "9" * 400, CHART)
 
 
 def test_derivatives_are_shared():

@@ -42,7 +42,6 @@ from pqnverify.fields import (
     star,
 )
 from pqnverify.verify import (
-    EVAL_BLOCK,
     SUITES,
     CheckReport,
     Structure,
@@ -72,7 +71,7 @@ from pqnverify.verify import (
     xi_form,
 )
 
-from builders import random_endomorphism
+from builders import bits, random_endomorphism, reference_evaluate_batch, topo_order
 
 CH = Chart(("x", "y", "z"))
 X, Y, Z = Coord(0), Coord(1), Coord(2)
@@ -478,13 +477,11 @@ def test_run_pairs_reaches_the_rebound_evaluator(plan, monkeypatch):
     assert first == [tuple(row) for row in point_block(plan, 0, 3).tolist()]
 
 
-def test_evaluate_batch_matches_the_scalar_evaluator_across_blocks():
-    npts = 2 * EVAL_BLOCK + 1
+def test_evaluate_batch_matches_the_scalar_evaluator_across_blocks(monkeypatch):
+    npts = 301
     pts = point_block(sample_plan(CH, box=(-2.0, 2.0), count=npts, seed=5), 0, npts)
     pts[:3] = 0.0  # x = 0 keeps the overflowing root finite at a few points
     big = mul(mul(X, constant(1e300)), constant(1e300))  # +-inf wherever x != 0
-    # No IntPow: the scalar evaluator's float ** int goes through the C
-    # pow, which misrounds a few squares that numpy computes as x*x.
     shared = add(mul(X, Y), mul(Z, Z))
     roots = [
         big,
@@ -496,12 +493,20 @@ def test_evaluate_batch_matches_the_scalar_evaluator_across_blocks():
         Y,
         constant(-2.5),
         neg(Z),
+        intpow(Z, 2),
+        intpow(add(X, Y), 3),
+        div(ONE, X),  # +-inf at x = 0
+        log(mul(X, X)),  # -inf at x = 0
     ]
+    # A small budget splits the 301 points into blocks of a few points.
+    monkeypatch.setattr(expr, "REGISTER_BUDGET", 256)
     got = evaluate_batch(roots, pts)
     want = np.array([[evaluate(e, p) for p in pts.tolist()] for e in roots])
     assert got.shape == (len(roots), npts)
     assert np.isinf(got[0]).sum() == npts - 3 and np.isnan(got[1]).sum() == npts - 3
+    assert np.isinf(got[11, :3]).all() and (got[12, :3] == -np.inf).all()
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(bits(got), bits(reference_evaluate_batch(roots, pts)))
     assert evaluate_batch([], pts).shape == (0, npts)
 
 
@@ -518,10 +523,13 @@ def test_each_verdict_leaves_the_node_table_as_it_found_it(tmp_path, capsys):
         paths.append(str(path))
     expr.clear_tables()
     before = len(expr._TABLE)
+    pinned = [len(column) for column in expr._TAPE]
+    assert len(expr._TAPE_KEY) == len(expr._PINNED)
     for path in paths:
         assert cli.main(["verify", path]) in (0, 1)
         assert len(expr._TABLE) == before
         assert not expr._DERIVED
+        assert [len(column) for column in expr._TAPE] == pinned
     assert constant(0.0) is ZERO and constant(1) is ONE
     capsys.readouterr()
 
@@ -531,7 +539,7 @@ def _duplicate_nodes(roots) -> int:
     earlier one, with constants keyed by their float bit pattern."""
     klass: dict[int, int] = {}
     keys: dict[tuple, int] = {}
-    for node in verify_module._topo_order(list(roots)):
+    for node in topo_order(list(roots)):
         if isinstance(node, Constant):
             key = ("C", struct.pack("<d", node.value))
         elif isinstance(node, Coord):
@@ -544,26 +552,108 @@ def _duplicate_nodes(roots) -> int:
     return len(klass) - len(keys)
 
 
-def test_no_evaluation_sees_structurally_equal_nodes(tmp_path, capsys, monkeypatch):
-    # Rebind evaluate_batch in every module that binds it, as the
-    # benchmark's tracer does, and inspect every DAG a verdict evaluates.
+def _rebind_evaluator(monkeypatch, replacement):
+    """Rebind evaluate_batch in every module that binds it, as the
+    benchmark's tracer does; returns the original."""
     original = verify_module.evaluate_batch
+    for module in (pqnverify, expr, fields, calculus, verify_module, catalog, cli):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, replacement)
+    return original
+
+
+def test_no_evaluation_sees_structurally_equal_nodes(tmp_path, capsys, monkeypatch):
+    # Inspect every DAG a verdict evaluates.
     duplicates = []
 
     def inspecting(exprs, pts):
         duplicates.append(_duplicate_nodes(exprs))
         return original(exprs, pts)
 
-    for module in (pqnverify, expr, fields, calculus, verify_module, catalog, cli):
-        for name, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, name, inspecting)
+    original = _rebind_evaluator(monkeypatch, inspecting)
     path = tmp_path / "toda2.json"
     path.write_text(json.dumps(cli.structure_to_doc(closed_toda(2))), encoding="utf-8")
     assert cli.main(["verify", str(path)]) == 1
     capsys.readouterr()
     assert len(duplicates) >= 40
     assert set(duplicates) == {0}
+
+
+# (catalog arguments, verify flags) of the verdicts the tape is checked on
+_REFERENCE_VERDICTS = [
+    (["closed-toda", "--n", "2"], []),
+    (["das-okubo", "--n", "2"], []),
+    (["magri-veselov"], []),
+    # log(x) is undefined on half the box, so most checks resample
+    (
+        ["r3-recipe", "--lam", "log(x)", "--a", "y", "--g", "0"],
+        ["--samples", "1024", "--seed", "7", "--resample-limit", "4096"],
+    ),
+]
+
+
+@pytest.mark.parametrize("budget", [None, 1024])
+def test_tape_matches_the_node_at_a_time_reference(tmp_path, capsys, monkeypatch, budget):
+    # Every evaluation of these verdicts, run by the tape and by the
+    # reference evaluator, gives the same bits.  The small budget makes
+    # most calls reuse registers and run several blocks, and there the
+    # reachable entries are all found by the numpy sweep.
+    if budget is not None:
+        monkeypatch.setattr(expr, "REGISTER_BUDGET", budget)
+        monkeypatch.setattr(expr, "_WALK_LIMIT", 0)
+    registers = []
+    compile_ = expr._compile
+
+    def counting(roots, npts):
+        program = compile_(roots, npts)
+        registers.append(program[0])
+        return program
+
+    monkeypatch.setattr(expr, "_compile", counting)
+    calls = []
+
+    def comparing(exprs, pts):
+        got = original(exprs, pts)
+        want = reference_evaluate_batch(exprs, pts)
+        calls.append((pts.shape[0], registers[-1]))
+        np.testing.assert_array_equal(bits(got), bits(want))
+        return got
+
+    original = _rebind_evaluator(monkeypatch, comparing)
+    for k, (entry, flags) in enumerate(_REFERENCE_VERDICTS):
+        path = tmp_path / f"structure{k}.json"
+        assert cli.main(["catalog", *entry, "--out", str(path)]) == 0
+        assert cli.main(["verify", str(path), *flags]) in (0, 1)
+    capsys.readouterr()
+    assert len(calls) >= 150
+    if budget is not None:
+        # registers alone, without the operand buffers, bound the width
+        several = [npts > budget // top for npts, top in calls]
+        assert sum(several) >= 300
+
+
+def test_a_node_outlives_the_tables_it_was_built_in(tmp_path, capsys):
+    expr.clear_tables()
+    e = div(add(mul(X, intpow(Y, 3)), expr.exp(Z)), sub(X, constant(0.5)))
+    pts = point_block(sample_plan(CH, seed=3), 0, 64)
+    before = evaluate_batch([e, X], pts)
+    slot = e._slot
+    expr.clear_tables()
+    # the old node evaluates after the clear, and a node built from it
+    # after the clear evaluates as well
+    again = evaluate_batch([e, add(e, ONE)], pts)
+    np.testing.assert_array_equal(bits(again[0]), bits(before[0]))
+    np.testing.assert_array_equal(again[1], before[0] + 1.0)
+    # a verdict builds new nodes over e's old tape index and clears again
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(_recipe_document("z", "y", "0")), encoding="utf-8")
+    assert cli.main(["verify", str(path)]) in (0, 1)
+    capsys.readouterr()
+    assert e._slot != slot and e._slot < expr._BASE
+    after = evaluate_batch([e], pts)
+    np.testing.assert_array_equal(bits(after[0]), bits(before[0]))
+    assert evaluate(e, pts[5].tolist()) == before[0, 5]
 
 
 def test_suite_names_are_stable():
