@@ -20,6 +20,7 @@ from .fields import (
     interior_endomorphism,
     interior_mv,
     pairing,
+    per_verdict,
     power,
     scalar_form,
     sharp,
@@ -163,6 +164,7 @@ class TorsionEvaluator:
         return Endomorphism(self.chart, tuple(tuple(r) for r in rows))
 
 
+@per_verdict
 def nijenhuis_torsion(n: Endomorphism) -> TorsionEvaluator:
     """Torsion T(X,Y) = [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y])."""
     chart = n.chart
@@ -186,7 +188,8 @@ def nijenhuis_torsion(n: Endomorphism) -> TorsionEvaluator:
     return TorsionEvaluator(chart, pairs)
 
 
-def haantjes_tensor(n: Endomorphism, torsion: TorsionEvaluator | None = None) -> TorsionEvaluator:
+@per_verdict
+def haantjes_tensor(n: Endomorphism) -> TorsionEvaluator:
     """H(X,Y) = T(NX,NY) - N(T(NX,Y) + T(X,NY) - N T(X,Y)), in O(d^4) products.
 
     Two-stage contraction: first A^i_{mk} = sum_l T^i_{ml} N^l_k, once for
@@ -198,7 +201,7 @@ def haantjes_tensor(n: Endomorphism, torsion: TorsionEvaluator | None = None) ->
     """
     chart = n.chart
     dim = chart.dim
-    t = torsion if torsion is not None else nijenhuis_torsion(n)
+    t = nijenhuis_torsion(n)
     nm = n.matrix
     # A^i_{mk}, read from the stored pairs l > m and, with the sign, l < m.
     a = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
@@ -286,20 +289,14 @@ def concomitant(
     return add_kforms(sub_kforms(sub_kforms(t1, t2), t3), t4)
 
 
-def invariant(n: Endomorphism, k: int, powers: list[Endomorphism] | None = None) -> Expr:
+def invariant(n: Endomorphism, k: int) -> Expr:
     """The k-th trace invariant Tr(N^k) / (2k)."""
     if k < 1:
         raise ValueError("invariant index must be at least 1")
-    nk = powers[k] if powers is not None and len(powers) > k else power(n, k)
-    return div(trace(nk), constant(2.0 * k))
+    return div(trace(power(n, k)), constant(2.0 * k))
 
 
-def phi_sequence_term(
-    n: Endomorphism,
-    s: int,
-    torsion: TorsionEvaluator | None = None,
-    powers: list[Endomorphism] | None = None,
-) -> KForm:
+def phi_sequence_term(n: Endomorphism, s: int) -> KForm:
     """The one-form phi_s with <phi_s, X> = Tr(N^s (i_X T)) / 2.
 
     For a torsion-free endomorphism every phi_s is zero.
@@ -307,8 +304,8 @@ def phi_sequence_term(
     if s < 0:
         raise ValueError("sequence index must be non-negative")
     chart = n.chart
-    t = torsion if torsion is not None else nijenhuis_torsion(n)
-    ns = powers[s] if powers is not None and len(powers) > s else power(n, s)
+    t = nijenhuis_torsion(n)
+    ns = power(n, s)
     comps = {}
     for j in range(chart.dim):
         m = t.slot_matrix(j)

@@ -53,7 +53,7 @@ from .fields import (
     basis_oneform,
     divergence,
     identity_endomorphism,
-    powers_up_to,
+    power,
     scale_endomorphism,
     scale_kform,
     tensor_product,
@@ -275,7 +275,7 @@ def r3_recipe(inp: RecipeInput) -> Structure:
         lam=inp.lam,
         z=z,
         theta=theta,
-        chain=tuple(powers_up_to(n, 3)),
+        chain=tuple(power(n, k) for k in range(4)),
         name="r3-recipe",
     )
 
@@ -324,7 +324,7 @@ def magri_veselov() -> Structure:
         chart=chart,
         n=n,
         theta=basis_oneform(chart, 2),
-        chain=tuple(powers_up_to(n, 2)),
+        chain=tuple(power(n, k) for k in range(3)),
         name="magri-veselov",
     )
 

@@ -41,7 +41,7 @@ MAX_POINTS = 65_536
 # endomorphism powers up to this order.
 MAX_KMAX = 32
 # Upper bound on catalog --n: a lattice of n sites has a 2n-coordinate
-# chart and a dense 2n x 2n endomorphism.
+# chart and a dense 2n x 2n endomorphism; twice it bounds chart.dim.
 MAX_SITES = 64
 
 _BLOCKS = (
@@ -163,6 +163,8 @@ def structure_from_doc(doc: dict, source: str) -> Structure:
     coords = cblock.get("coords")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InputError("chart.dim: expected a positive integer")
+    if dim > 2 * MAX_SITES:
+        raise InputError(f"chart.dim must be at most {2 * MAX_SITES}, got {dim}")
     if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
         raise InputError("chart.coords: expected a list of names")
     if len(coords) != dim:

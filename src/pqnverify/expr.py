@@ -10,12 +10,13 @@ identity.
 Nodes are hash-consed: every node is built through one table, `_TABLE`,
 keyed on its class and its fields, with child nodes as keys by identity,
 so two structurally equal nodes built since the table was last emptied
-are the same object. `derive` memoises into one table, `_DERIVED`, keyed
-on (node, coordinate index). Both tables live for one verdict:
-`verify.run_suites` empties them with `clear_tables` when it returns, so
-a process that runs many verdicts holds the nodes of one at a time. A
-node that outlives a clear stays valid; nodes built after it just do not
-share with it.
+are the same object. `derive` memoises into `_DERIVED` on (node,
+coordinate index), as do the builders `fields.per_verdict` wraps, on
+their arguments. Both tables live for one verdict: `verify.run_suites`
+empties them with `clear_tables` when it returns, so a process that
+runs many verdicts holds the nodes of one at a time. A node that
+outlives a clear stays valid; nodes built after it just do not share
+with it.
 
 Building a node also records it on a tape (a Wengert list): flat `array`
 columns with its level (height above the leaves) and opcode, the tape
@@ -206,8 +207,8 @@ class Sqrt(Expr):
 # The hash-consing table: (class, *fields) -> node, with a Constant keyed
 # on (value, sign of value) so that 0.0 and -0.0 stay distinct.
 _TABLE: dict[tuple, Expr] = {}
-# derive's memo: (node, coordinate index) -> derivative.
-_DERIVED: dict[tuple[Expr, int], Expr] = {}
+# The memo of derive and of the builders fields.per_verdict wraps.
+_DERIVED: dict[tuple, object] = {}
 
 # The tape: one entry per node, appended by _node as the node is built.
 # _TAPE_KEY holds level << 4 | opcode, the level being the height above
@@ -327,8 +328,8 @@ _PINNED_TAPE = [len(column) for column in _TAPE]
 
 
 def clear_tables() -> None:
-    """Empty the node table and derive's memo and truncate the tape, keeping
-    ZERO and ONE."""
+    """Empty the node table and the per-verdict memo and truncate the tape,
+    keeping ZERO and ONE."""
     global _BASE
     _TABLE.clear()
     _DERIVED.clear()

@@ -18,11 +18,13 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Sequence
 
 from .expr import (
+    _DERIVED,
     Chart,
     Expr,
     ZERO,
@@ -233,6 +235,25 @@ def scale_endomorphism(f: Expr, a: Endomorphism) -> Endomorphism:
     return Endomorphism(a.chart, tuple(tuple(mul(f, x) for x in row) for row in a.matrix))
 
 
+def per_verdict(builder):
+    """Run an endomorphism builder once per verdict for each argument list.
+
+    Keyed on each argument's chart and matrix; the entries are hash-consed,
+    so a rebuild would give the same nodes.  Kept in expr._DERIVED until
+    clear_tables; built through __wrapped__, where a test may count builds.
+    """
+
+    @functools.wraps(builder)
+    def memo(*args):
+        key = (memo, *((a.chart, a.matrix) for a in args))
+        got = _DERIVED.get(key)
+        if got is None:
+            got = _DERIVED[key] = memo.__wrapped__(*args)
+        return got
+
+    return memo
+
+
 # Pairings and applications.
 
 def pairing(alpha: KForm, x: VectorField) -> Expr:
@@ -312,6 +333,7 @@ def dual_apply(n: Endomorphism, alpha: KForm) -> KForm:
     return KForm(chart, 1, comps)
 
 
+@per_verdict
 def compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:
     """The endomorphism sending X to a(b(X))."""
     chart = _require_same_chart(a, b)
@@ -335,14 +357,6 @@ def power(n: Endomorphism, k: int) -> Endomorphism:
     for _ in range(k):
         acc = compose(acc, n)
     return acc
-
-
-def powers_up_to(n: Endomorphism, kmax: int) -> list[Endomorphism]:
-    """[identity, N, N^2, ..., N^kmax] built once, entries shared."""
-    out = [identity_endomorphism(n.chart)]
-    for _ in range(kmax):
-        out.append(compose(out[-1], n))
-    return out
 
 
 def trace(n: Endomorphism) -> Expr:

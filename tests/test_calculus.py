@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pqnverify import calculus, expr
 from pqnverify.calculus import (
     bracket_p,
     concomitant,
@@ -388,14 +389,13 @@ def haantjes_direct(n: Endomorphism, t) -> dict:
     return pairs
 
 
-@pytest.mark.parametrize("torsion_given", [True, False], ids=["torsion-given", "torsion-built"])
-@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
-def test_haantjes_tensor_matches_the_direct_formula(dim, torsion_given):
+# The tensor builds the torsion it contracts, as the ids record.
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6], ids="{}-torsion-built".format)
+def test_haantjes_tensor_matches_the_direct_formula(dim):
     chart = Chart(tuple(f"x{i}" for i in range(dim)))
     n = random_endomorphism(chart, splitmix64(100 + dim))
-    t = nijenhuis_torsion(n)
-    h = haantjes_tensor(n, torsion=t) if torsion_given else haantjes_tensor(n)
-    want = haantjes_direct(n, t)
+    h = haantjes_tensor(n)
+    want = haantjes_direct(n, nijenhuis_torsion(n))
     got_exprs = [c for key in want for c in h.pair(*key).components]
     want_exprs = [c for key in want for c in want[key]]
     pts = point_block(sample_plan(chart, count=32, seed=dim), 0, 32)
@@ -405,6 +405,23 @@ def test_haantjes_tensor_matches_the_direct_formula(dim, torsion_given):
     assert dim == 2 or np.max(np.abs(ref)) > 1.0
     scaled = np.abs(got - ref) / np.maximum(1.0, np.maximum(np.abs(got), np.abs(ref)))
     assert np.max(scaled) <= 1e-9
+
+
+def test_torsion_and_haantjes_tensor_are_built_once_per_verdict(monkeypatch):
+    expr.clear_tables()
+    builds = []
+    build = calculus.nijenhuis_torsion.__wrapped__
+    monkeypatch.setattr(
+        calculus.nijenhuis_torsion, "__wrapped__", lambda m: builds.append(m) or build(m)
+    )
+    n = random_endomorphism(CH, splitmix64(7))
+    t = nijenhuis_torsion(n)
+    assert nijenhuis_torsion(power(n, 1)) is t
+    h = haantjes_tensor(n)
+    assert haantjes_tensor(power(n, 1)) is h
+    assert builds == [n]
+    expr.clear_tables()
+    assert nijenhuis_torsion(n) is not t and builds == [n, n]
 
 
 def test_pi_n_skew_symmetrizes_only_compatible_pairs():

@@ -37,6 +37,21 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def run_cli_process(args):
+    """The CLI in a fresh interpreter, so that anything written to stderr,
+    warnings included, is seen."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "pqnverify.cli", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def write_structure(tmp_path, doc, name="structure.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -159,6 +174,10 @@ CHART2 = {"dim": 2, "coords": ["x", "y"]}
         (json.dumps({"chart": {"dim": 3, "coords": ["x", "y"]}}), "coords lists 2"),
         (json.dumps({"chart": {"dim": 1, "coords": ["x"]}, "twoform": {"components": {}}}),
          "twoform: needs a chart of dimension at least 2"),
+        (json.dumps({"chart": {"dim": 2 * MAX_SITES + 1,
+                               "coords": [f"x{i}" for i in range(2 * MAX_SITES + 1)]},
+                     "bivector": {"components": {"1,2": "1"}}}),
+         f"chart.dim must be at most {2 * MAX_SITES}, got {2 * MAX_SITES + 1}"),
     ],
 )
 def test_malformed_inputs_exit_two(tmp_path, capsys, payload, fragment):
@@ -169,6 +188,24 @@ def test_malformed_inputs_exit_two(tmp_path, capsys, payload, fragment):
     assert out == ""
     assert err.startswith("pqnverify:")
     assert fragment in err
+
+
+def test_residuals_of_opposite_huge_sides_do_not_overflow(tmp_path):
+    # N - lam I is 3e308 at every point, past the largest double, while
+    # the scaled residual is exactly 2.
+    doc = dict(
+        MINIMAL,
+        endomorphism={"components": {"1,1": "1.5e308"}},
+        scalars={"lambda": "-1.5e308"},
+        vectorfield={"components": {}},
+    )
+    path = write_structure(tmp_path, doc)
+    proc = run_cli_process(["verify", path, "--suites", "3d", "--tol", "3"])
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
+    assert checks["3d.decomposition"]["max_scaled_residual"] == 2.0
+    assert {c["status"] for c in checks.values()} == {"pass"}
 
 
 def test_unknown_suite_exits_two(tmp_path, capsys):
@@ -336,16 +373,7 @@ def _sum_of_products(terms: int) -> str:
 def test_deeply_nested_input_exits_two(tmp_path, component):
     doc = dict(MINIMAL, bivector={"components": {"1,2": component}})
     path = write_structure(tmp_path, doc)
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pqnverify.cli", "verify", path],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_cli_process(["verify", path])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr

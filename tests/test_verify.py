@@ -415,6 +415,26 @@ def test_run_suites_dispatches_and_skips(plan):
     assert "missing members" in skipped["poisson.skipped"].detail
 
 
+def test_a_verdict_builds_each_torsion_once(monkeypatch):
+    builds = []
+    build = calculus.nijenhuis_torsion.__wrapped__
+    monkeypatch.setattr(
+        calculus.nijenhuis_torsion,
+        "__wrapped__",
+        lambda m: builds.append((m.chart, m.matrix)) or build(m),
+    )
+    st = closed_toda(2)
+    plan = sample_plan(st.chart, count=8)
+    expr.clear_tables()
+    run_suites(st, plan, 1e-8)
+    first = list(builds)
+    assert len(first) > 1 and len(set(first)) == len(first)
+    assert not expr._DERIVED
+    # The memo went with the tables, so the next verdict builds afresh.
+    run_suites(st, plan, 1e-8)
+    assert len(builds) == 2 * len(first) and builds[len(first)] == first[0]
+
+
 def test_run_suites_rejects_unknown_suite_names(plan):
     st = r3_recipe(RECIPE)
     with pytest.raises(ValueError):
