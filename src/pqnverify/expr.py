@@ -40,6 +40,11 @@ values, so the output is bit-identical to one whatever the grouping or
 block width. The one exception is which nan an operation on two nans
 returns, which depends on whether numpy's SIMD loop or its scalar tail
 computes the element. `evaluate` runs the same tape on a one-row array.
+The last schedule is kept, keyed on the roots' tape indices and the
+number of points, so a caller that evaluates the same roots on successive
+chunks of points schedules them once, and drops it with `forget_program`
+when done. A tape index names one node only until the tape is truncated,
+so `clear_tables` drops that schedule too.
 """
 from __future__ import annotations
 
@@ -209,6 +214,10 @@ class Sqrt(Expr):
 _TABLE: dict[tuple, Expr] = {}
 # The memo of derive and of the builders fields.per_verdict wraps.
 _DERIVED: dict[tuple, object] = {}
+# The last program _compile built, keyed on its roots' tape indices and
+# its number of points: evaluating the same roots again, on the next
+# chunk of points, skips the schedule.
+_PROGRAM: dict[tuple, tuple] = {}
 
 # The tape: one entry per node, appended by _node as the node is built.
 # _TAPE_KEY holds level << 4 | opcode, the level being the height above
@@ -328,17 +337,25 @@ _PINNED_TAPE = [len(column) for column in _TAPE]
 
 
 def clear_tables() -> None:
-    """Empty the node table and the per-verdict memo and truncate the tape,
-    keeping ZERO and ONE."""
+    """Empty the node table, the per-verdict memo and the program memo and
+    truncate the tape, keeping ZERO and ONE."""
     global _BASE
     _TABLE.clear()
     _DERIVED.clear()
+    _PROGRAM.clear()
     _TABLE.update(_PINNED)
     _BASE += len(_TAPE_KEY)
     for column, length in zip(_TAPE, _PINNED_TAPE):
         del column[length:]
     for s, n in enumerate(_PINNED.values()):
         _set_slot(n, "_slot", _BASE + s)
+
+
+def forget_program() -> None:
+    """Drop the kept schedule.  It holds a few words per node the roots
+    reach, so a caller done with its chunks frees it before building more
+    nodes."""
+    _PROGRAM.clear()
 
 
 def constant(value) -> Constant:
@@ -602,9 +619,14 @@ def _run(roots: list[Expr], pts: np.ndarray) -> np.ndarray:
     for r in roots:
         s = _tape_index(r)
         slots.append(s if s >= 0 else _rerecord(r))
-    registers, widest, steps, const, coords, rows = _compile(
-        np.array(slots, dtype=np.intp), npts
-    )
+    slots = np.array(slots, dtype=np.intp)
+    key = (slots.tobytes(), npts)
+    program = _PROGRAM.get(key)
+    if program is None:
+        program = _compile(slots, npts)
+        _PROGRAM.clear()
+        _PROGRAM[key] = program
+    registers, widest, steps, const, coords, rows = program
     if coords is not None and int(coords[2].max()) >= dim:
         raise IndexError(f"points have {dim} coordinates, fewer than the expressions use")
     width = min(npts, max(1, REGISTER_BUDGET // (registers + 2 * widest)))

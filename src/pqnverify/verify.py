@@ -33,6 +33,7 @@ from math import comb, isfinite
 
 import numpy as np
 
+from . import expr
 from .expr import (
     Chart,
     Expr,
@@ -43,7 +44,6 @@ from .expr import (
     coord,
     derive,
     div,
-    evaluate,
     evaluate_batch,
     intpow,
     is_one,
@@ -218,6 +218,29 @@ def _join(a: str, b: str) -> str:
     return a or b
 
 
+def run_checks(
+    checks: list[tuple[str, list[tuple[Expr, Expr]], str]], plan: SamplePlan, tol: float
+) -> list[CheckReport]:
+    """Reports for (name, pairs, detail) checks, in order, settled in one
+    evaluation pass.
+
+    The roots of every check are evaluated together at the plan's points,
+    so that nodes the checks share are evaluated once, in chunks of as
+    many points as keep the output within REGISTER_BUDGET floats (one
+    point at least).  Each chunk is reduced
+    at once to every check's finiteness and scaled residual per point.
+    Points where a check has a component that is not finite are then
+    replaced for that check alone.  An evaluation does not depend on which
+    roots share it, so each report equals the one its check gives alone."""
+    # perfbench/exact.py rebinds run_pairs to capture one check's pairs, so
+    # a replacement sees every check, one call each; a functools.wraps
+    # wrapper of run_pairs, such as perfbench's tracer makes, does not.
+    original = getattr(run_pairs, "__wrapped__", run_pairs)
+    if getattr(original, "__code__", None) is not _RUN_PAIRS_CODE:
+        return [run_pairs(name, pairs, plan, tol, detail) for name, pairs, detail in checks]
+    return _settle(checks, plan, tol)
+
+
 def run_pairs(
     name: str,
     pairs: list[tuple[Expr, Expr]],
@@ -226,16 +249,46 @@ def run_pairs(
     detail: str = "",
 ) -> CheckReport:
     """Evaluate lhs/rhs component pairs at the plan's points and report the
-    largest scaled residual."""
+    largest scaled residual: run_checks on one check."""
+    return _settle([(name, pairs, detail)], plan, tol)[0]
+
+
+_RUN_PAIRS_CODE = run_pairs.__code__
+
+
+def _settle(checks, plan: SamplePlan, tol: float) -> list[CheckReport]:
+    """run_checks, whatever run_pairs is bound to."""
     exprs: list[Expr] = []
-    for lhs, rhs in pairs:
-        exprs.append(lhs)
-        exprs.append(rhs)
-    if not exprs:
-        return CheckReport(name, "pass", 0.0, None, 0, tol, _join(detail, "no components"))
+    starts = []  # each evaluated check's first pair
+    for _, pairs, _ in checks:
+        if pairs:
+            starts.append(len(exprs) // 2)
+            for lhs, rhs in pairs:
+                exprs += (lhs, rhs)
     pts = point_block(plan, 0, plan.count)
-    vals = evaluate_batch(exprs, pts)
-    finite = np.isfinite(vals).all(axis=0)
+    rows = zip(*_scaled_residuals(exprs, starts, pts))
+    reports = []
+    for name, pairs, detail in checks:
+        if pairs:
+            reports.append(_report(name, pairs, detail, plan, tol, pts, *next(rows)))
+        else:
+            note = _join(detail, "no components")
+            reports.append(CheckReport(name, "pass", 0.0, None, 0, tol, note))
+    return reports
+
+
+def _report(
+    name: str,
+    pairs: list[tuple[Expr, Expr]],
+    detail: str,
+    plan: SamplePlan,
+    tol: float,
+    pts: np.ndarray,
+    finite: np.ndarray,
+    scaled: np.ndarray,
+) -> CheckReport:
+    """One check's report from its finiteness and scaled residuals at the
+    plan's points, replacing the points where it is not finite."""
     budget = plan.resample_limit
     replaced = 0
     while not finite.all() and budget > 0:
@@ -244,33 +297,19 @@ def run_pairs(
         # replacements continue the stream after every point drawn so far
         fresh = point_block(plan, plan.count + replaced, take)
         budget -= take
+        if not replaced:
+            pts = pts.copy()  # the batch's other checks keep the plan's points
         pts[slots] = fresh
-        vals[:, slots] = evaluate_batch(exprs, fresh)
+        ok, value = _scaled_residuals([e for pair in pairs for e in pair], [0], fresh)
+        finite[slots], scaled[slots] = ok[0], value[0]
         replaced += take
-        finite = np.isfinite(vals).all(axis=0)
     if not finite.all():
         dead = int((~finite).sum())
-        return CheckReport(
-            name, "skipped", None, None, plan.count - dead, tol,
-            _join(detail, f"resample budget exhausted with {dead} unusable points"),
-        )
-    lhs_vals = vals[0::2, :]
-    rhs_vals = vals[1::2, :]
-    with np.errstate(over="ignore"):
-        residual = np.abs(lhs_vals - rhs_vals).max(axis=0)
-    scale = np.maximum(
-        1.0, np.maximum(np.abs(lhs_vals).max(axis=0), np.abs(rhs_vals).max(axis=0))
-    )
-    scaled = residual / scale
-    over = np.isinf(residual)  # finite sides whose difference overflowed
-    if over.any():
-        lhs, rhs, s = lhs_vals[:, over], rhs_vals[:, over], scale[over]
-        scaled[over] = np.abs(lhs / s - rhs / s).max(axis=0)
+        note = _join(detail, f"resample budget exhausted with {dead} unusable points")
+        return CheckReport(name, "skipped", None, None, plan.count - dead, tol, note)
     worst = int(np.argmax(scaled))
     top = float(scaled[worst])
-    note = detail
-    if replaced:
-        note = _join(note, f"resampled {replaced} points")
+    note = _join(detail, f"resampled {replaced} points") if replaced else detail
     return CheckReport(
         name,
         "pass" if top <= tol else "fail",
@@ -280,6 +319,45 @@ def run_pairs(
         tol,
         note,
     )
+
+
+def _scaled_residuals(
+    exprs: list[Expr], starts: list[int], pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per check and point: whether every component is finite, and the
+    scaled residual, each of shape (len(starts), len(pts)).
+
+    exprs alternate lhs and rhs; starts holds each check's first pair.  The
+    residual at a point is the largest |lhs - rhs| over the check's pairs
+    and its scale is max(1, largest |lhs| or |rhs|).  Where that difference
+    of finite sides overflows, the scaled residual is the largest
+    |lhs/scale - rhs/scale| instead."""
+    npts = len(pts)
+    finite = np.empty((len(starts), npts), dtype=bool)
+    scaled = np.empty((len(starts), npts))
+    if not starts:
+        return finite, scaled
+    width = max(1, expr.REGISTER_BUDGET // len(exprs))
+    width = -(-npts // -(-npts // width))  # even chunks
+    rows = 2 * np.array(starts)
+    counts = np.diff(np.append(starts, len(exprs) // 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, npts, width):
+            vals = evaluate_batch(exprs, pts[lo:lo + width])
+            lhs, rhs = vals[0::2], vals[1::2]
+            residual = np.maximum.reduceat(np.abs(lhs - rhs), starts, axis=0)
+            scale = np.maximum(
+                1.0, np.maximum.reduceat(np.maximum(np.abs(lhs), np.abs(rhs)), starts, axis=0)
+            )
+            value = residual / scale
+            over = np.isinf(residual)
+            if over.any():
+                s = np.repeat(scale, counts, axis=0)
+                value[over] = np.maximum.reduceat(np.abs(lhs / s - rhs / s), starts, axis=0)[over]
+            scaled[:, lo:lo + width] = value
+            finite[:, lo:lo + width] = np.logical_and.reduceat(np.isfinite(vals), rows, axis=0)
+    expr.forget_program()
+    return finite, scaled
 
 
 def component_pairs(lhs, rhs) -> list[tuple[Expr, Expr]]:
@@ -353,6 +431,18 @@ def check_identity(name, lhs, rhs, plan, tol, detail: str = "") -> CheckReport:
     return run_pairs(name, component_pairs(lhs, rhs), plan, tol, detail)
 
 
+def _identity(name: str, lhs, rhs=None) -> tuple[str, list[tuple[Expr, Expr]], str]:
+    """check_identity's check as a run_checks triple."""
+    return name, component_pairs(lhs, rhs), ""
+
+
+def _run_in_order(entries: list, plan: SamplePlan, tol: float) -> list[CheckReport]:
+    """Reports for entries that are run_checks triples or reports already
+    decided, in order, with the triples settled in one pass."""
+    settled = iter(run_checks([e for e in entries if not isinstance(e, CheckReport)], plan, tol))
+    return [e if isinstance(e, CheckReport) else next(settled) for e in entries]
+
+
 def _with_prefix(prefix: str, reports: list[CheckReport]) -> list[CheckReport]:
     return [replace(r, name=f"{prefix}.{r.name}") for r in reports]
 
@@ -421,16 +511,12 @@ def verify_poisson(
     pairs = []
     for i, j, k in combinations(range(chart.dim), 3):
         pairs.append((jacobiator(pi, coords[i], coords[j], coords[k]), ZERO))
-    reports = [run_pairs("poisson.jacobi", pairs, plan, tol)]
+    checks = [("poisson.jacobi", pairs, "")]
     if volume is not None and chart.dim == 3:
         xi = xi_form(pi, volume)
-        reports.append(
-            check_identity("poisson.integrability", wedge(xi, d(xi)), None, plan, tol)
-        )
-        reports.append(
-            check_identity("poisson.sharp_annihilates_xi", sharp(pi, xi), None, plan, tol)
-        )
-    return reports
+        checks.append(_identity("poisson.integrability", wedge(xi, d(xi))))
+        checks.append(_identity("poisson.sharp_annihilates_xi", sharp(pi, xi)))
+    return run_checks(checks, plan, tol)
 
 
 def _compatibility_pairs(pi: Bivector, n: Endomorphism):
@@ -459,11 +545,12 @@ def verify_pn(
 ) -> list[CheckReport]:
     """Both compatibility conditions plus a vanishing torsion check."""
     c1, c2 = _compatibility_pairs(pi, n)
-    return [
-        run_pairs("pn.C1", c1, plan, tol),
-        run_pairs("pn.C2", c2, plan, tol),
-        check_identity("pn.torsion", nijenhuis_torsion(n), None, plan, tol),
+    checks = [
+        ("pn.C1", c1, ""),
+        ("pn.C2", c2, ""),
+        _identity("pn.torsion", nijenhuis_torsion(n)),
     ]
+    return run_checks(checks, plan, tol)
 
 
 def verify_pqn(
@@ -475,17 +562,14 @@ def verify_pqn(
     if phi.degree != 3:
         raise ValueError("the structure form must have degree 3")
     c1, c2 = _compatibility_pairs(pi, n)
-    reports = [
-        run_pairs("pqn.C1", c1, plan, tol),
-        run_pairs("pqn.C2", c2, plan, tol),
-    ]
+    entries = [("pqn.C1", c1, ""), ("pqn.C2", c2, "")]
     if chart.dim > 3:
-        reports.append(check_identity("pqn.phi_closed", d(phi), None, plan, tol))
-        reports.append(check_identity("pqn.phi_n_closed", d_n(n, phi), None, plan, tol))
+        entries.append(_identity("pqn.phi_closed", d(phi)))
+        entries.append(_identity("pqn.phi_n_closed", d_n(n, phi)))
     else:
         note = "top degree on a 3d chart, closed by type"
-        reports.append(CheckReport("pqn.phi_closed", "pass", 0.0, None, 0, tol, note))
-        reports.append(CheckReport("pqn.phi_n_closed", "pass", 0.0, None, 0, tol, note))
+        entries.append(CheckReport("pqn.phi_closed", "pass", 0.0, None, 0, tol, note))
+        entries.append(CheckReport("pqn.phi_n_closed", "pass", 0.0, None, 0, tol, note))
     t = nijenhuis_torsion(n)
     pairs = []
     for a in range(chart.dim):
@@ -496,8 +580,8 @@ def verify_pqn(
                 interior_mv([basis_vector(chart, a), basis_vector(chart, b)], phi),
             )
             pairs.extend(zip(lhs.components, rhs.components))
-    reports.append(run_pairs("pqn.torsion_prescribed", pairs, plan, tol))
-    return reports
+    entries.append(("pqn.torsion_prescribed", pairs, ""))
+    return _run_in_order(entries, plan, tol)
 
 
 def reconstruct_decomposition(
@@ -513,27 +597,24 @@ def reconstruct_decomposition(
     chart = n.chart
     dim = chart.dim
     xicomp = [xi.component(i) for i in range(dim)]
-    for row in point_block(plan, 0, plan.count + plan.resample_limit):
-        p = row.tolist()
-        vals = [evaluate(c, p) for c in xicomp]
-        if not all(np.isfinite(v) for v in vals):
-            continue
-        if max(abs(v) for v in vals) <= 1e-12:
-            continue
-        j = max(range(dim), key=lambda t: (abs(vals[t]), -t))
-        k = min(t for t in range(dim) if t != j)
-        # e = xi_j d_k - xi_k d_j annihilates xi, so applying N to it
-        # isolates lam; the j-th column then yields Z.
-        lam = div(
-            sub(mul(n.matrix[k][k], xicomp[j]), mul(n.matrix[k][j], xicomp[k])),
-            xicomp[j],
-        )
-        zcomps = tuple(
-            div(sub(n.matrix[i][j], lam if i == j else ZERO), xicomp[j])
-            for i in range(dim)
-        )
-        return lam, VectorField(chart, zcomps)
-    return None
+    probe = evaluate_batch(xicomp, point_block(plan, 0, plan.count + plan.resample_limit))
+    usable = np.isfinite(probe).all(axis=0) & (np.abs(probe).max(axis=0) > 1e-12)
+    if not usable.any():
+        return None
+    vals = probe[:, int(np.argmax(usable))].tolist()
+    j = max(range(dim), key=lambda t: (abs(vals[t]), -t))
+    k = min(t for t in range(dim) if t != j)
+    # e = xi_j d_k - xi_k d_j annihilates xi, so applying N to it
+    # isolates lam; the j-th column then yields Z.
+    lam = div(
+        sub(mul(n.matrix[k][k], xicomp[j]), mul(n.matrix[k][j], xicomp[k])),
+        xicomp[j],
+    )
+    zcomps = tuple(
+        div(sub(n.matrix[i][j], lam if i == j else ZERO), xicomp[j])
+        for i in range(dim)
+    )
+    return lam, VectorField(chart, zcomps)
 
 
 def _split(
@@ -613,19 +694,17 @@ def verify_3d_conditions(
     model = add_endomorphisms(
         scale_endomorphism(lam, identity_endomorphism(chart)), tensor_product(z, xi)
     )
-    reports = [check_identity(names[0], n, model, plan, tol)]
+    checks = [_identity(names[0], n, model)]
     ds = d_scalar(chart, add(lam, pairing(xi, z)))
-    reports.append(
-        check_identity(names[1], ds, scale_kform(divergence(z, volume), xi), plan, tol)
-    )
+    checks.append(_identity(names[1], ds, scale_kform(divergence(z, volume), xi)))
     zlam = pairing(d_scalar(chart, lam), z)
     if phi is None:
         phi = zero_kform(chart, 3)
     model_phi = KForm(chart, 3, {(0, 1, 2): neg(mul(zlam, volume.coefficient))})
-    reports.append(check_identity(names[2], phi, model_phi, plan, tol))
+    checks.append(_identity(names[2], phi, model_phi))
     pairs = _torsion_closed_form_pairs(nijenhuis_torsion(n), xi, ds, z, zlam)
-    reports.append(run_pairs(names[3], pairs, plan, tol))
-    return reports
+    checks.append((names[3], pairs, ""))
+    return run_checks(checks, plan, tol)
 
 
 def verify_haantjes_structure(
@@ -637,17 +716,17 @@ def verify_haantjes_structure(
     if theta.degree != 1:
         raise ValueError("the structure one-form must have degree 1")
     t = nijenhuis_torsion(n)
-    reports = [
-        check_identity("haantjes.H1_tensor_vanishes", haantjes_tensor(n), None, plan, tol),
-        check_identity("haantjes.H2_theta_closed", d(theta), None, plan, tol),
-        check_identity("haantjes.H3_theta_n_closed", d_n(n, theta), None, plan, tol),
+    checks = [
+        _identity("haantjes.H1_tensor_vanishes", haantjes_tensor(n)),
+        _identity("haantjes.H2_theta_closed", d(theta)),
+        _identity("haantjes.H3_theta_n_closed", d_n(n, theta)),
     ]
     pairs = []
     for j in range(chart.dim):
         for k in range(j + 1, chart.dim):
             pairs.append((pairing(theta, t.pair(j, k)), ZERO))
-    reports.append(run_pairs("haantjes.H4_torsion_annihilated", pairs, plan, tol))
-    return reports
+    checks.append(("haantjes.H4_torsion_annihilated", pairs, ""))
+    return run_checks(checks, plan, tol)
 
 
 def verify_lm_chain(
@@ -671,45 +750,35 @@ def verify_lm_chain(
     if not chain:
         raise ValueError("chain must contain at least one endomorphism")
     chart = chain[0].chart
-    reports = []
     c0_pairs = component_pairs(chain[0], identity_endomorphism(chart))
     if n is not None and len(chain) > 1:
         c0_pairs.extend(component_pairs(chain[1], n))
-    reports.append(run_pairs("chain.C0_first_terms", c0_pairs, plan, tol))
+    checks = [("chain.C0_first_terms", c0_pairs, "")]
     for i in range(1, len(chain)):
-        h = haantjes_tensor(chain[i])
-        reports.append(check_identity(f"chain.C1_haantjes[{i}]", h, None, plan, tol))
+        checks.append(_identity(f"chain.C1_haantjes[{i}]", haantjes_tensor(chain[i])))
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
-            reports.append(
-                check_identity(
+            checks.append(
+                _identity(
                     f"chain.C2_commute[{i},{j}]",
                     compose(chain[i], chain[j]),
                     compose(chain[j], chain[i]),
-                    plan,
-                    tol,
                 )
             )
     for i, ni in enumerate(chain):
-        reports.append(
-            check_identity(f"chain.C3_theta_closed[{i}]", d_n(ni, theta), None, plan, tol)
-        )
+        checks.append(_identity(f"chain.C3_theta_closed[{i}]", d_n(ni, theta)))
     for i in range(1, len(chain)):
         t = nijenhuis_torsion(chain[i])
         pairs = []
         for a in range(chart.dim):
             for b in range(a + 1, chart.dim):
                 pairs.append((pairing(theta, t.pair(a, b)), ZERO))
-        reports.append(run_pairs(f"chain.C4_torsion_annihilated[{i}]", pairs, plan, tol))
+        checks.append((f"chain.C4_torsion_annihilated[{i}]", pairs, ""))
     for i in range(len(chain)):
         for j in range(i, len(chain)):
             theta_ij = dual_apply(chain[i], dual_apply(chain[j], theta))
-            reports.append(
-                check_identity(
-                    f"chain.product_closed[{i},{j}]", d(theta_ij), None, plan, tol
-                )
-            )
-    return reports
+            checks.append(_identity(f"chain.product_closed[{i},{j}]", d(theta_ij)))
+    return run_checks(checks, plan, tol)
 
 
 def verify_minpoly(
@@ -787,12 +856,10 @@ def verify_recursion_involutivity(
     dinv = {k: d_scalar(chart, invariant(n, k)) for k in range(1, kmax + 1)}
     phis = {s: phi_sequence_term(n, s) for s in range(kmax)}
     sharps = {k: sharp(pi, dinv[k]) for k in dinv}
-    reports = []
+    checks = []
     for k in range(1, kmax):
         model = sub_kforms(dual_apply(n, dinv[k]), phis[k - 1])
-        reports.append(
-            check_identity(f"recursion.step[{k}]", dinv[k + 1], model, plan, tol)
-        )
+        checks.append(_identity(f"recursion.step[{k}]", dinv[k + 1], model))
     for k in range(2, kmax + 1):
         for j in range(1, k):
             lhs = sub(
@@ -803,19 +870,16 @@ def verify_recursion_involutivity(
                 pairing(phis[j - 1], sharps[k - 1]),
                 pairing(phis[k - 2], sharps[j]),
             )
-            reports.append(
-                run_pairs(
-                    f"recursion.bracket_difference[{k},{j}]", [(lhs, rhs)], plan, tol
-                )
-            )
+            checks.append((f"recursion.bracket_difference[{k},{j}]", [(lhs, rhs)], ""))
+    cells = [(i, j) for i in range(1, kmax + 1) for j in range(i, kmax + 1)]
+    for i, j in cells:
+        bracket = _bracket_from_differentials(pi, dinv[i], dinv[j])
+        checks.append((f"involutivity.pair[{i},{j}]", [(bracket, ZERO)], ""))
+    reports = run_checks(checks, plan, tol)
     table: list[list[float | None]] = [[None] * kmax for _ in range(kmax)]
-    for i in range(1, kmax + 1):
-        for j in range(i, kmax + 1):
-            bracket = _bracket_from_differentials(pi, dinv[i], dinv[j])
-            rep = run_pairs(f"involutivity.pair[{i},{j}]", [(bracket, ZERO)], plan, tol)
-            reports.append(rep)
-            table[i - 1][j - 1] = rep.max_scaled_residual
-            table[j - 1][i - 1] = rep.max_scaled_residual
+    for (i, j), rep in zip(cells, reports[len(checks) - len(cells):]):
+        table[i - 1][j - 1] = rep.max_scaled_residual
+        table[j - 1][i - 1] = rep.max_scaled_residual
     return RecursionResult(reports, table, kmax)
 
 
@@ -839,12 +903,16 @@ def verify_theo_inv(
         raise ValueError("pmax must be at least 1")
     di1 = d_scalar(chart, invariant(n, 1))
     lhs = add_kforms(phi, scale_kform(constant(2.0), wedge(di1, omega)))
-    reports = [check_identity("theoinv.factorization", lhs, None, plan, tol)]
+    checks = [_identity("theoinv.factorization", lhs)]
     xs = {k: sharp(pi, d_scalar(chart, invariant(n, k))) for k in range(1, pmax + 1)}
+    # the deficiency fields y_k = N^{k-1} X_1 - X_k
+    ys = {
+        k: sub_vectors(apply_endomorphism(power(n, k - 1), xs[1]), xs[k])
+        for k in range(1, pmax + 1)
+    }
     pairs = []
     for j in range(1, pmax + 1):
         for k in range(1, pmax + 1):
-            yk = sub_vectors(apply_endomorphism(power(n, k - 1), xs[1]), xs[k])
             val = ZERO
             for (a, b), e in omega.components.items():
                 val = add(
@@ -852,14 +920,14 @@ def verify_theo_inv(
                     mul(
                         e,
                         sub(
-                            mul(xs[j].components[a], yk.components[b]),
-                            mul(xs[j].components[b], yk.components[a]),
+                            mul(xs[j].components[a], ys[k].components[b]),
+                            mul(xs[j].components[b], ys[k].components[a]),
                         ),
                     ),
                 )
             pairs.append((val, ZERO))
-    reports.append(run_pairs("theoinv.obstruction_pairings", pairs, plan, tol))
-    return reports
+    checks.append(("theoinv.obstruction_pairings", pairs, ""))
+    return run_checks(checks, plan, tol)
 
 
 @dataclass(frozen=True)
@@ -924,11 +992,13 @@ def deform_3d(
     if rank_one_form:
         g = n.matrix[2][2]
         lhs = dno.components.get((0, 1, 2), ZERO)
-        probe_plus = run_pairs(
-            "deform.sign_probe_plus", [(lhs, mul(g, derive(o01, 2)))], plan, tol
-        )
-        probe_minus = run_pairs(
-            "deform.sign_probe_minus", [(lhs, neg(mul(g, derive(o01, 2))))], plan, tol
+        probe_plus, probe_minus = run_checks(
+            [
+                ("deform.sign_probe_plus", [(lhs, mul(g, derive(o01, 2)))], ""),
+                ("deform.sign_probe_minus", [(lhs, neg(mul(g, derive(o01, 2))))], ""),
+            ],
+            plan,
+            tol,
         )
         if probe_plus.status == "pass" and probe_minus.status != "pass":
             sign = 1
@@ -1009,10 +1079,11 @@ def rank_one_identity_reports(
             pairs_t.extend(zip(t.pair(a, b).components, rhs_t.components))
             rhs_h = scale_vector(neg(mul(intpow(f, 2), vol3)), w)
             pairs_h.extend(zip(h.pair(a, b).components, rhs_h.components))
-    return [
-        run_pairs(f"{prefix}.rank_one_torsion", pairs_t, plan, tol),
-        run_pairs(f"{prefix}.rank_one_haantjes", pairs_h, plan, tol),
+    checks = [
+        (f"{prefix}.rank_one_torsion", pairs_t, ""),
+        (f"{prefix}.rank_one_haantjes", pairs_h, ""),
     ]
+    return run_checks(checks, plan, tol)
 
 
 def affine_scaling_report(
@@ -1048,7 +1119,7 @@ def run_identity_battery(
     quartic scaling of the Haantjes tensor.  Identities whose members are
     absent from the structure are reported as skipped."""
     chart = structure.chart
-    reports: list[CheckReport] = []
+    entries: list = []
     gen = splitmix64(plan.seed ^ 0xB47759)
     threed_ready = (
         chart.dim == 3
@@ -1080,17 +1151,17 @@ def run_identity_battery(
                 scale_endomorphism(_f_poly(lam, s, k), tensor_product(z, xi)),
             )
             pairs.extend(component_pairs(power(n, k), model))
-        reports.append(run_pairs(threed_names[0], pairs, plan, tol))
+        entries.append((threed_names[0], pairs, ""))
 
         ds = d_scalar(chart, add(lam, s))
         pairs = _torsion_closed_form_pairs(nijenhuis_torsion(n), xi, ds, z, zlam)
-        reports.append(run_pairs(threed_names[1], pairs, plan, tol))
+        entries.append((threed_names[1], pairs, ""))
 
         pairs = []
         for (a, b), ixi in _xi_on_pairs(xi).items():
             rhs = scale_vector(zlam, ixi)
             pairs.extend(zip(nijenhuis_torsion(n).pair(a, b).components, rhs.components))
-        reports.append(run_pairs(threed_names[2], pairs, plan, tol))
+        entries.append((threed_names[2], pairs, ""))
 
         pairs = []
         for k in range(1, kpow + 1):
@@ -1099,16 +1170,11 @@ def run_identity_battery(
             for (a, b), ixi in _xi_on_pairs(xi).items():
                 rhs = scale_vector(coeff, ixi)
                 pairs.extend(zip(t.pair(a, b).components, rhs.components))
-        reports.append(run_pairs(threed_names[3], pairs, plan, tol))
+        entries.append((threed_names[3], pairs, ""))
 
         eig = add(lam, s)
-        reports.append(
-            run_pairs(
-                threed_names[4],
-                component_pairs(interior_endomorphism(n, xi), scale_kform(eig, xi)),
-                plan,
-                tol,
-            )
+        entries.append(
+            _identity(threed_names[4], interior_endomorphism(n, xi), scale_kform(eig, xi))
         )
         pairs = []
         for k in range(1, kpow + 1):
@@ -1117,17 +1183,17 @@ def run_identity_battery(
                     interior_endomorphism(power(n, k), xi), scale_kform(intpow(eig, k), xi)
                 )
             )
-        reports.append(run_pairs(threed_names[5], pairs, plan, tol))
+        entries.append((threed_names[5], pairs, ""))
 
         pairs = []
         for k in range(kpow):
             lhs = phi_sequence_term(n, k)
             rhs = scale_kform(mul(zlam, intpow(lam, k)), xi)
             pairs.extend(component_pairs(lhs, rhs))
-        reports.append(run_pairs(threed_names[6], pairs, plan, tol))
+        entries.append((threed_names[6], pairs, ""))
     else:
         note = "needs a 3d chart with bivector, volume, endomorphism and split data"
-        reports.extend(_skip(nm, tol, note) for nm in threed_names)
+        entries.extend(_skip(nm, tol, note) for nm in threed_names)
 
     if chart.dim == 3 and structure.pi is not None and structure.phi is not None:
         ipphi = interior_mv(structure.pi, structure.phi)
@@ -1147,15 +1213,17 @@ def run_identity_battery(
                     ),
                 )
                 pairs.extend(zip(lhs.components, rhs.components))
-        reports.append(run_pairs("battery.sharp_interior_exchange", pairs, plan, tol))
+        entries.append(("battery.sharp_interior_exchange", pairs, ""))
     else:
-        reports.append(
+        entries.append(
             _skip(
                 "battery.sharp_interior_exchange",
                 tol,
                 "needs a 3d chart with bivector and 3-form",
             )
         )
+
+    reports = _run_in_order(entries, plan, tol)
 
     w = structure.z if structure.z is not None else random_vectorfield(chart, gen)
     eta = structure.theta

@@ -1,5 +1,6 @@
 """Command-line round trips, document schemas, and the exit-code contract."""
 
+import hashlib
 import io
 import json
 import os
@@ -206,6 +207,34 @@ def test_residuals_of_opposite_huge_sides_do_not_overflow(tmp_path):
     checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
     assert checks["3d.decomposition"]["max_scaled_residual"] == 2.0
     assert {c["status"] for c in checks.values()} == {"pass"}
+
+
+def test_a_vanishing_dual_form_is_probed_in_one_evaluation(tmp_path, capsys, monkeypatch):
+    # The zero bivector makes xi vanish everywhere, so every probe point of
+    # reconstruct_decomposition is unusable and minpoly is skipped.
+    from pqnverify import verify
+
+    calls = []
+    original = verify.evaluate_batch
+
+    def counting(exprs, pts):
+        calls.append(pts.shape)
+        return original(exprs, pts)
+
+    monkeypatch.setattr(verify, "evaluate_batch", counting)
+    doc = {
+        "chart": {"dim": 3, "coords": ["x", "y", "z"]},
+        "volume": {"coeff": "1"},
+        "bivector": {"components": {}},
+        "endomorphism": {"components": {"1,1": "x", "2,2": "y"}},
+    }
+    path = write_structure(tmp_path, doc)
+    code, out, err = run_cli(["verify", path, "--suites", "minpoly"], capsys)
+    assert (code, err) == (0, "")
+    # the digest of the report the point-at-a-time probe wrote
+    digest = "6923b57fe698b01ea765ae6f800204fc1ac8d1c43d328d594b168c7fd2f707f8"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert calls == [(64 + 1024, 3)]
 
 
 def test_unknown_suite_exits_two(tmp_path, capsys):

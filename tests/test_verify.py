@@ -1,5 +1,6 @@
 """Sampling engine, residual reports, and the structure verifiers."""
 
+import functools
 import json
 import struct
 from dataclasses import replace
@@ -55,6 +56,7 @@ from pqnverify.verify import (
     random_polynomial,
     random_vectorfield,
     reconstruct_decomposition,
+    run_checks,
     run_pairs,
     run_suites,
     sample_plan,
@@ -207,6 +209,92 @@ def test_status_tracks_the_tolerance(plan):
     for tol in (1e-12, 1e-2, 2.0):
         rep = run_pairs("gap", [(ZERO, constant(0.5))], plan, tol)
         assert (rep.status == "pass") == (rep.max_scaled_residual <= tol)
+
+
+def _report_bits(rep: CheckReport) -> tuple:
+    """A report's fields, with each float as its bit pattern."""
+
+    def b(v):
+        return struct.pack("<d", v) if isinstance(v, float) else v
+
+    point = None if rep.worst_point is None else tuple(b(c) for c in rep.worst_point)
+    return (rep.name, rep.status, b(rep.max_scaled_residual), point, rep.samples_used,
+            b(rep.tol), rep.detail)
+
+
+def _mixed_batch():
+    huge = constant(1.5e308)
+    return [
+        ("resampling", [(sqrt(X), sqrt(X)), (X, mul(X, ONE))], ""),
+        # finite sides whose difference overflows; the scaled residual is 2
+        ("overflowing", [(huge, neg(huge)), (Y, Y)], "note"),
+        ("empty", [], "nothing to compare"),
+        # shares sqrt(x) with the first check, and resamples too
+        ("shared", [(mul(X, Y), mul(Y, X)), (sqrt(X), div(X, sqrt(X)))], ""),
+        ("nowhere", [(log(neg(add(ONE, intpow(X, 2)))), ZERO)], ""),
+        ("gap", [(Z, add(Z, constant(0.5)))], ""),
+    ]
+
+
+def test_a_mixed_batch_reports_each_check_as_it_reports_alone(plan):
+    checks = _mixed_batch()
+    got = run_checks(checks, plan, 1e-8)
+    alone = [run_pairs(name, pairs, plan, 1e-8, detail) for name, pairs, detail in checks]
+    assert [_report_bits(r) for r in got] == [_report_bits(r) for r in alone]
+    by_name = {r.name: r for r in got}
+    assert by_name["resampling"].detail == "resampled 55 points"
+    assert by_name["shared"].detail == "resampled 55 points"
+    assert by_name["overflowing"].max_scaled_residual == 2.0
+    assert by_name["empty"].detail == "nothing to compare; no components"
+    assert by_name["nowhere"].status == "skipped"
+    assert by_name["gap"].status == "fail"
+
+
+def test_a_small_budget_splits_a_batch_without_changing_its_reports(plan, monkeypatch):
+    checks = _mixed_batch()
+    want = [_report_bits(r) for r in run_checks(checks, plan, 1e-8)]
+    calls = []
+    original = verify_module.evaluate_batch
+
+    def counting(exprs, pts):
+        calls.append(len(exprs) * len(pts))
+        return original(exprs, pts)
+
+    monkeypatch.setattr(verify_module, "evaluate_batch", counting)
+    monkeypatch.setattr(expr, "REGISTER_BUDGET", 64)
+    assert [_report_bits(r) for r in run_checks(checks, plan, 1e-8)] == want
+    # 16 roots at 4 points a chunk, then the resampled points of 3 checks
+    assert len(calls) > 16 and max(calls) <= 64
+    assert not expr._PROGRAM  # the schedule of the last chunk is not kept
+
+
+def test_a_rebound_run_pairs_sees_every_check(plan, monkeypatch):
+    # perfbench/exact.py captures one check's pairs by rebinding
+    # verify.run_pairs, and perfbench's tracer wraps it with functools.wraps.
+    st = r3_recipe(RECIPE)
+    suites = ("pqn", "3d", "battery")
+    calls = []
+    evaluate = verify_module.evaluate_batch
+    monkeypatch.setattr(
+        verify_module, "evaluate_batch", lambda exprs, pts: calls.append(1) or evaluate(exprs, pts)
+    )
+    want = [_report_bits(r) for r in run_suites(st, plan, 1e-8, suites=suites)]
+    batched = len(calls)
+    original = verify_module.run_pairs
+    seen = []
+
+    def capture(name, pairs, *args, **kwargs):
+        seen.append(name)
+        return original(name, pairs, *args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "run_pairs", capture)
+    assert [_report_bits(r) for r in run_suites(st, plan, 1e-8, suites=suites)] == want
+    decided = {"pqn.phi_closed", "pqn.phi_n_closed"}  # closed by type on a 3d chart
+    assert seen == [r[0] for r in want if r[0] not in decided]
+    del calls[:]
+    monkeypatch.setattr(verify_module, "run_pairs", functools.wraps(original)(capture))
+    assert [_report_bits(r) for r in run_suites(st, plan, 1e-8, suites=suites)] == want
+    assert len(calls) == batched < len(seen)
 
 
 def test_check_identity_accepts_structured_values(plan):
@@ -381,6 +469,18 @@ def test_verify_theo_inv_accepts_the_factored_form(plan):
         "theoinv.obstruction_pairings",
     }
     assert all(r.status == "pass" for r in reports)
+
+
+def test_verify_theo_inv_builds_each_deficiency_field_once(plan, monkeypatch):
+    st = r3_recipe(RECIPE)
+    omega = KForm(CH, 2, {(0, 1): div(Z, constant(8.0))})
+    calls = []
+    original = verify_module.sub_vectors
+    monkeypatch.setattr(
+        verify_module, "sub_vectors", lambda a, b: calls.append(1) or original(a, b)
+    )
+    verify_theo_inv(st.pi, st.n, st.phi, omega, 4, plan, 1e-8)
+    assert len(calls) == 4
 
 
 def test_verify_theo_inv_rejects_the_zero_form(plan):
@@ -596,7 +696,8 @@ def test_no_evaluation_sees_structurally_equal_nodes(tmp_path, capsys, monkeypat
     path.write_text(json.dumps(cli.structure_to_doc(closed_toda(2))), encoding="utf-8")
     assert cli.main(["verify", str(path)]) == 1
     capsys.readouterr()
-    assert len(duplicates) >= 40
+    # one call per batch: the verdict settles its checks in 7 batches
+    assert len(duplicates) >= 7
     assert set(duplicates) == {0}
 
 
@@ -651,6 +752,69 @@ def test_tape_matches_the_node_at_a_time_reference(tmp_path, capsys, monkeypatch
         # registers alone, without the operand buffers, bound the width
         several = [npts > budget // top for npts, top in calls]
         assert sum(several) >= 300
+
+
+# The overflow document of tests/test_cli.py: N - lam I overflows, though
+# the scaled residual of 3d.decomposition is exactly 2.
+_OVERFLOW_DOCUMENT = {
+    "chart": {"dim": 3, "coords": ["x", "y", "z"]},
+    "volume": {"coeff": "1"},
+    "bivector": {"components": {"1,2": "1"}},
+    "endomorphism": {"components": {"1,1": "1.5e308"}},
+    "scalars": {"lambda": "-1.5e308"},
+    "vectorfield": {"components": {}},
+}
+
+
+def test_each_batch_of_a_verdict_reports_as_its_checks_alone(tmp_path, capsys, monkeypatch):
+    settled = []
+    original = verify_module.run_checks
+
+    def comparing(checks, plan, tol):
+        got = original(checks, plan, tol)
+        alone = [run_pairs(name, pairs, plan, tol, detail) for name, pairs, detail in checks]
+        assert [_report_bits(r) for r in got] == [_report_bits(r) for r in alone]
+        settled.extend(got)
+        return got
+
+    monkeypatch.setattr(verify_module, "run_checks", comparing)
+    runs = []
+    for k, (entry, flags) in enumerate(_REFERENCE_VERDICTS):
+        path = tmp_path / f"structure{k}.json"
+        assert cli.main(["catalog", *entry, "--out", str(path)]) == 0
+        runs.append([str(path), *flags])
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_OVERFLOW_DOCUMENT), encoding="utf-8")
+    runs.append([str(path), "--suites", "3d", "--tol", "3"])
+    for flags in runs:
+        assert cli.main(["verify", *flags]) in (0, 1)
+    capsys.readouterr()
+    assert len(settled) >= 150
+    assert sum("resampled" in r.detail for r in settled) >= 20
+    assert any(r.name == "3d.decomposition" and r.max_scaled_residual == 2.0 for r in settled)
+
+
+def test_a_cleared_tape_does_not_reuse_an_old_program(monkeypatch):
+    compiled = []
+    compile_ = expr._compile
+    monkeypatch.setattr(
+        expr, "_compile", lambda roots, npts: compiled.append(1) or compile_(roots, npts)
+    )
+    pts = point_block(sample_plan(CH, seed=11), 0, 64)
+    expr.clear_tables()
+    first = add(mul(expr.coord(0), expr.coord(1)), expr.coord(2))
+    slot = expr._tape_index(first)
+    before = evaluate_batch([first], pts)
+    # the same roots on as many points again run the kept program
+    np.testing.assert_array_equal(bits(evaluate_batch([first], pts[::-1])), bits(before[:, ::-1]))
+    assert len(compiled) == 1
+    expr.clear_tables()
+    second = sub(mul(expr.coord(1), expr.coord(2)), expr.coord(0))
+    assert expr._tape_index(second) == slot
+    got = evaluate_batch([second], pts)
+    assert len(compiled) == 2
+    np.testing.assert_array_equal(bits(got), bits(reference_evaluate_batch([second], pts)))
+    assert not np.array_equal(got, before)
 
 
 def test_a_node_outlives_the_tables_it_was_built_in(tmp_path, capsys):
