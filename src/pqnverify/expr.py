@@ -18,13 +18,14 @@ runs many verdicts holds the nodes of one at a time. A node that
 outlives a clear stays valid; nodes built after it just do not share
 with it.
 
-Building a node also records it on a tape (a Wengert list): flat `array`
-columns with its level (height above the leaves) and opcode, the tape
-indices of its children, and its constant value, coordinate index or
-exponent. Children are built first, so tape order is a topological
-order. `clear_tables` truncates the tape to ZERO and ONE; a node from
-before the clear is recorded again, children first, when it is next
-used.
+Building a node also records it on a tape (a Wengert list), in one step:
+a constructor per arity looks the node up and, on a miss, builds it and
+appends its level (height above the leaves) and opcode, the tape indices
+of its children, and its constant value, coordinate index or exponent to
+flat `array` columns. Children are built first, so tape order is a
+topological order. `clear_tables` truncates the tape to ZERO and ONE; a
+node from before the clear, or built by calling its class directly, is
+recorded again through the same append, children first, when used.
 
 `evaluate_batch` runs the tape. It finds the entries its roots reach (a
 walk in Python for the first few hundred, then a numpy frontier sweep),
@@ -210,7 +211,7 @@ class Sqrt(Expr):
 
 
 # The hash-consing table: (class, *fields) -> node, with a Constant keyed
-# on (value, sign of value) so that 0.0 and -0.0 stay distinct.
+# on (value, sign of value) alone so that 0.0 and -0.0 stay distinct.
 _TABLE: dict[tuple, Expr] = {}
 # The memo of derive and of the builders fields.per_verdict wraps.
 _DERIVED: dict[tuple, object] = {}
@@ -219,7 +220,7 @@ _DERIVED: dict[tuple, object] = {}
 # chunk of points, skips the schedule.
 _PROGRAM: dict[tuple, tuple] = {}
 
-# The tape: one entry per node, appended by _node as the node is built.
+# The tape: one entry per node, appended as the node is built.
 # _TAPE_KEY holds level << 4 | opcode, the level being the height above
 # the leaves, so that sorting by key groups entries by level, then
 # opcode.  Opcodes are ordered so that one at or above _OP_NEG has a child
@@ -240,57 +241,63 @@ _TAPE_VAL = array("d")
 _TAPE = (_TAPE_KEY, _TAPE_KIDS, _TAPE_VAL)
 _push_key, _push_kid, _push_val = (column.append for column in _TAPE)
 _set_slot = object.__setattr__
+_copysign = math.copysign
 # A node's _slot is _BASE plus its index on the tape.  clear_tables moves
 # _BASE past every slot handed out so far, so a slot below _BASE belongs
 # to an earlier epoch and its node is recorded again before use.
 _BASE = 0
 
 
-def _node(cls, *args) -> Expr:
-    """The one node of this class and these fields, built if new."""
-    key = (cls, *args, math.copysign(1.0, args[0])) if cls is Constant else (cls, *args)
+# The constructors per arity.  add, sub, mul and div look their node up
+# themselves and call _binary only on a miss.
+
+def _constant(v: float) -> Constant:
+    key = (v, _copysign(1.0, v))
     got = _TABLE.get(key)
     if got is None:
-        got = _TABLE[key] = cls(*args)
-        _record(got, _OPCODE[cls], args)
+        got = _TABLE[key] = Constant(v)
+        s = len(_TAPE_KEY)
+        _append(got, _OP_CONST, s, s, float(v))
     return got
 
 
-def _record(n: Expr, op: int, args: tuple) -> None:
-    """Append n, whose fields are args, to the tape under the current epoch."""
-    value = 0.0
-    if op >= _OP_NEG:
-        try:
-            a = args[0]._slot - _BASE
-        except AttributeError:  # built by calling its class directly
-            a = -1
-        if a < 0:
-            a = _rerecord(args[0])
-        key = _TAPE_KEY[a]
-        if op >= _OP_ADD:
-            try:
-                b = args[1]._slot - _BASE
-            except AttributeError:
-                b = -1
-            if b < 0:
-                b = _rerecord(args[1])
-            if _TAPE_KEY[b] > key:
-                key = _TAPE_KEY[b]
-        else:
-            b = a
-            if op == _OP_POW:
-                value = float(args[1])
-        key = ((key >> 4) + 1) << 4 | op
-        s = len(_TAPE_KEY)
-    else:
-        s = a = b = len(_TAPE_KEY)
-        key = op
-        value = float(args[0])
-    _set_slot(n, "_slot", _BASE + s)
+def _unary(key: tuple, op: int, a: Expr, value: float = 0.0) -> Expr:
+    """The node of key, (class, a) or (IntPow, a, exponent), built if new."""
+    got = _TABLE.get(key)
+    if got is None:
+        got = _TABLE[key] = key[0](*key[1:])
+        i = _index(a)
+        _append(got, ((_TAPE_KEY[i] >> 4) + 1) << 4 | op, i, i, value)
+    return got
+
+
+def _binary(cls, op: int, a: Expr, b: Expr) -> Expr:
+    """Build cls(a, b), which is not in _TABLE."""
+    got = _TABLE[(cls, a, b)] = cls(a, b)
+    i, j = _index(a), _index(b)
+    level = _TAPE_KEY[i]
+    if _TAPE_KEY[j] > level:
+        level = _TAPE_KEY[j]
+    _append(got, ((level >> 4) + 1) << 4 | op, i, j, 0.0)
+    return got
+
+
+def _append(n: Expr, key: int, a: int, b: int, value: float) -> None:
+    """Give n the next tape slot and write its entry there."""
+    _set_slot(n, "_slot", _BASE + len(_TAPE_KEY))
     _push_key(key)
     _push_kid(a)
     _push_kid(b)
     _push_val(value)
+
+
+def _index(n: Expr) -> int:
+    """n's index on the current tape, recording n first if it is not on it."""
+    try:
+        i = n._slot - _BASE
+    except AttributeError:  # built by calling its class directly
+        return _rerecord(n)
+    return i if i >= 0 else _rerecord(n)
 
 
 def _tape_index(n: Expr) -> int:
@@ -299,16 +306,6 @@ def _tape_index(n: Expr) -> int:
         return n._slot - _BASE
     except AttributeError:  # built by calling its class directly
         return -1
-
-
-def _fields(n: Expr) -> tuple:
-    if isinstance(n, Constant):
-        return (n.value,)
-    if isinstance(n, Coord):
-        return (n.index,)
-    if isinstance(n, IntPow):
-        return (n.base, n.exponent)
-    return _children(n)
 
 
 def _rerecord(root: Expr) -> int:
@@ -321,17 +318,27 @@ def _rerecord(root: Expr) -> int:
         if _tape_index(n) >= 0:
             stack.pop()
             continue
-        stale = [c for c in _children(n) if _tape_index(c) < 0]
+        kids = _children(n)
+        stale = [c for c in kids if _tape_index(c) < 0]
         if stale:
             stack.extend(stale)
             continue
         stack.pop()
-        _record(n, _OPCODE[type(n)], _fields(n))
+        cls = type(n)
+        if kids:
+            i, j = _tape_index(kids[0]), _tape_index(kids[-1])
+            key = ((max(_TAPE_KEY[i], _TAPE_KEY[j]) >> 4) + 1) << 4 | _OPCODE[cls]
+            value = n.exponent if cls is IntPow else 0.0
+        else:
+            i = j = len(_TAPE_KEY)
+            key = _OPCODE[cls]
+            value = n.value if cls is Constant else n.index
+        _append(n, key, i, j, float(value))
     return _tape_index(root)
 
 
-ZERO = _node(Constant, 0.0)
-ONE = _node(Constant, 1.0)
+ZERO = _constant(0.0)
+ONE = _constant(1.0)
 _PINNED = dict(_TABLE)  # ZERO and ONE live as long as the module
 _PINNED_TAPE = [len(column) for column in _TAPE]
 
@@ -362,12 +369,18 @@ def constant(value) -> Constant:
     v = float(value)
     if not math.isfinite(v):
         raise ExprError("constants must be finite")
-    return _node(Constant, v)
+    return _constant(v)
 
 
 def coord(index: int) -> Coord:
     """The coordinate function with this index."""
-    return _node(Coord, index)
+    key = (Coord, index)
+    got = _TABLE.get(key)
+    if got is None:
+        got = _TABLE[key] = Coord(index)
+        s = len(_TAPE_KEY)
+        _append(got, _OP_COORD, s, s, float(index))
+    return got
 
 
 def _coerce(value) -> Expr:
@@ -388,65 +401,77 @@ def is_one(e: Expr) -> bool:
 
 # Smart constructors. They fold finite constants and strip additive and
 # multiplicative identities, nothing deeper; derivatives of sparse inputs
-# stay sparse without a real simplifier.
+# stay sparse without a real simplifier.  The rules, in order: fold two
+# constants if the result is finite, then strip a zero or one operand.
 
 def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Constant) and isinstance(b, Constant):
-        v = a.value + b.value
-        if math.isfinite(v):
-            return _node(Constant, v)
-    if is_zero(a):
-        return b
-    if is_zero(b):
+    if type(a) is Constant:
+        if type(b) is Constant:
+            v = a.value + b.value
+            if math.isfinite(v):
+                return _constant(v)
+        if a.value == 0.0:
+            return b
+    if type(b) is Constant and b.value == 0.0:
         return a
-    return _node(Add, a, b)
+    return _TABLE.get((Add, a, b)) or _binary(Add, _OP_ADD, a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Constant) and isinstance(b, Constant):
-        v = a.value - b.value
-        if math.isfinite(v):
-            return _node(Constant, v)
-    if is_zero(b):
-        return a
-    if is_zero(a):
+    if type(b) is Constant:
+        if type(a) is Constant:
+            v = a.value - b.value
+            if math.isfinite(v):
+                return _constant(v)
+        if b.value == 0.0:
+            return a
+    if type(a) is Constant and a.value == 0.0:
         return neg(b)
-    return _node(Sub, a, b)
+    return _TABLE.get((Sub, a, b)) or _binary(Sub, _OP_SUB, a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Constant) and isinstance(b, Constant):
-        v = a.value * b.value
-        if math.isfinite(v):
-            return _node(Constant, v)
-    if is_zero(a) or is_zero(b):
-        return ZERO
-    if is_one(a):
-        return b
-    if is_one(b):
-        return a
-    return _node(Mul, a, b)
+    if type(a) is Constant:
+        if type(b) is Constant:
+            v = a.value * b.value
+            if math.isfinite(v):
+                return _constant(v)
+            if b.value == 0.0:
+                return ZERO
+        if a.value == 0.0:
+            return ZERO
+        if a.value == 1.0:
+            return b
+        if type(b) is Constant and b.value == 1.0:
+            return a
+    elif type(b) is Constant:
+        if b.value == 0.0:
+            return ZERO
+        if b.value == 1.0:
+            return a
+    return _TABLE.get((Mul, a, b)) or _binary(Mul, _OP_MUL, a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if is_one(b):
-        return a
-    if isinstance(b, Constant) and b.value != 0.0:
-        if isinstance(a, Constant):
-            v = a.value / b.value
+    if type(b) is Constant:
+        y = b.value
+        if y == 1.0:
+            return a
+        if y != 0.0 and type(a) is Constant:
+            v = a.value / y
             if math.isfinite(v):
-                return _node(Constant, v)
-        if is_zero(a):
-            return ZERO
-    return _node(Div, a, b)
+                return _constant(v)
+            if a.value == 0.0:
+                return ZERO
+    return _TABLE.get((Div, a, b)) or _binary(Div, _OP_DIV, a, b)
 
 
 def neg(a: Expr) -> Expr:
-    if isinstance(a, Constant):
-        return _node(Constant, -a.value)
-    if isinstance(a, Neg):
+    if type(a) is Constant:
+        return _constant(-a.value)
+    if type(a) is Neg:
         return a.arg
-    return _node(Neg, a)
+    return _unary((Neg, a), _OP_NEG, a)
 
 
 def intpow(base: Expr, exponent) -> Expr:
@@ -458,48 +483,48 @@ def intpow(base: Expr, exponent) -> Expr:
         return ONE
     if exponent == 1:
         return base
-    if isinstance(base, Constant):
+    if type(base) is Constant:
         try:
             v = base.value ** exponent
         except OverflowError:  # float ** int raises where float * float gives inf
-            return _node(IntPow, base, exponent)
+            v = math.inf
         if math.isfinite(v):
-            return _node(Constant, v)
-    return _node(IntPow, base, exponent)
+            return _constant(v)
+    return _unary((IntPow, base, exponent), _OP_POW, base, float(exponent))
 
 
 _MAX_EXPONENT = 2**1023  # the tape stores exponents as floats
 
 
-def _fold_unary(cls, fn, a: Expr) -> Expr:
-    if isinstance(a, Constant):
+def _fold_unary(cls, op: int, fn, a: Expr) -> Expr:
+    if type(a) is Constant:
         try:
             v = fn(a.value)
         except (ValueError, OverflowError):
-            return _node(cls, a)
+            v = math.inf
         if math.isfinite(v):
-            return _node(Constant, v)
-    return _node(cls, a)
+            return _constant(v)
+    return _unary((cls, a), op, a)
 
 
 def exp(a) -> Expr:
-    return _fold_unary(Exp, math.exp, _coerce(a))
+    return _fold_unary(Exp, _OP_EXP, math.exp, _coerce(a))
 
 
 def log(a) -> Expr:
-    return _fold_unary(Log, math.log, _coerce(a))
+    return _fold_unary(Log, _OP_LOG, math.log, _coerce(a))
 
 
 def sin(a) -> Expr:
-    return _fold_unary(Sin, math.sin, _coerce(a))
+    return _fold_unary(Sin, _OP_SIN, math.sin, _coerce(a))
 
 
 def cos(a) -> Expr:
-    return _fold_unary(Cos, math.cos, _coerce(a))
+    return _fold_unary(Cos, _OP_COS, math.cos, _coerce(a))
 
 
 def sqrt(a) -> Expr:
-    return _fold_unary(Sqrt, math.sqrt, _coerce(a))
+    return _fold_unary(Sqrt, _OP_SQRT, math.sqrt, _coerce(a))
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:
@@ -540,9 +565,9 @@ def derive(e: Expr, i: int) -> Expr:
         elif isinstance(n, Log):
             r = div(go(n.arg), n.arg)
         elif isinstance(n, Sin):
-            r = mul(_node(Cos, n.arg), go(n.arg))
+            r = mul(_unary((Cos, n.arg), _OP_COS, n.arg), go(n.arg))
         elif isinstance(n, Cos):
-            r = neg(mul(_node(Sin, n.arg), go(n.arg)))
+            r = neg(mul(_unary((Sin, n.arg), _OP_SIN, n.arg), go(n.arg)))
         elif isinstance(n, Sqrt):
             r = div(go(n.arg), mul(constant(2.0), n))
         else:
@@ -615,11 +640,7 @@ def _run(roots: list[Expr], pts: np.ndarray) -> np.ndarray:
     out = np.empty((len(roots), npts))
     if not roots or not npts:
         return out
-    slots = []
-    for r in roots:
-        s = _tape_index(r)
-        slots.append(s if s >= 0 else _rerecord(r))
-    slots = np.array(slots, dtype=np.intp)
+    slots = np.array([_index(r) for r in roots], dtype=np.intp)
     key = (slots.tobytes(), npts)
     program = _PROGRAM.get(key)
     if program is None:

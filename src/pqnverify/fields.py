@@ -75,16 +75,28 @@ def _sorted_with_sign(idx: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(lst)
 
 
+@functools.cache
+def _passed_keys(dim: int, degree: int) -> set:
+    """The keys of this degree on a chart of this dimension that have passed
+    the checks, gathered as they come: C(dim, degree) may be huge."""
+    return set()
+
+
 def _normalize_components(chart: Chart, degree: int, components: Mapping) -> dict:
     out = {}
+    passed = _passed_keys(chart.dim, degree)
     for key in sorted(components):
         k = tuple(key)
-        if len(k) != degree:
-            raise DegreeError(f"key {k} does not have {degree} indices")
-        if any(not isinstance(i, int) or i < 0 or i >= chart.dim for i in k):
-            raise ValueError(f"key {k} has indices outside the chart")
-        if any(k[t] >= k[t + 1] for t in range(len(k) - 1)):
-            raise ValueError(f"key {k} is not strictly increasing")
+        # True == 1 and 1.0 == 1 hash alike, so a key equal to a passed one
+        # is taken only if its indices are ints
+        if k not in passed or not all(type(i) is int for i in k):
+            if len(k) != degree:
+                raise DegreeError(f"key {k} does not have {degree} indices")
+            if any(not isinstance(i, int) or i < 0 or i >= chart.dim for i in k):
+                raise ValueError(f"key {k} has indices outside the chart")
+            if any(k[t] >= k[t + 1] for t in range(len(k) - 1)):
+                raise ValueError(f"key {k} is not strictly increasing")
+            passed.add(k)
         e = components[key]
         if not isinstance(e, Expr):
             raise TypeError("components must be expressions")

@@ -1,9 +1,17 @@
 """Test-only builders and references: random inputs that no verdict needs,
-and the node-at-a-time evaluator that the tape replaced."""
+the node-at-a-time evaluator that the tape replaced, and the smart
+constructors as written before each tested its operands' type once."""
+
+import math
 
 import numpy as np
 
 from pqnverify.expr import (
+    _MAX_EXPONENT,
+    _OPCODE,
+    _TABLE,
+    ONE,
+    ZERO,
     Add,
     Chart,
     Constant,
@@ -12,6 +20,7 @@ from pqnverify.expr import (
     Div,
     Exp,
     Expr,
+    ExprError,
     IntPow,
     Log,
     Mul,
@@ -19,7 +28,12 @@ from pqnverify.expr import (
     Sin,
     Sqrt,
     Sub,
+    _binary,
     _children,
+    _constant,
+    _unary,
+    is_one,
+    is_zero,
 )
 from pqnverify.fields import Endomorphism
 from pqnverify.verify import random_polynomial
@@ -108,3 +122,106 @@ def reference_evaluate_batch(exprs: list[Expr], pts: np.ndarray) -> np.ndarray:
     for r, e in enumerate(exprs):
         out[r] = vals[id(e)]
     return out
+
+
+# The smart constructors with their is_zero/is_one/isinstance tests, as
+# they were before add, sub, mul, div, neg, intpow and the unary folds
+# tested type(x) is Constant once: the rules those must keep.  Nodes come
+# from expr's table through _reference_node, so a result compares by
+# identity with what expr's constructors return.
+
+def _reference_node(cls, *args) -> Expr:
+    if cls is Constant:
+        return _constant(args[0])
+    if cls in (Add, Sub, Mul, Div):
+        return _TABLE.get((cls, *args)) or _binary(cls, _OPCODE[cls], *args)
+    return _unary((cls, *args), _OPCODE[cls], args[0], float(args[1]) if cls is IntPow else 0.0)
+
+
+def reference_add(a: Expr, b: Expr) -> Expr:
+    if isinstance(a, Constant) and isinstance(b, Constant):
+        v = a.value + b.value
+        if math.isfinite(v):
+            return _reference_node(Constant, v)
+    if is_zero(a):
+        return b
+    if is_zero(b):
+        return a
+    return _reference_node(Add, a, b)
+
+
+def reference_sub(a: Expr, b: Expr) -> Expr:
+    if isinstance(a, Constant) and isinstance(b, Constant):
+        v = a.value - b.value
+        if math.isfinite(v):
+            return _reference_node(Constant, v)
+    if is_zero(b):
+        return a
+    if is_zero(a):
+        return reference_neg(b)
+    return _reference_node(Sub, a, b)
+
+
+def reference_mul(a: Expr, b: Expr) -> Expr:
+    if isinstance(a, Constant) and isinstance(b, Constant):
+        v = a.value * b.value
+        if math.isfinite(v):
+            return _reference_node(Constant, v)
+    if is_zero(a) or is_zero(b):
+        return ZERO
+    if is_one(a):
+        return b
+    if is_one(b):
+        return a
+    return _reference_node(Mul, a, b)
+
+
+def reference_div(a: Expr, b: Expr) -> Expr:
+    if is_one(b):
+        return a
+    if isinstance(b, Constant) and b.value != 0.0:
+        if isinstance(a, Constant):
+            v = a.value / b.value
+            if math.isfinite(v):
+                return _reference_node(Constant, v)
+        if is_zero(a):
+            return ZERO
+    return _reference_node(Div, a, b)
+
+
+def reference_neg(a: Expr) -> Expr:
+    if isinstance(a, Constant):
+        return _reference_node(Constant, -a.value)
+    if isinstance(a, Neg):
+        return a.arg
+    return _reference_node(Neg, a)
+
+
+def reference_intpow(base: Expr, exponent) -> Expr:
+    if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
+        raise ExprError("exponent must be a non-negative integer")
+    if exponent > _MAX_EXPONENT:
+        raise ExprError("exponent too large")
+    if exponent == 0:
+        return ONE
+    if exponent == 1:
+        return base
+    if isinstance(base, Constant):
+        try:
+            v = base.value ** exponent
+        except OverflowError:  # float ** int raises where float * float gives inf
+            return _reference_node(IntPow, base, exponent)
+        if math.isfinite(v):
+            return _reference_node(Constant, v)
+    return _reference_node(IntPow, base, exponent)
+
+
+def reference_fold_unary(cls, fn, a: Expr) -> Expr:
+    if isinstance(a, Constant):
+        try:
+            v = fn(a.value)
+        except (ValueError, OverflowError):
+            return _reference_node(cls, a)
+        if math.isfinite(v):
+            return _reference_node(Constant, v)
+    return _reference_node(cls, a)

@@ -7,27 +7,51 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+import pqnverify.expr as ex
+from builders import (
+    bits,
+    reference_add,
+    reference_div,
+    reference_fold_unary,
+    reference_evaluate_batch,
+    reference_intpow,
+    reference_mul,
+    reference_neg,
+    reference_sub,
+    topo_order,
+)
 from pqnverify.expr import (
     ONE,
     Add,
     Chart,
     Constant,
     Coord,
+    Div,
     Exp,
     Expr,
     ExprError,
+    IntPow,
+    Log,
     Mul,
+    Neg,
+    Sqrt,
     Sub,
     add,
+    clear_tables,
     constant,
     coord,
+    cos,
     derive,
     div,
     evaluate,
+    exp,
     intpow,
+    log,
     mul,
     neg,
     parse,
+    sin,
+    sqrt,
     sub,
     to_string,
 )
@@ -223,3 +247,112 @@ def test_derivatives_are_shared():
     for i in range(3):
         assert derive(e, i) is derive(e, i)
         assert derive(e, i) is derive(parse(to_string(e, CHART), CHART), i)
+
+
+def _operand_pool() -> list:
+    """Hash-consed constants, constants built by calling the class,
+    coordinates and compound nodes."""
+    x, y = coord(0), coord(1)
+    return [
+        constant(0.0), constant(-0.0), constant(1.0), constant(-1.0), constant(1e308),
+        constant(-1e308), constant(0.5),
+        Constant(0.0), Constant(1.0), Constant(-0.0), Constant(math.inf),
+        x, y, Coord(2), add(x, y), mul(x, y), neg(x), intpow(y, 3), exp(x), Neg(Coord(2)),
+    ]
+
+
+# (constructor, the reference with the old rules), by arity
+_BINARY = [(add, reference_add), (sub, reference_sub), (mul, reference_mul), (div, reference_div)]
+_UNARY = [
+    (neg, reference_neg),
+    (exp, lambda a: reference_fold_unary(Exp, math.exp, a)),
+    (log, lambda a: reference_fold_unary(Log, math.log, a)),
+    (sqrt, lambda a: reference_fold_unary(Sqrt, math.sqrt, a)),
+]
+_EXPONENTS = (0, 1, 2, 3, 40)
+
+
+def test_constructors_match_the_reference_on_every_pool_pair():
+    pool = _operand_pool()
+    for a in pool:
+        for fn, ref in _UNARY:
+            assert fn(a) is ref(a)
+        for k in _EXPONENTS:
+            assert intpow(a, k) is reference_intpow(a, k)
+        for b in pool:
+            for fn, ref in _BINARY:
+                assert fn(a, b) is ref(a, b)
+
+
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 99), st.integers(0, 99)), max_size=40))
+def test_constructors_keep_the_reference_rules(steps):
+    # Each step applies a constructor to pool members and adds the result
+    # to the pool, so later steps also see the nodes the constructors made.
+    pool = _operand_pool()
+    for op, i, j in steps:
+        a, b = pool[i % len(pool)], pool[j % len(pool)]
+        if op < len(_BINARY):
+            fn, ref = _BINARY[op]
+            got, want = fn(a, b), ref(a, b)
+        elif op < len(_BINARY) + len(_UNARY):
+            fn, ref = _UNARY[op - len(_BINARY)]
+            got, want = fn(a), ref(a)
+        else:
+            k = _EXPONENTS[j % len(_EXPONENTS)]
+            got, want = intpow(a, k), reference_intpow(a, k)
+        assert got is want
+        pool.append(got)
+
+
+def test_folds_that_overflow_stay_unfolded():
+    big, small = constant(1e308), constant(0.5)
+    cases = [
+        (add, reference_add, (big, big), Add),
+        (sub, reference_sub, (big, constant(-1e308)), Sub),
+        (mul, reference_mul, (big, big), Mul),
+        (div, reference_div, (big, small), Div),
+        (intpow, reference_intpow, (big, 2), IntPow),
+        (exp, lambda a: reference_fold_unary(Exp, math.exp, a), (constant(1000.0),), Exp),
+    ]
+    for fn, ref, args, cls in cases:
+        got = fn(*args)
+        assert type(got) is cls
+        assert got is ref(*args)
+
+
+def _tape_entries(nodes: list) -> list:
+    """Each node's tape entry, with its children as nodes."""
+    by_index = {ex._tape_index(n): n for n in nodes}
+    out = []
+    for n in nodes:
+        i = ex._tape_index(n)
+        assert i >= 0
+        kids = (by_index[ex._TAPE_KIDS[2 * i]], by_index[ex._TAPE_KIDS[2 * i + 1]])
+        out.append((ex._TAPE_KEY[i], kids, ex._TAPE_VAL[i]))
+    return out
+
+
+def test_recording_matches_rerecording():
+    x, y, z = coord(0), coord(1), coord(2)
+    roots = [
+        div(sub(mul(x, y), neg(z)), add(intpow(x, 2), constant(2.0))),
+        add(exp(sin(x)), log(add(constant(3.0), cos(y)))),
+        sqrt(add(intpow(z, 3), ONE)),
+    ]
+    nodes = topo_order(roots)
+    built = _tape_entries(nodes)
+    assert {key & 15 for key, _, _ in built} == set(range(13))  # every opcode
+    pts = np.linspace(0.1, 1.7, 27).reshape(9, 3)
+    clear_tables()
+    assert all(ex._tape_index(n) < 0 for n in nodes if n is not ONE)
+    got = evaluate_batch(roots, pts)
+    assert _tape_entries(nodes) == built
+    assert np.array_equal(bits(got), bits(reference_evaluate_batch(roots, pts)))
+    # A new node over a node from before the clear and one built by calling
+    # its class records both first, then sits one level above the higher.
+    old, direct = roots[2], Coord(1)
+    clear_tables()
+    top = mul(old, direct)
+    key, kids, _ = _tape_entries(topo_order([top]))[-1]  # the root comes last
+    assert kids == (old, direct)
+    assert key == (((ex._TAPE_KEY[ex._tape_index(old)] >> 4) + 1) << 4 | ex._OP_MUL)

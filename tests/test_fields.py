@@ -1,5 +1,7 @@
 """Pointwise multilinear algebra: sharp/flat, wedge, interior products, star."""
 
+import re
+
 import pytest
 
 from pqnverify.expr import (
@@ -342,6 +344,31 @@ def test_kform_rejects_bad_keys():
         KForm(CH, 4, {})
     with pytest.raises(ValueError):
         KForm(CH, 2, {(0, 5): ONE})
+
+
+@pytest.mark.parametrize("degree, key, error, message", [
+    (2, (0,), DegreeError, "key (0,) does not have 2 indices"),
+    (2, (-1, 0), ValueError, "key (-1, 0) has indices outside the chart"),
+    (2, (0, 3), ValueError, "key (0, 3) has indices outside the chart"),
+    (2, (1, 0), ValueError, "key (1, 0) is not strictly increasing"),
+    (2, (1, 1), ValueError, "key (1, 1) is not strictly increasing"),
+    (1, (1.0,), ValueError, "key (1.0,) has indices outside the chart"),
+    (2, (0, 1.0), ValueError, "key (0, 1.0) has indices outside the chart"),
+])
+def test_kform_rejects_each_bad_key_after_its_valid_twins(degree, key, error, message):
+    # every valid key of the degree first, so that an equal one has passed
+    KForm(CH, 1, {(0,): X, (1,): X, (2,): X})
+    KForm(CH, 2, {(0, 1): X, (0, 2): X, (1, 2): X})
+    for _ in range(2):
+        with pytest.raises(error, match=re.escape(message)):
+            KForm(CH, degree, {key: X})
+
+
+def test_kform_accepts_a_bool_index_as_its_int():
+    KForm(CH, 1, {(1,): X})
+    form = KForm(CH, 1, {(True,): Y})
+    assert list(form.components) == [(True,)]
+    assert form.component(1) is Y
 
 
 def test_vectorfield_requires_full_components():
