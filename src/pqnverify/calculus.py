@@ -1,11 +1,14 @@
 """Exterior and Lie calculus, torsion tensors, and trace invariants.
 
-Everything here is exact symbolic manipulation of expression trees;
-numerical sampling lives in the verify module.
+Everything here is exact symbolic manipulation of expression trees, but
+for the Haantjes tensor's contraction, which runs on the evaluated values
+of N and its torsion; numerical sampling lives in the verify module.
 """
 from __future__ import annotations
 
-from .expr import Chart, Expr, ZERO, add, constant, derive, div, is_zero, mul, neg, sub
+from itertools import combinations
+
+from .expr import Chart, Constant, Expr, ZERO, add, constant, derive, div, is_zero, mul, neg, sub
 from .fields import (
     Bivector,
     DegreeError,
@@ -142,20 +145,6 @@ class TorsionEvaluator:
             return self._pairs[(j, k)].components[i]
         return neg(self._pairs[(k, j)].components[i])
 
-    def apply(self, x: VectorField, y: VectorField) -> VectorField:
-        chart = _require_same_chart(x, y)
-        comps = [ZERO] * chart.dim
-        for (j, k), v in self._pairs.items():
-            coeff = sub(
-                mul(x.components[j], y.components[k]),
-                mul(x.components[k], y.components[j]),
-            )
-            if is_zero(coeff):
-                continue
-            for i in range(chart.dim):
-                comps[i] = add(comps[i], mul(coeff, v.components[i]))
-        return VectorField(chart, tuple(comps))
-
     def slot_matrix(self, j: int) -> Endomorphism:
         """Matrix of the first-slot contraction: entry [i][k] is the i-th
         component of the value on the coordinate pair (j, k)."""
@@ -189,8 +178,26 @@ def nijenhuis_torsion(n: Endomorphism) -> TorsionEvaluator:
 
 
 @per_verdict
-def haantjes_tensor(n: Endomorphism) -> TorsionEvaluator:
-    """H(X,Y) = T(NX,NY) - N(T(NX,Y) + T(X,NY) - N T(X,Y)), in O(d^4) products.
+def haantjes_tensor(n: Endomorphism) -> "HaantjesTensor":
+    """H(X,Y) = T(NX,NY) - N(T(NX,Y) + T(X,NY) - N T(X,Y)), staged.
+
+    H is algebraic in N and its torsion T: no derivative is taken after T.
+    So only N's d^2 entries and T's stored entries are expression nodes.
+    verify evaluates them with a batch's other roots and contracts H from
+    their values in numpy (HaantjesTensor.contract), vectorised over the
+    points, in O(d^4) products per point.  The contraction runs
+    haantjes_expression's two stages in its summation order, starts each
+    sum at its first term that is not skipped, and zeroes every product
+    with a structural zero, so it equals the evaluated expansion bit for
+    bit.  The expansion stays for callers that walk a check's nodes: a
+    replacement of verify.run_pairs, such as perfbench/exact.py, gets it.
+    """
+    return HaantjesTensor(n, nijenhuis_torsion(n))
+
+
+@per_verdict
+def haantjes_expression(n: Endomorphism) -> TorsionEvaluator:
+    """H as expressions, in O(d^4) symbolic products.
 
     Two-stage contraction: first A^i_{mk} = sum_l T^i_{ml} N^l_k, once for
     all (i, m, k).  On a coordinate pair (j, k) the identities
@@ -198,6 +205,9 @@ def haantjes_tensor(n: Endomorphism) -> TorsionEvaluator:
         H^i_{jk} = sum_m N^m_j A^i_{mk}
                    - sum_m N^i_m (A^m_{jk} - A^m_{kj} - sum_p N^m_p T^p_{jk}),
     where the bracket is built once per (m, j, k) and shared over i.
+
+    Verdicts contract H numerically; this expansion serves callers that
+    walk a check's nodes, such as a replacement of verify.run_pairs.
     """
     chart = n.chart
     dim = chart.dim
@@ -238,6 +248,173 @@ def haantjes_tensor(n: Endomorphism) -> TorsionEvaluator:
                 comps.append(acc)
             pairs[(j, k)] = VectorField(chart, tuple(comps))
     return TorsionEvaluator(chart, pairs)
+
+
+class HaantjesEntry:
+    """Component `row` of a staged Haantjes tensor, times `scale` unless
+    that is None: a check's side, filled in after evaluation."""
+
+    __slots__ = ("tensor", "row", "scale")
+
+    def __init__(self, tensor: "HaantjesTensor", row: int, scale: Expr | None = None):
+        self.tensor = tensor
+        self.row = row
+        self.scale = scale
+
+    def expand(self) -> Expr:
+        """The entry as an expression, as haantjes_expression builds it."""
+        dim = self.tensor.chart.dim
+        j, k = self.tensor.pairs[self.row // dim]
+        got = haantjes_expression(self.tensor.n).pair(j, k).components[self.row % dim]
+        return got if self.scale is None else mul(self.scale, got)
+
+
+class HaantjesTensor:
+    """The Haantjes tensor of N, staged for evaluation.
+
+    Its roots are N's entries, row by row, then the d components of T on
+    each coordinate pair j < k, in the order of `pairs`.  `constants` is
+    fixed when they are built: each root's value if it is a constant, nan
+    if not, so the structural zeros is_zero names are the zeros in it.
+    Components are numbered pair by pair, H^i_{jk} at row q*d + i for the
+    q-th pair (j, k).
+    """
+
+    def __init__(self, n: Endomorphism, torsion: TorsionEvaluator):
+        import numpy as np
+
+        dim = n.chart.dim
+        self.chart = n.chart
+        self.n = n
+        self.pairs = tuple(combinations(range(dim), 2))
+        self.roots = [e for row in n.matrix for e in row] + [
+            c for j, k in self.pairs for c in torsion.pair(j, k).components
+        ]
+        self.constants = np.array(
+            [e.value if type(e) is Constant else np.nan for e in self.roots]
+        )
+        # Only constants other than zero can fold into new structural zeros.
+        self._folds = bool(np.any(np.isfinite(self.constants) & (self.constants != 0.0)))
+        # Stage one reads u[i, m, l] = T^i_{ml}: row (q, i) of the pair
+        # q = (m, l) for m < l, the same row subtracted for l < m, and for
+        # l = m a row of -0.0 after the roots, which is skipped.
+        nsq, marker = dim * dim, len(self.roots)
+        self._jj, self._kk = np.array(self.pairs, dtype=np.intp).reshape(-1, 2).T
+        pair_of = np.zeros((dim, dim), dtype=np.intp)
+        pair_of[self._jj, self._kk] = pair_of[self._kk, self._jj] = np.arange(len(self.pairs))
+        rows = nsq + dim * pair_of[None] + np.arange(dim)[:, None, None]
+        rows[:, np.eye(dim, dtype=bool)] = marker
+        self._u_rows = rows
+        self._u_sign = np.where(np.tri(dim, k=-1, dtype=bool), -1.0, 1.0)[..., None]
+        # Structural zeros of the inputs, and of the products of stage one
+        # (over i, m, l, k) and of the inner sum (over m, p, pairs).
+        zero = np.append(self.constants == 0.0, True)
+        self._n_zero = zero[:nsq].reshape(dim, dim)
+        t_zero = zero[nsq:marker].reshape(-1, dim)
+        self._one_zero = zero[rows][..., None] | self._n_zero[None, None]
+        self._inner_zero = self._n_zero[..., None] | t_zero.T[None]
+
+    def pair(self, j: int, k: int, scale: Expr | None = None) -> tuple[HaantjesEntry, ...]:
+        """The components H^i_{jk} for j < k, each times scale if given."""
+        dim = self.chart.dim
+        first = self.pairs.index((j, k)) * dim
+        return tuple(HaantjesEntry(self, first + i, scale) for i in range(dim))
+
+    def entries(self) -> list[HaantjesEntry]:
+        return [HaantjesEntry(self, r) for r in range(len(self.pairs) * self.chart.dim)]
+
+    def contract(self, values):
+        """H's values, one row per component and a column per point, and
+        which components are structural zeros, from the roots' values.
+
+        Runs haantjes_expression's two stages in its own summation order,
+        one numpy step per summed index, vectorised over the points and
+        the free indices, so IEEE arithmetic gives the evaluated expansion
+        bit for bit, given two of the smart constructors' rules:
+        - a product with a structural zero is that zero, where numpy would
+          give 0 * inf = nan, so those products are zeroed;
+        - a sum starts at its first term that is not skipped, never at
+          0.0 + term, which would turn -0.0 into 0.0.  So a sum starts at
+          -0.0, and a structural zero is held as -0.0 while summing:
+          adding -0.0 changes no value, and adding to it gives the other
+          term.  A structural zero in the result reads 0.0, as ZERO does.
+        Which intermediates are structural zeros, folded constants
+        included, is read from one more column carried through every step,
+        which starts as `constants`.  A subtracted term is added negated,
+        which IEEE defines to be the same."""
+        import numpy as np
+
+        dim, npts, npairs = self.chart.dim, values.shape[1], len(self.pairs)
+        if not npairs:
+            return np.empty((0, npts)), np.empty(0, dtype=bool)
+        nsq, nroots = dim * dim, len(self.roots)
+        v = np.empty((nroots + 1, npts + 1))
+        v[:nroots, :-1] = values
+        v[:nroots, -1] = self.constants
+        v[nroots] = -0.0
+        n, t = v[:nsq].reshape(dim, dim, -1), v[nsq:nroots].reshape(npairs, dim, -1)
+        neg_n = -n
+        jj, kk, n_zero = self._jj, self._kk, self._n_zero
+        mark = _mark_zeros if self._folds else _unchanged
+        u = v[self._u_rows]
+        u *= self._u_sign
+        # A^i_{mk} = sum_l T^i_{ml} N^l_k
+        a = np.full((dim, dim, dim, npts + 1), -0.0)
+        buf = np.empty_like(a)
+        for l in range(dim):
+            _accumulate(a, u[:, :, l, None], n[l], self._one_zero[:, :, l], buf, mark)
+        a_zero = a[..., -1] == 0.0
+        # inner^m_{jk} = A^m_{jk} - A^m_{kj} - sum_p N^m_p T^p_{jk}
+        left = a[:, jj, kk]
+        inner = left - a[:, kk, jj]
+        right_zero = a_zero[:, kk, jj]
+        inner[right_zero] = left[right_zero]
+        mark(inner)
+        buf = np.empty_like(inner)
+        for p in range(dim):
+            _accumulate(inner, neg_n[:, p, None], t[:, p], self._inner_zero[:, p], buf, mark)
+        # H^i_{jk} = sum_m N^m_j A^i_{mk} - sum_m N^i_m inner^m_{jk}
+        first = n_zero[None, :, jj] | a_zero[:, :, kk]
+        second = n_zero[..., None] | (inner[..., -1] == 0.0)[None]
+        h = np.full_like(inner, -0.0)
+        for m in range(dim):
+            _accumulate(h, n[m, jj], a[:, m, kk], first[:, m], buf, mark)
+        for m in range(dim):
+            _accumulate(h, neg_n[:, m, None], inner[m], second[:, m], buf, mark)
+        zero = h[..., -1] == 0.0
+        h[zero] = 0.0
+        return h[..., :-1].transpose(1, 0, 2).reshape(-1, npts), zero.T.reshape(-1)
+
+
+def _accumulate(acc, x, y, zero, buf, mark):
+    """acc += x * y in place, the product being -0.0 wherever zero marks a
+    factor that is a structural zero: the smart constructors skip it."""
+    import numpy as np
+
+    if zero.all():
+        return
+    np.multiply(x, y, out=buf)
+    if zero.any():
+        buf[zero] = -0.0
+    mark(np.add(acc, mark(buf), out=acc))
+
+
+def _mark_zeros(x):
+    """x with the constants that folded to zero set to -0.0.
+
+    A fold that cancels gives 0.0 in every column, so these are the 0.0
+    entries of the last column; a structural zero held as -0.0 already
+    reads -0.0 there."""
+    import numpy as np
+
+    folded = x[..., -1].view(np.uint64) == 0
+    if folded.any():
+        x[folded] = -0.0
+    return x
+
+
+def _unchanged(x):
+    return x
 
 
 def pi_n(p: Bivector, n: Endomorphism) -> tuple[Bivector, list[Expr]]:

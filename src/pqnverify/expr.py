@@ -41,11 +41,13 @@ values, so the output is bit-identical to one whatever the grouping or
 block width. The one exception is which nan an operation on two nans
 returns, which depends on whether numpy's SIMD loop or its scalar tail
 computes the element. `evaluate` runs the same tape on a one-row array.
-The last schedule is kept, keyed on the roots' tape indices and the
-number of points, so a caller that evaluates the same roots on successive
-chunks of points schedules them once, and drops it with `forget_program`
-when done. A tape index names one node only until the tape is truncated,
-so `clear_tables` drops that schedule too.
+The last schedule is kept, keyed on the roots' tape indices, with the
+number of points it was compiled for; a call on the same roots and at
+most that many points reuses it. So a caller that evaluates the same
+roots on successive chunks of points, or on successive rounds of
+replacement points, schedules them once, and drops it with
+`forget_program` when done. A tape index names one node only until the
+tape is truncated, so `clear_tables` drops that schedule too.
 """
 from __future__ import annotations
 
@@ -215,10 +217,12 @@ class Sqrt(Expr):
 _TABLE: dict[tuple, Expr] = {}
 # The memo of derive and of the builders fields.per_verdict wraps.
 _DERIVED: dict[tuple, object] = {}
-# The last program _compile built, keyed on its roots' tape indices and
-# its number of points: evaluating the same roots again, on the next
-# chunk of points, skips the schedule.
-_PROGRAM: dict[tuple, tuple] = {}
+# The last program _compile built, keyed on its roots' tape indices, with
+# the number of points it was built for: evaluating the same roots again
+# on no more points, the next chunk or resampling round, skips the
+# schedule. A program built for fewer points may hold a register per
+# value, which would leave room for only a few points per block.
+_PROGRAM: dict[bytes, tuple] = {}
 
 # The tape: one entry per node, appended as the node is built.
 # _TAPE_KEY holds level << 4 | opcode, the level being the height above
@@ -641,13 +645,13 @@ def _run(roots: list[Expr], pts: np.ndarray) -> np.ndarray:
     if not roots or not npts:
         return out
     slots = np.array([_index(r) for r in roots], dtype=np.intp)
-    key = (slots.tobytes(), npts)
-    program = _PROGRAM.get(key)
-    if program is None:
-        program = _compile(slots, npts)
+    key = slots.tobytes()
+    kept = _PROGRAM.get(key)
+    if kept is None or kept[0] < npts:
+        kept = (npts, _compile(slots, npts))
         _PROGRAM.clear()
-        _PROGRAM[key] = program
-    registers, widest, steps, const, coords, rows = program
+        _PROGRAM[key] = kept
+    registers, widest, steps, const, coords, rows = kept[1]
     if coords is not None and int(coords[2].max()) >= dim:
         raise IndexError(f"points have {dim} coordinates, fewer than the expressions use")
     width = min(npts, max(1, REGISTER_BUDGET // (registers + 2 * widest)))

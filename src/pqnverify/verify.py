@@ -87,6 +87,7 @@ from .fields import (
     zero_kform,
 )
 from .calculus import (
+    HaantjesTensor,
     TorsionEvaluator,
     concomitant,
     d,
@@ -190,11 +191,6 @@ def point_stream(plan: SamplePlan):
         start += plan.count
 
 
-def points(plan: SamplePlan) -> list[tuple[float, ...]]:
-    """The plan's base point list (before any resampling)."""
-    return [tuple(row) for row in point_block(plan, 0, plan.count).tolist()]
-
-
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one sampled identity check."""
@@ -231,13 +227,19 @@ def run_checks(
     at once to every check's finiteness and scaled residual per point.
     Points where a check has a component that is not finite are then
     replaced for that check alone.  An evaluation does not depend on which
-    roots share it, so each report equals the one its check gives alone."""
+    roots share it, so each report equals the one its check gives alone.
+
+    A side may be a staged Haantjes entry (calculus.HaantjesEntry): its
+    tensor's roots are evaluated with the others and its value is
+    contracted from theirs."""
     # perfbench/exact.py rebinds run_pairs to capture one check's pairs, so
     # a replacement sees every check, one call each; a functools.wraps
     # wrapper of run_pairs, such as perfbench's tracer makes, does not.
-    original = getattr(run_pairs, "__wrapped__", run_pairs)
-    if getattr(original, "__code__", None) is not _RUN_PAIRS_CODE:
-        return [run_pairs(name, pairs, plan, tol, detail) for name, pairs, detail in checks]
+    if _run_pairs_rebound():
+        return [
+            run_pairs(name, _expanded(pairs), plan, tol, detail)
+            for name, pairs, detail in checks
+        ]
     return _settle(checks, plan, tol)
 
 
@@ -254,6 +256,28 @@ def run_pairs(
 
 
 _RUN_PAIRS_CODE = run_pairs.__code__
+
+
+def _run_pairs_rebound() -> bool:
+    """Whether run_pairs is replaced by something other than a wrapper."""
+    original = getattr(run_pairs, "__wrapped__", run_pairs)
+    return getattr(original, "__code__", None) is not _RUN_PAIRS_CODE
+
+
+def _expanded(pairs: list) -> list[tuple[Expr, Expr]]:
+    """pairs with each staged Haantjes entry expanded to its expression,
+    for a replacement of run_pairs that walks the nodes (perfbench/exact.py
+    does).  The expansion is the O(d^4) symbolic builder."""
+    return [
+        tuple(e if isinstance(e, Expr) else e.expand() for e in pair) for pair in pairs
+    ]
+
+
+def _run_one(name: str, pairs: list, plan: SamplePlan, tol: float, detail: str = "") -> CheckReport:
+    """run_pairs on one check, with staged entries expanded if it is replaced."""
+    if _run_pairs_rebound():
+        pairs = _expanded(pairs)
+    return run_pairs(name, pairs, plan, tol, detail)
 
 
 def _settle(checks, plan: SamplePlan, tol: float) -> list[CheckReport]:
@@ -274,6 +298,7 @@ def _settle(checks, plan: SamplePlan, tol: float) -> list[CheckReport]:
         else:
             note = _join(detail, "no components")
             reports.append(CheckReport(name, "pass", 0.0, None, 0, tol, note))
+    expr.forget_program()
     return reports
 
 
@@ -288,9 +313,13 @@ def _report(
     scaled: np.ndarray,
 ) -> CheckReport:
     """One check's report from its finiteness and scaled residuals at the
-    plan's points, replacing the points where it is not finite."""
+    plan's points, replacing the points where it is not finite.
+
+    Every round evaluates the same roots on no more points than the first,
+    so the rounds share the program the first compiles."""
     budget = plan.resample_limit
     replaced = 0
+    sides = [e for pair in pairs for e in pair]
     while not finite.all() and budget > 0:
         slots = np.flatnonzero(~finite)[:budget]
         take = len(slots)
@@ -300,7 +329,7 @@ def _report(
         if not replaced:
             pts = pts.copy()  # the batch's other checks keep the plan's points
         pts[slots] = fresh
-        ok, value = _scaled_residuals([e for pair in pairs for e in pair], [0], fresh)
+        ok, value = _scaled_residuals(sides, [0], fresh)
         finite[slots], scaled[slots] = ok[0], value[0]
         replaced += take
     if not finite.all():
@@ -337,13 +366,27 @@ def _scaled_residuals(
     scaled = np.empty((len(starts), npts))
     if not starts:
         return finite, scaled
-    width = max(1, expr.REGISTER_BUDGET // len(exprs))
+    roots, staged = _staging(exprs)
+    width = max(1, expr.REGISTER_BUDGET // len(roots))
     width = -(-npts // -(-npts // width))  # even chunks
     rows = 2 * np.array(starts)
     counts = np.diff(np.append(starts, len(exprs) // 2))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, npts, width):
-            vals = evaluate_batch(exprs, pts[lo:lo + width])
+            out = evaluate_batch(roots, pts[lo:lo + width])
+            vals = out[:len(exprs)]
+            contracted = {}
+            for tensor, first, scale, dst, src in staged:
+                if first not in contracted:
+                    contracted[first] = tensor.contract(out[first:first + len(tensor.roots)])
+                h, zero = contracted[first]
+                if scale is None:
+                    vals[dst] = h[src]
+                else:
+                    # mul(scale, entry): ZERO if either is a structural zero
+                    row, scale_zero = scale
+                    vals[dst] = out[row] * h[src]
+                    vals[dst[zero[src] | scale_zero]] = 0.0
             lhs, rhs = vals[0::2], vals[1::2]
             residual = np.maximum.reduceat(np.abs(lhs - rhs), starts, axis=0)
             scale = np.maximum(
@@ -356,8 +399,42 @@ def _scaled_residuals(
                 value[over] = np.maximum.reduceat(np.abs(lhs / s - rhs / s), starts, axis=0)[over]
             scaled[:, lo:lo + width] = value
             finite[:, lo:lo + width] = np.logical_and.reduceat(np.isfinite(vals), rows, axis=0)
-    expr.forget_program()
     return finite, scaled
+
+
+def _staging(exprs: list) -> tuple[list[Expr], list]:
+    """The roots to evaluate for the sides in exprs and how to fill the rows
+    of their staged Haantjes entries.
+
+    A staged entry's row holds ZERO among the roots and is overwritten
+    after evaluation.  Each distinct tensor's roots and each distinct
+    scale follow the sides once.  The entries come back in groups of one
+    tensor and scale: (tensor, its first root row, None or the scale's
+    (root row, whether it is a structural zero), rows to fill, the
+    contraction's rows they take)."""
+    roots = [e if isinstance(e, Expr) else ZERO for e in exprs]
+    placed: dict[int, int] = {}  # id of a tensor or scale -> its first root
+
+    def place(key: int, nodes: list[Expr]) -> int:
+        if key not in placed:
+            placed[key] = len(roots)
+            roots.extend(nodes)
+        return placed[key]
+
+    groups: dict[tuple, tuple] = {}
+    for r, e in enumerate(exprs):
+        if isinstance(e, Expr):
+            continue
+        first = place(id(e.tensor), e.tensor.roots)
+        scale = None if e.scale is None else (place(id(e.scale), [e.scale]), is_zero(e.scale))
+        _, dst, src = groups.setdefault((first, scale), (e.tensor, [], []))
+        dst.append(r)
+        src.append(e.row)
+    staged = [
+        (tensor, first, scale, np.array(dst), np.array(src))
+        for (first, scale), (tensor, dst, src) in groups.items()
+    ]
+    return roots, staged
 
 
 def component_pairs(lhs, rhs) -> list[tuple[Expr, Expr]]:
@@ -408,6 +485,10 @@ def component_pairs(lhs, rhs) -> list[tuple[Expr, Expr]]:
         if not isinstance(rhs, VolumeForm) or rhs.chart != lhs.chart:
             raise TypeError("kind mismatch: volume form expected on both sides")
         return [(lhs.coefficient, rhs.coefficient)]
+    if isinstance(lhs, HaantjesTensor):
+        if rhs is not None:
+            raise TypeError("a staged Haantjes tensor is compared with zero only")
+        return [(e, ZERO) for e in lhs.entries()]
     if isinstance(lhs, TorsionEvaluator):
         if rhs is not None and not isinstance(rhs, TorsionEvaluator):
             raise TypeError("kind mismatch: torsion evaluator expected on both sides")
@@ -428,7 +509,7 @@ def component_pairs(lhs, rhs) -> list[tuple[Expr, Expr]]:
 def check_identity(name, lhs, rhs, plan, tol, detail: str = "") -> CheckReport:
     """Sampled identity check between two field objects of matching kind;
     rhs None stands for the zero object."""
-    return run_pairs(name, component_pairs(lhs, rhs), plan, tol, detail)
+    return _run_one(name, component_pairs(lhs, rhs), plan, tol, detail)
 
 
 def _identity(name: str, lhs, rhs=None) -> tuple[str, list[tuple[Expr, Expr]], str]:
@@ -1078,7 +1159,7 @@ def rank_one_identity_reports(
             rhs_t = scale_vector(sub(bracket_term, vol3), w)
             pairs_t.extend(zip(t.pair(a, b).components, rhs_t.components))
             rhs_h = scale_vector(neg(mul(intpow(f, 2), vol3)), w)
-            pairs_h.extend(zip(h.pair(a, b).components, rhs_h.components))
+            pairs_h.extend(zip(h.pair(a, b), rhs_h.components))
     checks = [
         (f"{prefix}.rank_one_torsion", pairs_t, ""),
         (f"{prefix}.rank_one_haantjes", pairs_h, ""),
@@ -1094,7 +1175,8 @@ def affine_scaling_report(
     tol: float,
     prefix: str = "battery",
 ) -> CheckReport:
-    """The Haantjes tensor of f I + g N is g^4 times that of N."""
+    """The Haantjes tensor of f I + g N is g^4 times that of N; the right
+    side is each staged entry of H_N scaled by g^4 after contraction."""
     chart = n.chart
     m = add_endomorphisms(
         scale_endomorphism(f, identity_endomorphism(chart)), scale_endomorphism(g, n)
@@ -1105,9 +1187,8 @@ def affine_scaling_report(
     pairs = []
     for a in range(chart.dim):
         for b in range(a + 1, chart.dim):
-            rhs = scale_vector(g4, hn.pair(a, b))
-            pairs.extend(zip(hm.pair(a, b).components, rhs.components))
-    return run_pairs(f"{prefix}.haantjes_affine_scaling", pairs, plan, tol)
+            pairs.extend(zip(hm.pair(a, b), hn.pair(a, b, scale=g4)))
+    return _run_one(f"{prefix}.haantjes_affine_scaling", pairs, plan, tol)
 
 
 def run_identity_battery(

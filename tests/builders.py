@@ -1,5 +1,7 @@
 """Test-only builders and references: random inputs that no verdict needs,
-the node-at-a-time evaluator that the tape replaced, and the smart
+the plan's base points as tuples, a torsion's value on general vector
+fields, staged Haantjes components evaluated at points, the
+node-at-a-time evaluator that the tape replaced, and the smart
 constructors as written before each tested its operands' type once."""
 
 import math
@@ -32,11 +34,15 @@ from pqnverify.expr import (
     _children,
     _constant,
     _unary,
+    add,
+    evaluate_batch,
     is_one,
     is_zero,
+    mul,
+    sub,
 )
-from pqnverify.fields import Endomorphism
-from pqnverify.verify import random_polynomial
+from pqnverify.fields import Endomorphism, VectorField, _require_same_chart
+from pqnverify.verify import point_block, random_polynomial
 
 
 def random_endomorphism(chart: Chart, gen, **kw) -> Endomorphism:
@@ -50,6 +56,38 @@ def random_endomorphism(chart: Chart, gen, **kw) -> Endomorphism:
             for _ in range(dim)
         ),
     )
+
+
+def points(plan) -> list[tuple[float, ...]]:
+    """The plan's base point list (before any resampling)."""
+    return [tuple(row) for row in point_block(plan, 0, plan.count).tolist()]
+
+
+def torsion_apply(t, x: VectorField, y: VectorField) -> VectorField:
+    """The value of a torsion (calculus.TorsionEvaluator) on two general
+    vector fields, expanded over the coordinate basis by
+    function-bilinearity."""
+    chart = _require_same_chart(x, y)
+    comps = [ZERO] * chart.dim
+    for (j, k), v in t._pairs.items():
+        coeff = sub(
+            mul(x.components[j], y.components[k]),
+            mul(x.components[k], y.components[j]),
+        )
+        if is_zero(coeff):
+            continue
+        for i in range(chart.dim):
+            comps[i] = add(comps[i], mul(coeff, v.components[i]))
+    return VectorField(chart, tuple(comps))
+
+
+def haantjes_values(h, pts) -> np.ndarray:
+    """A staged Haantjes tensor's components at points, one row per
+    component as h.entries() lists them: its roots evaluated, then
+    contracted."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, h.chart.dim)
+    with np.errstate(all="ignore"):
+        return h.contract(evaluate_batch(h.roots, pts))[0]
 
 
 def topo_order(roots: list[Expr]) -> list[Expr]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pqnverify import calculus, expr
+from pqnverify import verify as verify_module
 from pqnverify.calculus import (
     bracket_p,
     concomitant,
@@ -40,6 +41,7 @@ from pqnverify.expr import (
     div,
     evaluate,
     intpow,
+    log,
     mul,
     neg,
     parse,
@@ -71,9 +73,15 @@ from pqnverify.fields import (
     tensor_product,
     wedge,
 )
-from pqnverify.verify import evaluate_batch, point_block, sample_plan, splitmix64
+from pqnverify.verify import (
+    evaluate_batch,
+    point_block,
+    run_identity_battery,
+    sample_plan,
+    splitmix64,
+)
 
-from builders import random_endomorphism
+from builders import bits, haantjes_values, random_endomorphism, torsion_apply
 
 CH = Chart(("x", "y", "z"))
 X, Y, Z = Coord(0), Coord(1), Coord(2)
@@ -270,8 +278,8 @@ class TestTorsions:
         f = parse("y - 2*z", CH)
         x = VectorField(CH, (ONE, X, ZERO))
         y = VectorField(CH, (Z, ZERO, ONE))
-        lhs = t.apply(scale_vector(f, x), y)
-        rhs = scale_vector(f, t.apply(x, y))
+        lhs = torsion_apply(t, scale_vector(f, x), y)
+        rhs = scale_vector(f, torsion_apply(t, x, y))
         for p in POINTS:
             for i in range(3):
                 assert ev(lhs.components[i], p) == pytest.approx(
@@ -291,10 +299,7 @@ class TestTorsions:
     def test_haantjes_tensor_of_the_known_operator_vanishes(self):
         mv = magri_veselov()
         h = haantjes_tensor(mv.n)
-        for j in range(3):
-            for k in range(j + 1, 3):
-                for p in POINTS:
-                    assert all(ev(c, p) == 0.0 for c in h.pair(j, k).components)
+        assert np.all(haantjes_values(h, POINTS) == 0.0)
 
     def test_quartic_scaling_of_the_haantjes_tensor(self):
         td = closed_toda(2)
@@ -308,13 +313,10 @@ class TestTorsions:
         hm = haantjes_tensor(m)
         hn = haantjes_tensor(td.n)
         pts = [(0.4, -0.2, 1.0, 0.3), (-0.1, 0.8, 0.2, -0.5)]
-        for p in pts:
-            g4 = evaluate(g, p) ** 4
-            for j in range(4):
-                for k in range(j + 1, 4):
-                    got = [evaluate(c, p) for c in hm.pair(j, k).components]
-                    want = [g4 * evaluate(c, p) for c in hn.pair(j, k).components]
-                    assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+        got, hn_values = haantjes_values(hm, pts), haantjes_values(hn, pts)
+        for col, p in enumerate(pts):
+            want = evaluate(g, p) ** 4 * hn_values[:, col]
+            assert list(got[:, col]) == pytest.approx(list(want), rel=1e-9, abs=1e-9)
 
     def test_rank_one_torsion_closed_form(self):
         w = VectorField(CH, (ONE, ZERO, Y))
@@ -396,15 +398,92 @@ def test_haantjes_tensor_matches_the_direct_formula(dim):
     n = random_endomorphism(chart, splitmix64(100 + dim))
     h = haantjes_tensor(n)
     want = haantjes_direct(n, nijenhuis_torsion(n))
-    got_exprs = [c for key in want for c in h.pair(*key).components]
+    assert list(want) == list(h.pairs)
     want_exprs = [c for key in want for c in want[key]]
     pts = point_block(sample_plan(chart, count=32, seed=dim), 0, 32)
-    got, ref = evaluate_batch(got_exprs, pts), evaluate_batch(want_exprs, pts)
+    got, ref = haantjes_values(h, pts), evaluate_batch(want_exprs, pts)
     assert np.all(np.isfinite(ref))
     # Every Haantjes tensor vanishes in dimension 2; above it these do not.
     assert dim == 2 or np.max(np.abs(ref)) > 1.0
     scaled = np.abs(got - ref) / np.maximum(1.0, np.maximum(np.abs(got), np.abs(ref)))
     assert np.max(scaled) <= 1e-9
+
+
+def _awkward_endomorphism(chart: Chart, seed: int) -> Endomorphism:
+    """A sparse random_endomorphism: of every 16 entries about 6 are a
+    structural zero, 2 are -3 x0 (-0.0 where x0 is 0), 2 constants, and
+    1/x1 and log(x1^2) one each (inf and -inf where x1 is 0)."""
+    gen = splitmix64(seed)
+    rows = [list(row) for row in random_endomorphism(chart, gen).matrix]
+    x0, x1 = Coord(0), Coord(1 % chart.dim)
+    special = [ZERO] * 6 + [mul(constant(-3.0), x0)] * 2 + [
+        constant(2.0), constant(-1.0), div(ONE, x1), log(mul(x1, x1))]
+    for row in rows:
+        for j in range(chart.dim):
+            pick = next(gen) % 16
+            if pick < len(special):
+                row[j] = special[pick]
+    return Endomorphism(chart, tuple(tuple(row) for row in rows))
+
+
+def _assert_contraction_bits(h, pts) -> np.ndarray:
+    """The staged tensor's contraction equals its evaluated expansion bit
+    for bit, finiteness included; returns the expansion's values."""
+    want = evaluate_batch([e.expand() for e in h.entries()], pts)
+    got = haantjes_values(h, pts)
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    assert np.array_equal(bits(got), bits(want))
+    return want
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_contraction_matches_the_evaluated_expansion_bit_for_bit(dim):
+    chart = Chart(tuple(f"x{i}" for i in range(dim)))
+    pts = point_block(sample_plan(chart, count=48, seed=dim), 0, 48)
+    pts[::4, 0] = 0.0  # -3 x0 is -0.0
+    pts[1::4, 1 % dim] = 0.0  # 1/x1 is inf and log(x1^2) is -inf
+    nonfinite = negative_zeros = 0
+    for seed in range(4):
+        h = haantjes_tensor(_awkward_endomorphism(chart, 17 * dim + seed))
+        want = _assert_contraction_bits(h, pts)
+        nonfinite += int((~np.isfinite(want)).sum())
+        negative_zeros += int((bits(want) == bits(np.array(-0.0))).sum())
+    assert 0 < nonfinite < 4 * len(want) * len(pts)
+    # these seeds give components that are -0.0 at d = 3, 4 and 5
+    assert dim not in (3, 4, 5) or negative_zeros
+
+
+@pytest.mark.parametrize("seed", [51, 231])
+def test_contraction_matches_the_expansion_where_constants_cancel(seed):
+    # On these draws sums of constant products cancel to a structural zero
+    # inside the contraction, which later sums must treat as ZERO.
+    chart = Chart(tuple(f"x{i}" for i in range(4)))
+    x0, x1 = Coord(0), Coord(1)
+    pool = [ZERO, ZERO, ZERO, constant(1.0), constant(-1.0), constant(2.0),
+            mul(constant(-3.0), x0), x1, x0, mul(x0, x1)]
+    gen = splitmix64(seed)
+    rows = tuple(tuple(pool[next(gen) % len(pool)] for _ in range(4)) for _ in range(4))
+    pts = point_block(sample_plan(chart, count=48, seed=4), 0, 48)
+    pts[::4, 0] = 0.0
+    pts[1::4, 1] = 0.0
+    _assert_contraction_bits(haantjes_tensor(Endomorphism(chart, rows)), pts)
+
+
+@pytest.mark.parametrize("sites", [3, 4, 6])
+def test_battery_contractions_match_the_evaluated_expansion(sites, monkeypatch):
+    st = closed_toda(sites)
+    built = []
+    monkeypatch.setattr(
+        verify_module, "haantjes_tensor", lambda n: built.append(haantjes_tensor(n)) or built[-1]
+    )
+    plan = sample_plan(st.chart)
+    run_identity_battery(st, plan, 1e-8)
+    # the rank-one W (x) eta, then f I + g N and N
+    assert len(built) == 3 and built[2].n is st.n
+    pts = point_block(plan, 0, plan.count)
+    for h in built:
+        _assert_contraction_bits(h, pts)
+    expr.clear_tables()
 
 
 def test_torsion_and_haantjes_tensor_are_built_once_per_verdict(monkeypatch):

@@ -19,6 +19,7 @@ from pqnverify.expr import (
     Chart,
     Constant,
     Coord,
+    Expr,
     IntPow,
     _children,
     add,
@@ -51,7 +52,6 @@ from pqnverify.verify import (
     evaluate_batch,
     point_block,
     point_stream,
-    points,
     random_oneform,
     random_polynomial,
     random_vectorfield,
@@ -73,7 +73,7 @@ from pqnverify.verify import (
     xi_form,
 )
 
-from builders import bits, random_endomorphism, reference_evaluate_batch, topo_order
+from builders import bits, points, random_endomorphism, reference_evaluate_batch, topo_order
 
 CH = Chart(("x", "y", "z"))
 X, Y, Z = Coord(0), Coord(1), Coord(2)
@@ -295,6 +295,66 @@ def test_a_rebound_run_pairs_sees_every_check(plan, monkeypatch):
     monkeypatch.setattr(verify_module, "run_pairs", functools.wraps(original)(capture))
     assert [_report_bits(r) for r in run_suites(st, plan, 1e-8, suites=suites)] == want
     assert len(calls) == batched < len(seen)
+
+
+# The first of perfbench's fixed rounding-fault recipes: its
+# chain.C1_haantjes[3] is exactly zero but fails in floating point.
+FAULT_RECIPE = RecipeInput(
+    lam=parse("3*x^2 + 2*x*z + 3*z", CH),
+    a=parse("-x - y^2 - 3*y", CH),
+    g=parse("-3*z^2 - z - 2", CH),
+)
+
+
+def test_a_rebound_run_pairs_receives_staged_checks_as_expressions(plan, monkeypatch):
+    # perfbench/exact.py rebinds verify.run_pairs and walks the captured
+    # pairs' nodes with expr._children, so the Haantjes checks, whose sides
+    # are staged for a numeric contraction, reach it expanded.
+    st = r3_recipe(FAULT_RECIPE)
+    suites = ("chain", "battery")
+    want = [_report_bits(r) for r in run_suites(st, plan, 1e-8, suites=suites)]
+    original = verify_module.run_pairs
+    captured = {}
+
+    def capture(name, pairs, *args, **kwargs):
+        captured[name] = list(pairs)
+        return original(name, pairs, *args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "run_pairs", capture)
+    got = [_report_bits(r) for r in run_suites(st, plan, 1e-8, suites=suites)]
+    assert got == want
+    haantjes = {"chain.C1_haantjes[3]", "battery.rank_one_haantjes",
+                "battery.haantjes_affine_scaling"}
+    assert haantjes <= set(captured)
+    assert all(isinstance(e, Expr) for pairs in captured.values() for pair in pairs for e in pair)
+    assert next(r for r in want if r[0] == "chain.C1_haantjes[3]")[1] == "fail"
+
+
+def test_resampling_rounds_share_one_compiled_program(tmp_path, monkeypatch):
+    # The golden r3-recipe-log resample case: 75 checks replace points in
+    # 8 rounds each.  A round evaluates the check's roots again on no more
+    # points than the last, so only a change of roots compiles a program.
+    compiles = []
+    compile_ = expr._compile
+    monkeypatch.setattr(expr, "_compile", lambda *args: compiles.append(1) or compile_(*args))
+    roots = []
+    evaluate = verify_module.evaluate_batch
+
+    def recording(exprs, pts):
+        roots.append([id(e) for e in exprs])
+        return evaluate(exprs, pts)
+
+    monkeypatch.setattr(verify_module, "evaluate_batch", recording)
+    structure, out = tmp_path / "log.json", tmp_path / "report.json"
+    assert cli.main(["catalog", "r3-recipe", "--lam", "log(x)", "--a", "y", "--g", "0",
+                     "--out", str(structure)]) == 0
+    del roots[:], compiles[:]
+    flags = ["--samples", "1024", "--seed", "7", "--resample-limit", "4096"]
+    assert cli.main(["verify", str(structure), *flags, "--out", str(out)]) == 1
+    changes = sum(1 for i, r in enumerate(roots) if i == 0 or r != roots[i - 1])
+    resampled = sum("resampled 995 points" in c["detail"] for c in json.loads(out.read_text())["checks"])
+    assert resampled == 75 and len(roots) > 600
+    assert len(compiles) == changes < 100
 
 
 def test_check_identity_accepts_structured_values(plan):
