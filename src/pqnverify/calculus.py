@@ -1,4 +1,5 @@
-"""Exterior and Lie calculus, torsion tensors, and trace invariants.
+"""Exterior calculus, the compatibility concomitant, torsion tensors, and
+trace invariants.
 
 Everything here is exact symbolic manipulation of expression trees, but
 for the Haantjes tensor's contraction, which runs on the evaluated values
@@ -15,21 +16,14 @@ from .fields import (
     Endomorphism,
     KForm,
     VectorField,
-    VolumeForm,
     _require_same_chart,
     _sorted_with_sign,
-    add_kforms,
-    dual_apply,
     interior_endomorphism,
-    interior_mv,
-    pairing,
     per_verdict,
     power,
     scalar_form,
-    sharp,
     sub_kforms,
     trace,
-    volume_kform,
     zero_vector,
 )
 
@@ -57,45 +51,12 @@ def d_scalar(chart: Chart, f: Expr) -> KForm:
     return d(scalar_form(chart, f))
 
 
-def lie_derivative(x: VectorField, omega):
-    """Lie derivative of a form along a vector field, by Cartan's formula.
-
-    Accepts a KForm of any degree or a VolumeForm (returned as the same
-    kind).  On functions this reduces to X(f), on top-degree forms to
-    d(i_X omega).
-    """
-    if isinstance(omega, VolumeForm):
-        res = lie_derivative(x, volume_kform(omega))
-        top = tuple(range(omega.chart.dim))
-        return VolumeForm(omega.chart, res.components.get(top, ZERO))
-    chart = _require_same_chart(x, omega)
-    if omega.degree == 0:
-        return interior_mv(x, d(omega))
-    if omega.degree == chart.dim:
-        return d(interior_mv(x, omega))
-    return add_kforms(d(interior_mv(x, omega)), interior_mv(x, d(omega)))
-
-
 def d_n(n: Endomorphism, omega: KForm) -> KForm:
     """The derivation i_N d - d i_N attached to an endomorphism."""
     chart = _require_same_chart(n, omega)
     if omega.degree >= chart.dim:
         raise DegreeError("d_n of a top-degree form")
     return sub_kforms(interior_endomorphism(n, d(omega)), d(interior_endomorphism(n, omega)))
-
-
-def bracket_p(p: Bivector, alpha: KForm, beta: KForm) -> KForm:
-    """Bracket of one-forms induced by a bivector:
-    L_{P#a} b - L_{P#b} a - d<b, P#a>."""
-    chart = _require_same_chart(p, alpha, beta)
-    if alpha.degree != 1 or beta.degree != 1:
-        raise DegreeError("bracket_p expects one-forms")
-    xa = sharp(p, alpha)
-    xb = sharp(p, beta)
-    t1 = lie_derivative(xa, beta)
-    t2 = lie_derivative(xb, alpha)
-    t3 = d_scalar(chart, pairing(beta, xa))
-    return sub_kforms(sub_kforms(t1, t2), t3)
 
 
 def poisson_bracket(p: Bivector, f: Expr, g: Expr) -> Expr:
@@ -446,24 +407,56 @@ def pi_n(p: Bivector, n: Endomorphism) -> tuple[Bivector, list[Expr]]:
     return Bivector(chart, comps), defects
 
 
-def concomitant(
-    p: Bivector,
-    n: Endomorphism,
-    alpha: KForm,
-    beta: KForm,
-    pin: Bivector | None = None,
-) -> KForm:
-    """Compatibility concomitant of a bivector and an endomorphism on a
-    pair of one-forms; identically zero iff the bracket of one-forms of
-    the skew-symmetrised product structure is the expected deformation of
-    the original one (the second compatibility condition)."""
-    if pin is None:
-        pin = pi_n(p, n)[0]
-    t1 = bracket_p(pin, alpha, beta)
-    t2 = bracket_p(p, dual_apply(n, alpha), beta)
-    t3 = bracket_p(p, alpha, dual_apply(n, beta))
-    t4 = dual_apply(n, bracket_p(p, alpha, beta))
-    return add_kforms(sub_kforms(sub_kforms(t1, t2), t3), t4)
+def concomitant(p: Bivector, n: Endomorphism) -> dict[tuple[int, int], KForm]:
+    """The compatibility concomitant of a bivector P and an endomorphism N
+    on the coordinate one-forms dx^i, dx^j for i < j, keyed (i, j).
+
+    It is [a, b]_{PN} - [N*a, b]_P - [a, N*b]_P + N*[a, b]_P, with the
+    bracket of one-forms [a, b]_P = L_{P#a} b - L_{P#b} a - d P(a, b) and
+    PN the skew-symmetrised N o P# (pi_n), and vanishes identically iff
+    the second compatibility condition holds (Kosmann-Schwarzbach and
+    Magri, 1990).  On coordinate forms [dx^i, dx^j]_P = dP^{ij}, and the
+    Leibniz rule of the bracket gives the closed form
+
+        C^{ij}_k = d_k PN^{ij} + sum_m ( - N^i_m d_k P^{mj} + P^{jm} d_m N^i_k
+                                         + N^j_m d_k P^{mi} - P^{im} d_m N^j_k
+                                         + d_m P^{ij} N^m_k ),
+
+    built from the first derivatives of P and N in O(d^4) products, the
+    five terms added per m in that order.  Structural zeros are omitted.
+    """
+    chart = _require_same_chart(p, n)
+    dim = chart.dim
+    nm = n.matrix
+    pin = pi_n(p, n)[0]
+    # P^{ab} = sign[a][b] * entry[a][b], stored once for each pair a < b
+    sign = [[(a < b) - (a > b) for b in range(dim)] for a in range(dim)]
+    entry = [[p.component(min(a, b), max(a, b)) for b in range(dim)] for a in range(dim)]
+    dp = [[[derive(e, k) for e in row] for row in entry] for k in range(dim)]
+    dn = [[[derive(e, m) for e in row] for row in nm] for m in range(dim)]
+    out = {}
+    for i, j in combinations(range(dim), 2):
+        comps = {}
+        for k in range(dim):
+            acc = derive(pin.component(i, j), k)
+            for m in range(dim):
+                acc = _signed_add(acc, -sign[m][j], nm[i][m], dp[k][m][j])
+                acc = _signed_add(acc, sign[j][m], entry[j][m], dn[m][i][k])
+                acc = _signed_add(acc, sign[m][i], nm[j][m], dp[k][m][i])
+                acc = _signed_add(acc, -sign[i][m], entry[i][m], dn[m][j][k])
+                acc = add(acc, mul(dp[m][i][j], nm[m][k]))
+            comps[(k,)] = acc
+        out[(i, j)] = KForm(chart, 1, comps)
+    return out
+
+
+def _signed_add(acc: Expr, sign: int, x: Expr, y: Expr) -> Expr:
+    """acc + sign * x * y for a sign in -1, 0, 1."""
+    if sign > 0:
+        return add(acc, mul(x, y))
+    if sign < 0:
+        return sub(acc, mul(x, y))
+    return acc
 
 
 def invariant(n: Endomorphism, k: int) -> Expr:

@@ -248,22 +248,29 @@ def scale_endomorphism(f: Expr, a: Endomorphism) -> Endomorphism:
 
 
 def per_verdict(builder):
-    """Run an endomorphism builder once per verdict for each argument list.
+    """Run a builder once per verdict for each argument list.
 
-    Keyed on each argument's chart and matrix; the entries are hash-consed,
-    so a rebuild would give the same nodes.  Kept in expr._DERIVED until
-    clear_tables; built through __wrapped__, where a test may count builds.
+    Keyed on each argument's chart and matrix, or for a KForm its degree
+    and components; the entries are hash-consed, so a rebuild would give
+    the same nodes.  Kept in expr._DERIVED until clear_tables; built
+    through __wrapped__, where a test may count builds.
     """
 
     @functools.wraps(builder)
     def memo(*args):
-        key = (memo, *((a.chart, a.matrix) for a in args))
+        key = (memo, *map(_verdict_key, args))
         got = _DERIVED.get(key)
         if got is None:
             got = _DERIVED[key] = memo.__wrapped__(*args)
         return got
 
     return memo
+
+
+def _verdict_key(a) -> tuple:
+    if isinstance(a, KForm):
+        return a.chart, a.degree, tuple(a.components.items())
+    return a.chart, a.matrix
 
 
 # Pairings and applications.

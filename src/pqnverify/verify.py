@@ -72,6 +72,7 @@ from .fields import (
     interior_form_on_bivectorfield,
     interior_mv,
     pairing,
+    per_verdict,
     power,
     scale_endomorphism,
     scale_kform,
@@ -98,7 +99,6 @@ from .calculus import (
     jacobiator,
     nijenhuis_torsion,
     phi_sequence_term,
-    pi_n,
 )
 
 _MASK = (1 << 64) - 1
@@ -600,9 +600,10 @@ def verify_poisson(
     return run_checks(checks, plan, tol)
 
 
+@per_verdict
 def _compatibility_pairs(pi: Bivector, n: Endomorphism):
     """Component pairs of the two compatibility conditions shared by the
-    PN and PqN bundles."""
+    PN and PqN bundles: N o P# is skew, and the concomitant vanishes."""
     chart = pi.chart
     c1 = []
     for j in range(chart.dim):
@@ -610,15 +611,10 @@ def _compatibility_pairs(pi: Bivector, n: Endomorphism):
         lhs = apply_endomorphism(n, sharp(pi, dxj))
         rhs = sharp(pi, dual_apply(n, dxj))
         c1.extend(zip(lhs.components, rhs.components))
-    pin, _ = pi_n(pi, n)
     c2 = []
-    for i in range(chart.dim):
-        for j in range(i + 1, chart.dim):
-            conc = concomitant(
-                pi, n, basis_oneform(chart, i), basis_oneform(chart, j), pin=pin
-            )
-            c2.extend(component_pairs(conc, None))
-    return c1, c2
+    for form in concomitant(pi, n).values():
+        c2.extend(component_pairs(form, None))
+    return tuple(c1), tuple(c2)
 
 
 def verify_pn(
@@ -1145,7 +1141,8 @@ def rank_one_identity_reports(
     h = haantjes_tensor(m)
     f = pairing(eta, w)
     df = d_scalar(chart, f)
-    eta_deta = wedge(eta, d(eta)) if chart.dim >= 3 else None
+    # i_W (eta ^ d eta), contracted once and read on every pair
+    w_eta_deta = interior_mv(w, wedge(eta, d(eta))) if chart.dim >= 3 else None
     pairs_t = []
     pairs_h = []
     for a in range(chart.dim):
@@ -1155,7 +1152,7 @@ def rank_one_identity_reports(
                 mul(eta.component(a), pairing(df, eb)),
                 mul(eta.component(b), pairing(df, ea)),
             )
-            vol3 = apply_form(eta_deta, w, ea, eb) if eta_deta is not None else ZERO
+            vol3 = apply_form(w_eta_deta, ea, eb) if w_eta_deta is not None else ZERO
             rhs_t = scale_vector(sub(bracket_term, vol3), w)
             pairs_t.extend(zip(t.pair(a, b).components, rhs_t.components))
             rhs_h = scale_vector(neg(mul(intpow(f, 2), vol3)), w)

@@ -1,8 +1,10 @@
 """Test-only builders and references: random inputs that no verdict needs,
 the plan's base points as tuples, a torsion's value on general vector
-fields, staged Haantjes components evaluated at points, the
-node-at-a-time evaluator that the tape replaced, and the smart
-constructors as written before each tested its operands' type once."""
+fields, staged Haantjes components evaluated at points, the Lie
+derivative, bracket of one-forms and Koszul-bracket concomitant that the
+closed-form concomitant replaced, the node-at-a-time evaluator that the
+tape replaced, and the smart constructors as written before each tested
+its operands' type once."""
 
 import math
 
@@ -41,7 +43,23 @@ from pqnverify.expr import (
     mul,
     sub,
 )
-from pqnverify.fields import Endomorphism, VectorField, _require_same_chart
+from pqnverify.calculus import d, d_scalar, pi_n
+from pqnverify.fields import (
+    Bivector,
+    DegreeError,
+    Endomorphism,
+    KForm,
+    VectorField,
+    VolumeForm,
+    _require_same_chart,
+    add_kforms,
+    dual_apply,
+    interior_mv,
+    pairing,
+    sharp,
+    sub_kforms,
+    volume_kform,
+)
 from pqnverify.verify import point_block, random_polynomial
 
 
@@ -88,6 +106,58 @@ def haantjes_values(h, pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=float).reshape(-1, h.chart.dim)
     with np.errstate(all="ignore"):
         return h.contract(evaluate_batch(h.roots, pts))[0]
+
+
+def lie_derivative(x: VectorField, omega):
+    """Lie derivative of a form along a vector field, by Cartan's formula.
+
+    Accepts a KForm of any degree or a VolumeForm (returned as the same
+    kind).  On functions this reduces to X(f), on top-degree forms to
+    d(i_X omega).
+    """
+    if isinstance(omega, VolumeForm):
+        res = lie_derivative(x, volume_kform(omega))
+        top = tuple(range(omega.chart.dim))
+        return VolumeForm(omega.chart, res.components.get(top, ZERO))
+    chart = _require_same_chart(x, omega)
+    if omega.degree == 0:
+        return interior_mv(x, d(omega))
+    if omega.degree == chart.dim:
+        return d(interior_mv(x, omega))
+    return add_kforms(d(interior_mv(x, omega)), interior_mv(x, d(omega)))
+
+
+def bracket_p(p: Bivector, alpha: KForm, beta: KForm) -> KForm:
+    """Bracket of one-forms induced by a bivector:
+    L_{P#a} b - L_{P#b} a - d<b, P#a>."""
+    chart = _require_same_chart(p, alpha, beta)
+    if alpha.degree != 1 or beta.degree != 1:
+        raise DegreeError("bracket_p expects one-forms")
+    xa = sharp(p, alpha)
+    xb = sharp(p, beta)
+    t1 = lie_derivative(xa, beta)
+    t2 = lie_derivative(xb, alpha)
+    t3 = d_scalar(chart, pairing(beta, xa))
+    return sub_kforms(sub_kforms(t1, t2), t3)
+
+
+def koszul_concomitant(
+    p: Bivector,
+    n: Endomorphism,
+    alpha: KForm,
+    beta: KForm,
+    pin: Bivector | None = None,
+) -> KForm:
+    """The compatibility concomitant on a pair of general one-forms, from
+    four brackets of one-forms: the reference for calculus.concomitant,
+    which is its closed form on coordinate one-forms."""
+    if pin is None:
+        pin = pi_n(p, n)[0]
+    t1 = bracket_p(pin, alpha, beta)
+    t2 = bracket_p(p, dual_apply(n, alpha), beta)
+    t3 = bracket_p(p, alpha, dual_apply(n, beta))
+    t4 = dual_apply(n, bracket_p(p, alpha, beta))
+    return add_kforms(sub_kforms(sub_kforms(t1, t2), t3), t4)
 
 
 def topo_order(roots: list[Expr]) -> list[Expr]:

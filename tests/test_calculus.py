@@ -8,7 +8,6 @@ import pytest
 from pqnverify import calculus, expr
 from pqnverify import verify as verify_module
 from pqnverify.calculus import (
-    bracket_p,
     concomitant,
     d,
     d_n,
@@ -16,7 +15,6 @@ from pqnverify.calculus import (
     haantjes_tensor,
     invariant,
     jacobiator,
-    lie_derivative,
     nijenhuis_torsion,
     phi_sequence_term,
     pi_n,
@@ -76,12 +74,21 @@ from pqnverify.fields import (
 from pqnverify.verify import (
     evaluate_batch,
     point_block,
+    random_polynomial,
     run_identity_battery,
     sample_plan,
     splitmix64,
 )
 
-from builders import bits, haantjes_values, random_endomorphism, torsion_apply
+from builders import (
+    bits,
+    bracket_p,
+    haantjes_values,
+    koszul_concomitant,
+    lie_derivative,
+    random_endomorphism,
+    torsion_apply,
+)
 
 CH = Chart(("x", "y", "z"))
 X, Y, Z = Coord(0), Coord(1), Coord(2)
@@ -515,7 +522,7 @@ def test_concomitant_of_the_identity_vanishes():
     pi = Bivector(CH, {(0, 1): ONE, (1, 2): X})
     alpha = KForm(CH, 1, {(0,): Y, (2,): ONE})
     beta = KForm(CH, 1, {(1,): Z})
-    out = concomitant(pi, identity_endomorphism(CH), alpha, beta)
+    out = koszul_concomitant(pi, identity_endomorphism(CH), alpha, beta)
     for i in range(3):
         for p in POINTS:
             assert ev(out.component(i), p) == pytest.approx(0.0, abs=1e-12)
@@ -526,24 +533,57 @@ def test_concomitant_on_the_lattice_pair():
     chart = do.chart
     dq1 = basis_oneform(chart, 2)
     dp1 = basis_oneform(chart, 0)
-    out = concomitant(do.pi, do.n, dq1, dp1)
+    out = koszul_concomitant(do.pi, do.n, dq1, dp1)
     pts = [(0.4, -0.2, 1.0, 0.3), (1.0, 2.0, 0.0, 0.0)]
     for i in range(4):
         for p in pts:
             assert evaluate(out.component(i), p) == pytest.approx(0.0, abs=1e-12)
 
 
+def _koszul_on_pairs(pi, n):
+    chart = pi.chart
+    return {
+        (a, b): koszul_concomitant(pi, n, basis_oneform(chart, a), basis_oneform(chart, b))
+        for a in range(chart.dim)
+        for b in range(chart.dim)
+    }
+
+
 def test_concomitant_detects_a_broken_divergence_equation():
     n = Endomorphism(CH, ((X, ZERO, ONE), (ZERO, X, ZERO), (ZERO, ZERO, X)))
     pi = Bivector(CH, {(0, 1): ONE})
-    worst = 0.0
-    for a in range(3):
-        for b in range(3):
-            out = concomitant(pi, n, basis_oneform(CH, a), basis_oneform(CH, b))
+    for build in (_koszul_on_pairs, concomitant):
+        worst = 0.0
+        for out in build(pi, n).values():
             for i in range(3):
                 for p in POINTS:
                     worst = max(worst, abs(ev(out.component(i), p)))
-    assert worst > 1e-6
+        assert worst > 1e-6
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_closed_form_concomitant_matches_the_bracket_form(dim):
+    chart = Chart(tuple(f"x{i}" for i in range(dim)))
+    gen = splitmix64(dim)
+    pi = Bivector(
+        chart,
+        {(a, b): random_polynomial(chart, gen) for a in range(dim) for b in range(a + 1, dim)},
+    )
+    n = random_endomorphism(chart, gen)
+    closed = concomitant(pi, n)
+    assert sorted(closed) == [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    got, want = [], []
+    for (i, j), form in closed.items():
+        ref = koszul_concomitant(pi, n, basis_oneform(chart, i), basis_oneform(chart, j))
+        for k in range(dim):
+            got.append(form.component(k))
+            want.append(ref.component(k))
+    pts = point_block(sample_plan(chart, seed=dim, count=32), 0, 32)
+    g, w = evaluate_batch(got, pts), evaluate_batch(want, pts)
+    # the pair is not compatible: the reference is nonzero on every (i, j)
+    assert np.isfinite(w).all() and (np.abs(w).reshape(len(closed), -1).max(axis=1) > 1e-6).all()
+    scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(w)))
+    assert (np.abs(g - w) / scale).max() <= 1e-12
 
 
 def test_trace_invariants():

@@ -595,6 +595,33 @@ def test_a_verdict_builds_each_torsion_once(monkeypatch):
     assert len(builds) == 2 * len(first) and builds[len(first)] == first[0]
 
 
+def test_pn_and_pqn_share_one_build_of_the_compatibility_pairs(monkeypatch):
+    builds = []
+    build = verify_module._compatibility_pairs.__wrapped__
+    monkeypatch.setattr(
+        verify_module._compatibility_pairs,
+        "__wrapped__",
+        lambda pi, n: builds.append(n) or build(pi, n),
+    )
+    chart = Chart(("x", "y", "z", "w"))
+    gen = splitmix64(11)
+    pi = Bivector(
+        chart,
+        {(a, b): random_polynomial(chart, gen) for a in range(4) for b in range(a + 1, 4)},
+    )
+    n = random_endomorphism(chart, gen)
+    phi = KForm(chart, 3, {(0, 1, 2): random_polynomial(chart, gen)})
+    st = Structure(chart, pi=pi, n=n, phi=phi)
+    expr.clear_tables()
+    plan = sample_plan(chart, count=8)
+    reports = {r.name: r for r in run_suites(st, plan, 1e-8, suites=("pn", "pqn"))}
+    assert builds == [n]
+    for cond in ("C1", "C2"):
+        pn, pqn = reports[f"pn.{cond}"], reports[f"pqn.{cond}"]
+        assert pn.status == "fail" and pn.max_scaled_residual > 1e-3
+        assert replace(pn, name=pqn.name) == pqn
+
+
 def test_run_suites_rejects_unknown_suite_names(plan):
     st = r3_recipe(RECIPE)
     with pytest.raises(ValueError):
