@@ -76,6 +76,12 @@ def random_endomorphism(chart: Chart, gen, **kw) -> Endomorphism:
     )
 
 
+def random_bivector(chart: Chart, gen, **kw) -> Bivector:
+    """A bivector with a small random polynomial on every pair a < b."""
+    pairs = [(a, b) for a in range(chart.dim) for b in range(a + 1, chart.dim)]
+    return Bivector(chart, {key: random_polynomial(chart, gen, **kw) for key in pairs})
+
+
 def points(plan) -> list[tuple[float, ...]]:
     """The plan's base point list (before any resampling)."""
     return [tuple(row) for row in point_block(plan, 0, plan.count).tolist()]

@@ -73,7 +73,14 @@ from pqnverify.verify import (
     xi_form,
 )
 
-from builders import bits, points, random_endomorphism, reference_evaluate_batch, topo_order
+from builders import (
+    bits,
+    points,
+    random_bivector,
+    random_endomorphism,
+    reference_evaluate_batch,
+    topo_order,
+)
 
 CH = Chart(("x", "y", "z"))
 X, Y, Z = Coord(0), Coord(1), Coord(2)
@@ -605,10 +612,7 @@ def test_pn_and_pqn_share_one_build_of_the_compatibility_pairs(monkeypatch):
     )
     chart = Chart(("x", "y", "z", "w"))
     gen = splitmix64(11)
-    pi = Bivector(
-        chart,
-        {(a, b): random_polynomial(chart, gen) for a in range(4) for b in range(a + 1, 4)},
-    )
+    pi = random_bivector(chart, gen)
     n = random_endomorphism(chart, gen)
     phi = KForm(chart, 3, {(0, 1, 2): random_polynomial(chart, gen)})
     st = Structure(chart, pi=pi, n=n, phi=phi)
