@@ -363,7 +363,11 @@ def compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:
         for j in range(d):
             acc = ZERO
             for m in range(d):
-                acc = add(acc, mul(a.matrix[i][m], b.matrix[m][j]))
+                x, y = a.matrix[i][m], b.matrix[m][j]
+                # add gives acc back for a zero product: acc starts at
+                # ZERO and is never the constant -0.0
+                if not (is_zero(x) or is_zero(y)):
+                    acc = add(acc, mul(x, y))
             row.append(acc)
         rows.append(tuple(row))
     return Endomorphism(chart, tuple(rows))

@@ -89,7 +89,8 @@ from .fields import (
 )
 from .calculus import (
     HaantjesTensor,
-    TorsionEvaluator,
+    StagedTensor,
+    TorsionTensor,
     concomitant,
     d,
     d_n,
@@ -99,6 +100,7 @@ from .calculus import (
     jacobiator,
     nijenhuis_torsion,
     phi_sequence_term,
+    torsion_expression,
 )
 
 _MASK = (1 << 64) - 1
@@ -229,9 +231,9 @@ def run_checks(
     replaced for that check alone.  An evaluation does not depend on which
     roots share it, so each report equals the one its check gives alone.
 
-    A side may be a staged Haantjes entry (calculus.HaantjesEntry): its
-    tensor's roots are evaluated with the others and its value is
-    contracted from theirs."""
+    A side may be a staged entry (calculus.StagedEntry) of a torsion or
+    Haantjes tensor: its tensor's roots are evaluated with the others and
+    its value is contracted from theirs."""
     # perfbench/exact.py rebinds run_pairs to capture one check's pairs, so
     # a replacement sees every check, one call each; a functools.wraps
     # wrapper of run_pairs, such as perfbench's tracer makes, does not.
@@ -265,9 +267,9 @@ def _run_pairs_rebound() -> bool:
 
 
 def _expanded(pairs: list) -> list[tuple[Expr, Expr]]:
-    """pairs with each staged Haantjes entry expanded to its expression,
-    for a replacement of run_pairs that walks the nodes (perfbench/exact.py
-    does).  The expansion is the O(d^4) symbolic builder."""
+    """pairs with each staged entry expanded to its expression, for a
+    replacement of run_pairs that walks the nodes (perfbench/exact.py
+    does).  The expansion is the tensor's O(d^4) symbolic builder."""
     return [
         tuple(e if isinstance(e, Expr) else e.expand() for e in pair) for pair in pairs
     ]
@@ -367,7 +369,15 @@ def _scaled_residuals(
     if not starts:
         return finite, scaled
     roots, staged = _staging(exprs)
-    width = max(1, expr.REGISTER_BUDGET // len(roots))
+    # A Haantjes contraction holds arrays of d^3 rows besides the roots'
+    # values.  Its torsion's components count with the roots, as they did
+    # when they were roots, so its chunks stay about as wide as then.
+    held = {
+        id(h.torsion): len(h.torsion.constants)
+        for h, *_ in staged
+        if isinstance(h, HaantjesTensor)
+    }
+    width = max(1, expr.REGISTER_BUDGET // (len(roots) + sum(held.values())))
     width = -(-npts // -(-npts // width))  # even chunks
     rows = 2 * np.array(starts)
     counts = np.diff(np.append(starts, len(exprs) // 2))
@@ -375,11 +385,10 @@ def _scaled_residuals(
         for lo in range(0, npts, width):
             out = evaluate_batch(roots, pts[lo:lo + width])
             vals = out[:len(exprs)]
-            contracted = {}
+            contracted: dict = {}  # by tensor; a Haantjes tensor reads its torsion's
             for tensor, first, scale, dst, src in staged:
-                if first not in contracted:
-                    contracted[first] = tensor.contract(out[first:first + len(tensor.roots)])
-                h, zero = contracted[first]
+                values = out[first:first + len(tensor.roots)]
+                h, zero = tensor.contract(values, contracted)
                 if scale is None:
                     vals[dst] = h[src]
                 else:
@@ -404,16 +413,17 @@ def _scaled_residuals(
 
 def _staging(exprs: list) -> tuple[list[Expr], list]:
     """The roots to evaluate for the sides in exprs and how to fill the rows
-    of their staged Haantjes entries.
+    of their staged entries.
 
     A staged entry's row holds ZERO among the roots and is overwritten
-    after evaluation.  Each distinct tensor's roots and each distinct
-    scale follow the sides once.  The entries come back in groups of one
-    tensor and scale: (tensor, its first root row, None or the scale's
-    (root row, whether it is a structural zero), rows to fill, the
-    contraction's rows they take)."""
+    after evaluation.  Each distinct list of tensor roots (the torsion and
+    Haantjes tensors of one N share theirs) and each distinct scale follow
+    the sides once.  The entries come back in groups of one tensor and
+    scale: (tensor, its first root row, None or the scale's (root row,
+    whether it is a structural zero), rows to fill, the contraction's rows
+    they take)."""
     roots = [e if isinstance(e, Expr) else ZERO for e in exprs]
-    placed: dict[int, int] = {}  # id of a tensor or scale -> its first root
+    placed: dict[int, int] = {}  # id of a root list or scale -> its first root
 
     def place(key: int, nodes: list[Expr]) -> int:
         if key not in placed:
@@ -425,14 +435,14 @@ def _staging(exprs: list) -> tuple[list[Expr], list]:
     for r, e in enumerate(exprs):
         if isinstance(e, Expr):
             continue
-        first = place(id(e.tensor), e.tensor.roots)
+        first = place(id(e.tensor.roots), e.tensor.roots)
         scale = None if e.scale is None else (place(id(e.scale), [e.scale]), is_zero(e.scale))
-        _, dst, src = groups.setdefault((first, scale), (e.tensor, [], []))
+        _, dst, src = groups.setdefault((id(e.tensor), scale), (e.tensor, [], []))
         dst.append(r)
         src.append(e.row)
     staged = [
-        (tensor, first, scale, np.array(dst), np.array(src))
-        for (first, scale), (tensor, dst, src) in groups.items()
+        (tensor, placed[id(tensor.roots)], scale, np.array(dst), np.array(src))
+        for (_, scale), (tensor, dst, src) in groups.items()
     ]
     return roots, staged
 
@@ -485,24 +495,10 @@ def component_pairs(lhs, rhs) -> list[tuple[Expr, Expr]]:
         if not isinstance(rhs, VolumeForm) or rhs.chart != lhs.chart:
             raise TypeError("kind mismatch: volume form expected on both sides")
         return [(lhs.coefficient, rhs.coefficient)]
-    if isinstance(lhs, HaantjesTensor):
+    if isinstance(lhs, StagedTensor):
         if rhs is not None:
-            raise TypeError("a staged Haantjes tensor is compared with zero only")
+            raise TypeError("a staged tensor is compared with zero only")
         return [(e, ZERO) for e in lhs.entries()]
-    if isinstance(lhs, TorsionEvaluator):
-        if rhs is not None and not isinstance(rhs, TorsionEvaluator):
-            raise TypeError("kind mismatch: torsion evaluator expected on both sides")
-        out = []
-        dim = lhs.chart.dim
-        for j in range(dim):
-            for k in range(j + 1, dim):
-                left = lhs.pair(j, k)
-                right = rhs.pair(j, k) if rhs is not None else None
-                for i in range(dim):
-                    out.append(
-                        (left.components[i], ZERO if right is None else right.components[i])
-                    )
-        return out
     raise TypeError(f"cannot compare objects of type {type(lhs).__name__}")
 
 
@@ -651,12 +647,11 @@ def verify_pqn(
     pairs = []
     for a in range(chart.dim):
         for b in range(a + 1, chart.dim):
-            lhs = t.pair(a, b)
             rhs = sharp(
                 pi,
                 interior_mv([basis_vector(chart, a), basis_vector(chart, b)], phi),
             )
-            pairs.extend(zip(lhs.components, rhs.components))
+            pairs.extend(zip(t.pair(a, b), rhs.components))
     entries.append(("pqn.torsion_prescribed", pairs, ""))
     return _run_in_order(entries, plan, tol)
 
@@ -715,7 +710,7 @@ def _xi_on_pairs(xi: KForm) -> dict:
 
 
 def _torsion_closed_form_pairs(
-    torsion: TorsionEvaluator, xi: KForm, ds: KForm, z: VectorField, zlam: Expr
+    torsion: TorsionTensor, xi: KForm, ds: KForm, z: VectorField, zlam: Expr
 ) -> list[tuple[Expr, Expr]]:
     """Component pairs of the torsion of N = lam I + Z (x) xi on a 3d chart
     against its closed form
@@ -732,7 +727,7 @@ def _torsion_closed_form_pairs(
         rhs = VectorField(
             chart, tuple(add(u, v) for u, v in zip(term1.components, term2.components))
         )
-        pairs.extend(zip(torsion.pair(a, b).components, rhs.components))
+        pairs.extend(zip(torsion.pair(a, b), rhs.components))
     return pairs
 
 
@@ -792,7 +787,7 @@ def verify_haantjes_structure(
     chart = n.chart
     if theta.degree != 1:
         raise ValueError("the structure one-form must have degree 1")
-    t = nijenhuis_torsion(n)
+    t = torsion_expression(n)
     checks = [
         _identity("haantjes.H1_tensor_vanishes", haantjes_tensor(n)),
         _identity("haantjes.H2_theta_closed", d(theta)),
@@ -845,7 +840,7 @@ def verify_lm_chain(
     for i, ni in enumerate(chain):
         checks.append(_identity(f"chain.C3_theta_closed[{i}]", d_n(ni, theta)))
     for i in range(1, len(chain)):
-        t = nijenhuis_torsion(chain[i])
+        t = torsion_expression(chain[i])
         pairs = []
         for a in range(chart.dim):
             for b in range(a + 1, chart.dim):
@@ -1154,7 +1149,7 @@ def rank_one_identity_reports(
             )
             vol3 = apply_form(w_eta_deta, ea, eb) if w_eta_deta is not None else ZERO
             rhs_t = scale_vector(sub(bracket_term, vol3), w)
-            pairs_t.extend(zip(t.pair(a, b).components, rhs_t.components))
+            pairs_t.extend(zip(t.pair(a, b), rhs_t.components))
             rhs_h = scale_vector(neg(mul(intpow(f, 2), vol3)), w)
             pairs_h.extend(zip(h.pair(a, b), rhs_h.components))
     checks = [
@@ -1238,7 +1233,7 @@ def run_identity_battery(
         pairs = []
         for (a, b), ixi in _xi_on_pairs(xi).items():
             rhs = scale_vector(zlam, ixi)
-            pairs.extend(zip(nijenhuis_torsion(n).pair(a, b).components, rhs.components))
+            pairs.extend(zip(nijenhuis_torsion(n).pair(a, b), rhs.components))
         entries.append((threed_names[2], pairs, ""))
 
         pairs = []
@@ -1247,7 +1242,7 @@ def run_identity_battery(
             coeff = mul(_f_poly(lam, s, k), pairing(d_scalar(chart, intpow(lam, k)), z))
             for (a, b), ixi in _xi_on_pairs(xi).items():
                 rhs = scale_vector(coeff, ixi)
-                pairs.extend(zip(t.pair(a, b).components, rhs.components))
+                pairs.extend(zip(t.pair(a, b), rhs.components))
         entries.append((threed_names[3], pairs, ""))
 
         eig = add(lam, s)

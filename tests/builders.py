@@ -1,10 +1,11 @@
 """Test-only builders and references: random inputs that no verdict needs,
 the plan's base points as tuples, a torsion's value on general vector
-fields, staged Haantjes components evaluated at points, the Lie
-derivative, bracket of one-forms and Koszul-bracket concomitant that the
-closed-form concomitant replaced, the node-at-a-time evaluator that the
-tape replaced, and the smart constructors as written before each tested
-its operands' type once."""
+fields, staged torsion and Haantjes components evaluated at points, the
+torsion and concomitant loops as written before they skipped structural
+zeros, the Lie derivative, bracket of one-forms and Koszul-bracket
+concomitant that the closed-form concomitant replaced, the
+node-at-a-time evaluator that the tape replaced, and the smart
+constructors as written before each tested its operands' type once."""
 
 import math
 
@@ -37,13 +38,16 @@ from pqnverify.expr import (
     _constant,
     _unary,
     add,
+    constant,
+    derive,
+    div,
     evaluate_batch,
     is_one,
     is_zero,
     mul,
     sub,
 )
-from pqnverify.calculus import d, d_scalar, pi_n
+from pqnverify.calculus import d, d_scalar, pi_n, torsion_expression
 from pqnverify.fields import (
     Bivector,
     DegreeError,
@@ -56,6 +60,7 @@ from pqnverify.fields import (
     dual_apply,
     interior_mv,
     pairing,
+    power,
     sharp,
     sub_kforms,
     volume_kform,
@@ -105,13 +110,101 @@ def torsion_apply(t, x: VectorField, y: VectorField) -> VectorField:
     return VectorField(chart, tuple(comps))
 
 
-def haantjes_values(h, pts) -> np.ndarray:
-    """A staged Haantjes tensor's components at points, one row per
-    component as h.entries() lists them: its roots evaluated, then
-    contracted."""
-    pts = np.asarray(pts, dtype=float).reshape(-1, h.chart.dim)
+def staged_values(tensor, pts) -> np.ndarray:
+    """A staged torsion or Haantjes tensor's components at points, one row
+    per component as tensor.entries() lists them: its roots evaluated,
+    then contracted."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, tensor.chart.dim)
     with np.errstate(all="ignore"):
-        return h.contract(evaluate_batch(h.roots, pts))[0]
+        return tensor.contract(evaluate_batch(tensor.roots, pts))[0]
+
+
+def dense_torsion_expression(n: Endomorphism) -> dict:
+    """calculus.torsion_expression's components as its loop built them
+    before it skipped products with a structural-zero factor: every
+    product built and added, keyed (j, k) for j < k."""
+    dim = n.chart.dim
+    dn = [[[derive(e, m) for e in row] for row in n.matrix] for m in range(dim)]
+    pairs = {}
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            comps = []
+            for i in range(dim):
+                acc = ZERO
+                for m in range(dim):
+                    acc = add(acc, mul(n.matrix[m][j], dn[m][i][k]))
+                    acc = sub(acc, mul(n.matrix[m][k], dn[m][i][j]))
+                    acc = add(acc, mul(n.matrix[i][m], sub(dn[k][m][j], dn[j][m][k])))
+                comps.append(acc)
+            pairs[(j, k)] = comps
+    return pairs
+
+
+def dense_compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:
+    """fields.compose as its loop built it before it skipped products with
+    a structural-zero factor."""
+    dim = a.chart.dim
+    rows = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            acc = ZERO
+            for m in range(dim):
+                acc = add(acc, mul(a.matrix[i][m], b.matrix[m][j]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return Endomorphism(a.chart, tuple(rows))
+
+
+def dense_phi_sequence_term(n: Endomorphism, s: int) -> KForm:
+    """calculus.phi_sequence_term as its loop built it before it skipped
+    products with a structural-zero factor."""
+    dim = n.chart.dim
+    t = torsion_expression(n)
+    ns = power(n, s).matrix
+    comps = {}
+    for j in range(dim):
+        acc = ZERO
+        for i in range(dim):
+            for r in range(dim):
+                acc = add(acc, mul(ns[i][r], t.component(r, j, i)))
+        val = div(acc, constant(2.0))
+        if not is_zero(val):
+            comps[(j,)] = val
+    return KForm(n.chart, 1, comps)
+
+
+def dense_concomitant(p: Bivector, n: Endomorphism) -> dict[tuple[int, int], KForm]:
+    """calculus.concomitant as its loop built it before it skipped
+    products with a structural-zero factor."""
+    dim = n.chart.dim
+    nm = n.matrix
+    pin = pi_n(p, n)[0]
+    sign = [[(a < b) - (a > b) for b in range(dim)] for a in range(dim)]
+    entry = [[p.component(min(a, b), max(a, b)) for b in range(dim)] for a in range(dim)]
+    dp = [[[derive(e, k) for e in row] for row in entry] for k in range(dim)]
+    dn = [[[derive(e, m) for e in row] for row in nm] for m in range(dim)]
+
+    def signed(acc, s, x, y):
+        if s > 0:
+            return add(acc, mul(x, y))
+        return sub(acc, mul(x, y)) if s < 0 else acc
+
+    out = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            comps = {}
+            for k in range(dim):
+                acc = derive(pin.component(i, j), k)
+                for m in range(dim):
+                    acc = signed(acc, -sign[m][j], nm[i][m], dp[k][m][j])
+                    acc = signed(acc, sign[j][m], entry[j][m], dn[m][i][k])
+                    acc = signed(acc, sign[m][i], nm[j][m], dp[k][m][i])
+                    acc = signed(acc, -sign[i][m], entry[i][m], dn[m][j][k])
+                    acc = add(acc, mul(dp[m][i][j], nm[m][k]))
+                comps[(k,)] = acc
+            out[(i, j)] = KForm(n.chart, 1, comps)
+    return out
 
 
 def lie_derivative(x: VectorField, omega):

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from pqnverify.calculus import haantjes_tensor, nijenhuis_torsion
+from pqnverify.calculus import haantjes_tensor, torsion_expression
 from pqnverify.catalog import (
     RecipeInput,
     closed_toda,
@@ -47,7 +47,7 @@ from pqnverify.verify import (
     xi_form,
 )
 
-from builders import haantjes_values, points, random_endomorphism
+from builders import points, random_endomorphism, staged_values
 
 TOL = 1e-8
 BUDGET = 10.0
@@ -66,7 +66,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 def _haantjes_max(endo, plan) -> float:
     """Largest |H_N| entry over the plan's sample points."""
-    vals = haantjes_values(haantjes_tensor(endo), points(plan))
+    vals = staged_values(haantjes_tensor(endo), points(plan))
     return float(np.max(np.abs(vals)))
 
 
@@ -168,8 +168,8 @@ def test_criterion_5_cubic_flow_chain_stalls_at_torsion_annihilation():
         r.status == "pass"
         for r in verify_haantjes_structure(mv.n, mv.theta, plan, TOL)
     )
-    t1 = nijenhuis_torsion(mv.n)
-    t2 = nijenhuis_torsion(power(mv.n, 2))
+    t1 = torsion_expression(mv.n)
+    t2 = torsion_expression(power(mv.n, 2))
     for p in points(plan):
         got1 = [evaluate(c, p) for c in t1.pair(0, 2).components]
         ok = ok and max(abs(got1[0] + 1.0), abs(got1[1]), abs(got1[2])) <= 1e-10

@@ -19,6 +19,7 @@ from pqnverify.calculus import (
     phi_sequence_term,
     pi_n,
     poisson_bracket,
+    torsion_expression,
 )
 from pqnverify.catalog import (
     RecipeInput,
@@ -75,6 +76,7 @@ from pqnverify.verify import (
     evaluate_batch,
     point_block,
     run_identity_battery,
+    run_suites,
     sample_plan,
     splitmix64,
 )
@@ -82,7 +84,11 @@ from pqnverify.verify import (
 from builders import (
     bits,
     bracket_p,
-    haantjes_values,
+    dense_compose,
+    dense_concomitant,
+    dense_phi_sequence_term,
+    dense_torsion_expression,
+    staged_values,
     koszul_concomitant,
     lie_derivative,
     random_bivector,
@@ -259,7 +265,7 @@ def test_jacobiator_discriminates():
 class TestTorsions:
     def test_scalar_multiples_of_the_identity_are_torsion_free(self):
         f = parse("x^2 + z", CH)
-        t = nijenhuis_torsion(scale_endomorphism(f, identity_endomorphism(CH)))
+        t = torsion_expression(scale_endomorphism(f, identity_endomorphism(CH)))
         for j in range(3):
             for k in range(j + 1, 3):
                 for p in POINTS:
@@ -267,21 +273,21 @@ class TestTorsions:
 
     def test_known_torsion_values(self):
         mv = magri_veselov()
-        t = nijenhuis_torsion(mv.n)
+        t = torsion_expression(mv.n)
         assert tuple(ev(c) for c in t.pair(0, 2).components) == (-1.0, 0.0, 0.0)
-        t2 = nijenhuis_torsion(power(mv.n, 2))
+        t2 = torsion_expression(power(mv.n, 2))
         assert tuple(ev(c) for c in t2.pair(0, 1).components) == (0.0, -8.0, 0.0)
 
     def test_component_lookup_is_antisymmetric(self):
         mv = magri_veselov()
-        t = nijenhuis_torsion(mv.n)
+        t = torsion_expression(mv.n)
         assert ev(t.component(0, 0, 2)) == -1.0
         assert ev(t.component(0, 2, 0)) == 1.0
         assert ev(t.component(0, 1, 1)) == 0.0
 
     def test_apply_is_bilinear_over_functions(self):
         mv = magri_veselov()
-        t = nijenhuis_torsion(mv.n)
+        t = torsion_expression(mv.n)
         f = parse("y - 2*z", CH)
         x = VectorField(CH, (ONE, X, ZERO))
         y = VectorField(CH, (Z, ZERO, ONE))
@@ -295,7 +301,7 @@ class TestTorsions:
 
     def test_lattice_endomorphism_is_torsion_free(self):
         do = das_okubo(2)
-        t = nijenhuis_torsion(do.n)
+        t = torsion_expression(do.n)
         pts = [(0.4, -0.2, 1.0, 0.3), (1.0, 2.0, 0.0, 0.0)]
         for j in range(4):
             for k in range(j + 1, 4):
@@ -306,7 +312,7 @@ class TestTorsions:
     def test_haantjes_tensor_of_the_known_operator_vanishes(self):
         mv = magri_veselov()
         h = haantjes_tensor(mv.n)
-        assert np.all(haantjes_values(h, POINTS) == 0.0)
+        assert np.all(staged_values(h, POINTS) == 0.0)
 
     def test_quartic_scaling_of_the_haantjes_tensor(self):
         td = closed_toda(2)
@@ -320,7 +326,7 @@ class TestTorsions:
         hm = haantjes_tensor(m)
         hn = haantjes_tensor(td.n)
         pts = [(0.4, -0.2, 1.0, 0.3), (-0.1, 0.8, 0.2, -0.5)]
-        got, hn_values = haantjes_values(hm, pts), haantjes_values(hn, pts)
+        got, hn_values = staged_values(hm, pts), staged_values(hn, pts)
         for col, p in enumerate(pts):
             want = evaluate(g, p) ** 4 * hn_values[:, col]
             assert list(got[:, col]) == pytest.approx(list(want), rel=1e-9, abs=1e-9)
@@ -328,7 +334,7 @@ class TestTorsions:
     def test_rank_one_torsion_closed_form(self):
         w = VectorField(CH, (ONE, ZERO, Y))
         eta = KForm(CH, 1, {(1,): X, (2,): ONE})
-        t = nijenhuis_torsion(tensor_product(w, eta))
+        t = torsion_expression(tensor_product(w, eta))
         f = pairing(eta, w)
         df = d_scalar(CH, f)
         eta_deta = wedge(eta, d(eta))
@@ -355,7 +361,7 @@ class TestTorsions:
         )
         xi = star(st.pi, st.volume)
         zlam = pairing(d_scalar(CH, st.lam), st.z)
-        t = nijenhuis_torsion(st.n)
+        t = torsion_expression(st.n)
         for a in range(3):
             for b in range(a + 1, 3):
                 want = scale_vector(
@@ -404,11 +410,11 @@ def test_haantjes_tensor_matches_the_direct_formula(dim):
     chart = Chart(tuple(f"x{i}" for i in range(dim)))
     n = random_endomorphism(chart, splitmix64(100 + dim))
     h = haantjes_tensor(n)
-    want = haantjes_direct(n, nijenhuis_torsion(n))
+    want = haantjes_direct(n, torsion_expression(n))
     assert list(want) == list(h.pairs)
     want_exprs = [c for key in want for c in want[key]]
     pts = point_block(sample_plan(chart, count=32, seed=dim), 0, 32)
-    got, ref = haantjes_values(h, pts), evaluate_batch(want_exprs, pts)
+    got, ref = staged_values(h, pts), evaluate_batch(want_exprs, pts)
     assert np.all(np.isfinite(ref))
     # Every Haantjes tensor vanishes in dimension 2; above it these do not.
     assert dim == 2 or np.max(np.abs(ref)) > 1.0
@@ -416,15 +422,16 @@ def test_haantjes_tensor_matches_the_direct_formula(dim):
     assert np.max(scaled) <= 1e-9
 
 
-def _awkward_endomorphism(chart: Chart, seed: int) -> Endomorphism:
+def _awkward_endomorphism(chart: Chart, seed: int, extra=()) -> Endomorphism:
     """A sparse random_endomorphism: of every 16 entries about 6 are a
     structural zero, 2 are -3 x0 (-0.0 where x0 is 0), 2 constants, and
-    1/x1 and log(x1^2) one each (inf and -inf where x1 is 0)."""
+    1/x1 and log(x1^2) one each (inf and -inf where x1 is 0), then one
+    each of extra."""
     gen = splitmix64(seed)
     rows = [list(row) for row in random_endomorphism(chart, gen).matrix]
     x0, x1 = Coord(0), Coord(1 % chart.dim)
     special = [ZERO] * 6 + [mul(constant(-3.0), x0)] * 2 + [
-        constant(2.0), constant(-1.0), div(ONE, x1), log(mul(x1, x1))]
+        constant(2.0), constant(-1.0), div(ONE, x1), log(mul(x1, x1))] + list(extra)
     for row in rows:
         for j in range(chart.dim):
             pick = next(gen) % 16
@@ -437,7 +444,7 @@ def _assert_contraction_bits(h, pts) -> np.ndarray:
     """The staged tensor's contraction equals its evaluated expansion bit
     for bit, finiteness included; returns the expansion's values."""
     want = evaluate_batch([e.expand() for e in h.entries()], pts)
-    got = haantjes_values(h, pts)
+    got = staged_values(h, pts)
     assert np.array_equal(np.isfinite(got), np.isfinite(want))
     assert np.array_equal(bits(got), bits(want))
     return want
@@ -476,8 +483,9 @@ def test_contraction_matches_the_expansion_where_constants_cancel(seed):
     _assert_contraction_bits(haantjes_tensor(Endomorphism(chart, rows)), pts)
 
 
-@pytest.mark.parametrize("sites", [3, 4, 6])
+@pytest.mark.parametrize("sites", [2, 3, 4, 6])
 def test_battery_contractions_match_the_evaluated_expansion(sites, monkeypatch):
+    expr.clear_tables()  # no tensor of an equal N kept from an earlier test
     st = closed_toda(sites)
     built = []
     monkeypatch.setattr(
@@ -487,9 +495,12 @@ def test_battery_contractions_match_the_evaluated_expansion(sites, monkeypatch):
     run_identity_battery(st, plan, 1e-8)
     # the rank-one W (x) eta, then f I + g N and N
     assert len(built) == 3 and built[2].n is st.n
+    # battery.rank_one_torsion reads the torsion the Haantjes tensor contracts
+    assert built[0].torsion is nijenhuis_torsion(built[0].n)
     pts = point_block(plan, 0, plan.count)
     for h in built:
         _assert_contraction_bits(h, pts)
+        _assert_contraction_bits(h.torsion, pts)
     expr.clear_tables()
 
 
@@ -508,6 +519,116 @@ def test_torsion_and_haantjes_tensor_are_built_once_per_verdict(monkeypatch):
     assert builds == [n]
     expr.clear_tables()
     assert nijenhuis_torsion(n) is not t and builds == [n, n]
+
+
+# -x0 and -(x0 x1): their derivatives along the other coordinates are
+# neg(ZERO), the constant -0.0
+def _negated(chart: Chart) -> tuple:
+    x0, x1 = Coord(0), Coord(1 % chart.dim)
+    return neg(x0), neg(mul(x0, x1))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_staged_torsion_matches_the_evaluated_expression_bit_for_bit(dim):
+    chart = Chart(tuple(f"x{i}" for i in range(dim)))
+    pts = point_block(sample_plan(chart, count=48, seed=dim), 0, 48)
+    pts[::4, 0] = 0.0  # -3 x0 is -0.0
+    pts[1::4, 1 % dim] = 0.0  # 1/x1 is inf and log(x1^2) is -inf
+    nonfinite = negative_zeros = 0
+    for seed in range(4):
+        n = _awkward_endomorphism(chart, 29 * dim + seed, _negated(chart))
+        want = _assert_contraction_bits(nijenhuis_torsion(n), pts)
+        nonfinite += int((~np.isfinite(want)).sum())
+        negative_zeros += sum(
+            e is neg(ZERO) for plane in calculus._derivatives(n) for row in plane for e in row
+        )
+    assert 0 < nonfinite < 4 * len(want) * len(pts)
+    assert negative_zeros
+
+
+@pytest.mark.parametrize("seed", [47, 75, 92])
+def test_staged_torsion_matches_the_expression_where_constants_cancel(seed):
+    # On these draws a torsion component's first terms are constants that
+    # cancel to a structural zero, which its later terms must treat as ZERO.
+    chart = Chart(tuple(f"x{i}" for i in range(4)))
+    x0, x1 = Coord(0), Coord(1)
+    pool = [ZERO, ZERO, ZERO, constant(1.0), constant(-1.0), constant(2.0),
+            mul(constant(-3.0), x0), x1, x0, mul(x0, x1), mul(x1, x1)]
+    gen = splitmix64(seed)
+    rows = tuple(tuple(pool[next(gen) % len(pool)] for _ in range(4)) for _ in range(4))
+    pts = point_block(sample_plan(chart, count=48, seed=4), 0, 48)
+    pts[::4, 0] = 0.0
+    pts[1::4, 1] = 0.0
+    t = nijenhuis_torsion(Endomorphism(chart, rows))
+    assert t._folds
+    _assert_contraction_bits(t, pts)
+
+
+def _awkward_bivector(chart: Chart, seed: int) -> Bivector:
+    """A random_bivector whose entries are about half of them replaced by
+    a structural zero, a constant, -x0 or -(x0 x1)."""
+    gen = splitmix64(seed)
+    special = [ZERO, ZERO, constant(2.0), *_negated(chart)]
+    comps = {}
+    for key, e in random_bivector(chart, gen).components.items():
+        pick = next(gen) % (2 * len(special))
+        comps[key] = special[pick] if pick < len(special) else e
+    return Bivector(chart, comps)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_symbolic_builders_return_the_nodes_of_their_dense_loops(dim):
+    # Skipping a product with a structural-zero factor changes no node:
+    # every component is the very node the loop that builds every product
+    # returns.
+    chart = Chart(tuple(f"x{i}" for i in range(dim)))
+    for seed in range(3):
+        n = _awkward_endomorphism(chart, 41 * dim + seed, _negated(chart))
+        p = _awkward_bivector(chart, 43 * dim + seed)
+        t = torsion_expression(n)
+        for (j, k), comps in dense_torsion_expression(n).items():
+            assert all(a is b for a, b in zip(t.pair(j, k).components, comps, strict=True))
+        closed, dense = concomitant(p, n), dense_concomitant(p, n)
+        assert list(closed) == list(dense)
+        for key, form in closed.items():
+            assert list(form.components) == list(dense[key].components)
+            assert all(form.components[c] is dense[key].components[c] for c in form.components)
+        for s in range(3):
+            got, want = phi_sequence_term(n, s), dense_phi_sequence_term(n, s)
+            assert list(got.components) == list(want.components)
+            assert all(got.components[c] is want.components[c] for c in got.components)
+        squared = dense_compose(n, n)
+        assert all(
+            a is b for ra, rb in zip(compose(n, n).matrix, squared.matrix) for a, b in zip(ra, rb)
+        )
+        expr.clear_tables()
+
+
+def test_a_zero_product_is_skipped_unless_the_sum_is_negative_zero():
+    negative_zero = neg(ZERO)
+    assert calculus._signed_add(X, 1, ZERO, Y) is X
+    assert calculus._signed_add(X, -1, Y, negative_zero) is X
+    # -0.0 + 0.0 folds to ZERO and -0.0 - (-0.0) too; -0.0 + (-0.0) stays
+    assert calculus._signed_add(negative_zero, 1, ZERO, Y) is ZERO
+    assert calculus._signed_add(negative_zero, -1, constant(-3.0), ZERO) is ZERO
+    assert calculus._signed_add(negative_zero, 1, constant(-3.0), ZERO) is negative_zero
+
+
+def test_a_lattice_verdict_builds_no_torsion_expression_for_the_battery(monkeypatch):
+    # The rank-one W (x) eta and f I + g N of the battery are staged only;
+    # the phi sequence of the recursion suite builds on N's torsion.
+    st = closed_toda(4)
+    staged, expressions = [], []
+    for fn, seen in ((calculus.nijenhuis_torsion, staged),
+                     (calculus.torsion_expression, expressions)):
+        build = fn.__wrapped__
+        monkeypatch.setattr(
+            fn, "__wrapped__", lambda m, b=build, s=seen: s.append(m.matrix) or b(m)
+        )
+    expr.clear_tables()
+    run_suites(st, sample_plan(st.chart), 1e-8)
+    assert len(staged) == len(set(staged)) == 3 and st.n.matrix in staged
+    assert expressions == [st.n.matrix]
 
 
 def test_pi_n_skew_symmetrizes_only_compatible_pairs():

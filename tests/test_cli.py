@@ -101,6 +101,25 @@ def test_verify_exit_one_on_failing_checks(tmp_path, capsys):
         assert c["worst_point"] is not None
 
 
+def test_python_dash_m_pqnverify_keeps_the_exit_codes(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    failing = dict(MINIMAL, bivector={"components": {"1,2": "1", "2,3": "-y"}})
+    runs = {
+        0: write_structure(tmp_path, MINIMAL, "passing.json"),
+        1: write_structure(tmp_path, failing, "failing.json"),
+        2: str(tmp_path / "missing.json"),
+    }
+    for code, path in runs.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "pqnverify", "verify", path, "--suites", "poisson"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_catalog_then_verify_round_trip(tmp_path, capsys):
     sf = tmp_path / "toda2.json"
     code, _, _ = run_cli(["catalog", "closed-toda", "--n", "2", "--out", str(sf)], capsys)

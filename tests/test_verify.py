@@ -304,37 +304,55 @@ def test_a_rebound_run_pairs_sees_every_check(plan, monkeypatch):
     assert len(calls) == batched < len(seen)
 
 
-# The first of perfbench's fixed rounding-fault recipes: its
-# chain.C1_haantjes[3] is exactly zero but fails in floating point.
+# Two of perfbench's fixed rounding-fault recipes (known.FAULT_INSTANCES[0]
+# and [4], the second with lambda = g): a check that is exactly zero fails
+# in floating point, chain.C1_haantjes[3] on the first and
+# battery.torsion_power_form on the second.
 FAULT_RECIPE = RecipeInput(
     lam=parse("3*x^2 + 2*x*z + 3*z", CH),
     a=parse("-x - y^2 - 3*y", CH),
     g=parse("-3*z^2 - z - 2", CH),
 )
+FAULT_RECIPE_LAMBDA_G = RecipeInput(
+    lam=parse("-2*z^2 + 3*z - 3", CH),
+    a=parse("x + 2*y + 1", CH),
+    g=parse("-2*z^2 + 3*z - 3", CH),
+)
+
+# the checks with a side that is a staged torsion or Haantjes component
+STAGED_CHECKS = {
+    "pn.torsion", "pqn.torsion_prescribed", "3d.torsion_closed_form",
+    "battery.torsion_general_form", "battery.torsion_compatibility_form",
+    "battery.torsion_power_form", "battery.rank_one_torsion",
+    "chain.C1_haantjes[3]", "battery.rank_one_haantjes", "battery.haantjes_affine_scaling",
+}
 
 
 def test_a_rebound_run_pairs_receives_staged_checks_as_expressions(plan, monkeypatch):
     # perfbench/exact.py rebinds verify.run_pairs and walks the captured
-    # pairs' nodes with expr._children, so the Haantjes checks, whose sides
-    # are staged for a numeric contraction, reach it expanded.
-    st = r3_recipe(FAULT_RECIPE)
-    suites = ("chain", "battery")
-    want = [_report_bits(r) for r in run_suites(st, plan, 1e-8, suites=suites)]
+    # pairs' nodes with expr._children, so the torsion and Haantjes checks,
+    # whose sides are staged for a numeric contraction, reach it expanded.
+    suites = ("pn", "pqn", "3d", "chain", "battery")
     original = verify_module.run_pairs
-    captured = {}
+    for recipe, fault in ((FAULT_RECIPE, "chain.C1_haantjes[3]"),
+                          (FAULT_RECIPE_LAMBDA_G, "battery.torsion_power_form")):
+        st = r3_recipe(recipe)
+        monkeypatch.setattr(verify_module, "run_pairs", original)
+        want = [_report_bits(r) for r in run_suites(st, plan, 1e-8, suites=suites)]
+        captured = {}
 
-    def capture(name, pairs, *args, **kwargs):
-        captured[name] = list(pairs)
-        return original(name, pairs, *args, **kwargs)
+        def capture(name, pairs, *args, **kwargs):
+            captured[name] = list(pairs)
+            return original(name, pairs, *args, **kwargs)
 
-    monkeypatch.setattr(verify_module, "run_pairs", capture)
-    got = [_report_bits(r) for r in run_suites(st, plan, 1e-8, suites=suites)]
-    assert got == want
-    haantjes = {"chain.C1_haantjes[3]", "battery.rank_one_haantjes",
-                "battery.haantjes_affine_scaling"}
-    assert haantjes <= set(captured)
-    assert all(isinstance(e, Expr) for pairs in captured.values() for pair in pairs for e in pair)
-    assert next(r for r in want if r[0] == "chain.C1_haantjes[3]")[1] == "fail"
+        monkeypatch.setattr(verify_module, "run_pairs", capture)
+        got = [_report_bits(r) for r in run_suites(st, plan, 1e-8, suites=suites)]
+        assert got == want
+        assert STAGED_CHECKS <= set(captured)
+        assert all(
+            isinstance(e, Expr) for pairs in captured.values() for pair in pairs for e in pair
+        )
+        assert next(r for r in want if r[0] == fault)[1] == "fail"
 
 
 def test_resampling_rounds_share_one_compiled_program(tmp_path, monkeypatch):
