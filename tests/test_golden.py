@@ -58,6 +58,9 @@ CASES["das-okubo-n2.verify.wide-box"] = (
     "verify",
     ["--samples", "4096", "--seed", "7", "--box=-0.5:2"],
 )
+# the wide benchmark's size: the staged tensors contracted across many chunks
+for _entry in ("das-okubo-n3", "closed-toda-n3"):
+    CASES[f"{_entry}.verify.wide"] = (_entry, "verify", ["--samples", "4096", "--seed", "7"])
 
 
 def report_digest(workdir: Path, case: str) -> dict:
