@@ -177,13 +177,13 @@ def haantjes_tensor(n: Endomorphism) -> "HaantjesTensor":
     H is algebraic in N and its torsion T: no derivative is taken after T.
     So its roots are the staged torsion's, N's entries and its nonzero
     first derivatives, and HaantjesTensor.contract runs T's contraction
-    and then H's two stages in numpy, vectorised over the points, in
-    O(d^4) products per point.  It runs haantjes_expression's two stages
-    in its summation order, starts each sum at its first term that is not
-    skipped, and zeroes every product with a structural zero, so it
-    equals the evaluated expansion bit for bit.  The expansion stays for
-    callers that walk a check's nodes: a replacement of verify.run_pairs,
-    such as perfbench/exact.py, gets it.
+    and then haantjes_expression's stages in numpy, vectorised over the
+    points, on the torsion's kind of schedule: each sum in the builder's
+    order, less every product with a structural-zero factor, so at most
+    O(d^4) products per point and fewer the sparser N is.  It equals the
+    evaluated expansion bit for bit.  The expansion stays for callers that
+    walk a check's nodes: a replacement of verify.run_pairs, such as
+    perfbench/exact.py, gets it.
     """
     return HaantjesTensor(n, nijenhuis_torsion(n))
 
@@ -290,19 +290,75 @@ class StagedTensor:
             got = done[id(self)] = self._contract(values, done)
         return got
 
+    def _schedule(self, inputs, n_const, stages, rows) -> None:
+        """Fixes the stages, given as (left, right) factor rows of each
+        term over a numbering of the inputs, with constant column `inputs`,
+        the rows of 0.0, 1.0, -1.0 and -N, then each stage's sums.  rows
+        takes that numbering, up to -N, to the rows of the table contract
+        fills; a stage's sums follow, held in its schedule's order, and
+        one that has no terms reads the row of 0.0."""
+        import numpy as np
+
+        const = np.concatenate([inputs, (0.0, 1.0, -1.0), -n_const])
+        self.stages = []
+        for left, right in stages:
+            stage = _Schedule(rows[left], rows[right], const)
+            self.stages.append(stage)
+            held = np.full(len(stage.zero), len(inputs))
+            held[stage.order[:stage.active]] = len(const) + np.arange(stage.active)
+            rows = np.concatenate([rows, held])
+            const = np.concatenate([const, stage.constants[stage.order[:stage.active]]])
+        last = self.stages[-1]
+        self._nrows = len(const) - last.active
+        self._work = max(max(stage.work for stage in self.stages), last.active + last.work)
+        self.constants, self.zero = last.constants, last.zero
+
+    def _contract(self, values, done):
+        """Fills the table from the roots' values and runs the stages on it,
+        each sum in its builder's order.  IEEE arithmetic then gives the
+        evaluated expansion bit for bit, given the smart constructors'
+        rules:
+        - a product with a structural-zero factor is left out;
+        - each sum starts at -0.0, so that its first term is the sum;
+        - a subtracted product is added with -N or -1.0 as its factor, so
+          in a difference x - (structural zero) is x, not x + 0.0, and
+          (structural zero) - y is -y;
+        - a sum of constants that folds to a structural zero is -0.0 from
+          there on, and a structural zero reads 0.0 in the result."""
+        import numpy as np
+
+        npts, nsq = values.shape[1], self.chart.dim ** 2
+        inputs = self._inputs(values, done)
+        v = np.empty((self._nrows, npts))
+        # the stages' products and the last stage's sums: apart from v, as
+        # np.take copies twice into an array that overlaps its source
+        work = np.empty((self._work, npts))
+        first = 0
+        for block in inputs:
+            v[first:first + len(block)] = block
+            first += len(block)
+        v[first:first + 3] = ((0.0,), (1.0,), (-1.0,))
+        np.negative(values[:nsq], out=v[first + 3:first + 3 + nsq])
+        first += 3 + nsq
+        for stage in self.stages[:-1]:
+            stage.run(v, v[first:first + stage.active], work)
+            first += stage.active
+        last = self.stages[-1]
+        acc, work = work[:last.active], work[last.active:]
+        last.run(v, acc, work)
+        out = np.zeros((len(self.zero), npts))
+        out[last.dst] = acc[last.src]
+        return out, self.zero
+
 
 class TorsionTensor(StagedTensor):
     """The Nijenhuis torsion of N, staged for evaluation.
 
     Its roots are N's entries, row by row, then the derivatives d_m N^i_j
-    that are not structural zeros, in the order (m, i, j).  The schedule
-    of the contraction is fixed here: torsion_expression's terms for each
-    component in its order, less every product with a structural-zero
-    factor.  Which terms those are, and where a sum of constants folds to
-    a structural zero, is read off a constant column (each node's value
-    if it is a constant, nan if not) run once through the same
-    arithmetic.  `constants` is that column for the components, so its
-    zeros are the structural zeros.
+    that are not structural zeros, in the order (m, i, j).  Its table's
+    inputs are the roots, and a derivative that is a structural zero reads
+    the row of 0.0.  Its stages are the brackets d_k N^m_j - d_j N^m_k,
+    then torsion_expression's terms for each component.
     """
 
     def __init__(self, n: Endomorphism):
@@ -310,7 +366,7 @@ class TorsionTensor(StagedTensor):
 
         dim = n.chart.dim
         self.chart, self.n = n.chart, n
-        self.pairs, left, right, a_num, a_neg, b_num = _torsion_layout(dim)
+        self.pairs, stages = _torsion_layout(dim)
         nsq = dim * dim
         nodes = [e for row in n.matrix for e in row]
         nodes += [e for plane in _derivatives(n) for row in plane for e in row]
@@ -318,104 +374,203 @@ class TorsionTensor(StagedTensor):
         keep = const != 0.0
         keep[:nsq] = True
         self.roots = [e for e, kept in zip(nodes, keep) if kept]
-        # Rows of the table contract fills: the roots, a row of -0.0 and
-        # one of +0.0, -N, then the brackets that are not structural zeros.
-        neg0 = len(self.roots)
-        neg_n = neg0 + 2
-        row = np.full(len(nodes), neg0)
-        row[keep] = np.arange(neg0)
-        n_c, d_c, d_row = const[:nsq], const[nsq:], row[nsq:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # The brackets, as sub folds them: x - (structural zero) is x,
-            # (structural zero) - y is -y, read from the -0.0 row.
-            lc, rc = d_c[left], d_c[right]
-            b_c = np.where(rc == 0.0, lc, np.where(lc == 0.0, -rc, lc - rc))
-            b_c[np.isinf(b_c)] = np.nan  # a difference that overflows is built as a node
-            live = b_c != 0.0
-            self._left = d_row[left][live]
-            self._right = np.where(rc == 0.0, neg0 + 1, d_row[right])[live]
-            b_row = np.full(len(b_c), neg0)
-            b_row[live] = neg_n + nsq + np.arange(int(live.sum()))
-            self._nrows = neg_n + nsq + int(live.sum())
-            # each term's factors: their rows in the table and constants
-            a_row = a_num + (neg_n - nsq) * a_neg
-            b_rows = np.concatenate([d_row, b_row])[b_num]
-            a_c = np.concatenate([n_c, -n_c])[a_num]
-            b_cc = np.concatenate([d_c, b_c])[b_num]
-            product = a_c * b_cc
-            product[np.isinf(product)] = np.nan  # built as a node
-            skipped = (a_c == 0.0) | (b_cc == 0.0) | (product == 0.0)
-            # Each sum's constant column after each term, from ZERO: a
-            # skipped term adds 0.0, which changes no sum of terms that are
-            # not zeros; a sum that overflows is a node.
-            sums = np.cumsum(np.where(skipped, 0.0, product), axis=1)
-        self.constants = np.where(np.isfinite(sums[:, -1]), sums[:, -1], np.nan)
-        self.zero = self.constants == 0.0
-        # The schedule: components sorted by their number of terms, so the
-        # s-th term of every component that has one is a step on a prefix.
-        live = ~skipped
-        count = live.sum(axis=1)
-        order = np.argsort(-count, kind="stable")
-        live, a_row, b_rows = live[order], a_row[order], b_rows[order]
-        step = np.cumsum(live, axis=1) - 1
-        comp, term = np.nonzero(live)
-        by_step = np.argsort(step[comp, term], kind="stable")
-        comp, term = comp[by_step], term[by_step]
-        a_row, b_rows = a_row[comp, term], b_rows[comp, term]
-        widths = np.bincount(step[comp, term]).tolist()
-        self._active = widths[0] if widths else 0
-        # Consecutive steps share one gather and multiply, up to
-        # max(components, 64) products: a small tensor takes all its
-        # products at once, a large one holds no more than its sums.
-        cap = max(self._active, 64)
-        self._blocks, block, lo, hi = [], [], 0, 0
-        for width in widths:
-            if hi - lo + width > cap:
-                self._blocks.append((a_row[lo:hi], b_rows[lo:hi], block))
-                block, lo = [], hi
-            block.append(width)
-            hi += width
-        if block:
-            self._blocks.append((a_row[lo:hi], b_rows[lo:hi], block))
-        # where a sum of constants folds to a structural zero, held as -0.0
-        self._folds: dict[int, list[int]] = {}
-        comp, term = np.nonzero(live & (sums[order] == 0.0))
-        for c, s in zip(comp.tolist(), step[comp, term].tolist()):
-            self._folds.setdefault(s, []).append(c)
-        self._src = np.flatnonzero(~self.zero[order][:self._active])
-        self._dst = order[self._src]
+        nroots = len(self.roots)
+        rows = np.full(len(nodes), nroots)
+        rows[keep] = np.arange(nroots)
+        rows = np.concatenate([rows, nroots + np.arange(3 + nsq)])
+        self._schedule(const[keep], const[:nsq], stages, rows)
 
     def expression(self) -> TorsionEvaluator:
         return torsion_expression(self.n)
 
-    def _contract(self, values, done):
-        """Runs each sum in torsion_expression's order, one numpy step per
-        term position over the components that have one, which adds their
-        products, gathered and multiplied a block of steps at a time.  IEEE
-        arithmetic then gives the evaluated expansion bit for bit, given
-        the smart constructors' rules:
-        - a product with a structural-zero factor is left out;
-        - each sum starts at -0.0, so that its first term is the sum;
-        - a subtracted product is added with -N as its factor;
-        - in a bracket, x - (structural zero) is x, not x + 0.0, and
-          (structural zero) - y is -y;
-        - a sum of constants that folds to a structural zero is -0.0 from
-          there on, and a structural zero reads 0.0 in the result."""
+    def _inputs(self, values, done) -> list:
+        return [values]
+
+
+@lru_cache(maxsize=None)
+def _torsion_layout(dim: int) -> tuple:
+    """The pairs j < k and the torsion's stages, the same for every N on a
+    chart of dimension dim, as (left, right) factor rows of each term, one
+    row of terms per component.  Rows are numbered over N's entries, row by
+    row, the derivatives d_m N^i_j in the order (m, i, j), the rows of 0.0,
+    1.0, -1.0 and -N, then the brackets d_k N^m_j - d_j N^m_k in the order
+    (m, pair).  The component on pair q and row i is row q*dim + i of the
+    second stage; its terms are in the order (m, term)."""
+    import numpy as np
+
+    pairs = tuple(combinations(range(dim), 2))
+    jj, kk = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    nsq = dim * dim
+    one = nsq + dim ** 3 + 1
+    neg_n, brackets = one + 2, one + 2 + nsq
+    ms = np.arange(dim)[:, None]
+    b_left = np.stack([nsq + kk * nsq + ms * dim + jj, nsq + jj * nsq + ms * dim + kk], -1)
+    b_right = np.empty_like(b_left)
+    b_right[..., 0], b_right[..., 1] = one, one + 1
+    q, i, m = np.ix_(np.arange(len(pairs)), np.arange(dim), np.arange(dim))
+    a = np.empty((len(pairs), dim, dim, 3), dtype=np.intp)
+    a[..., 0] = m * dim + jj[q]  # N^m_j d_m N^i_k
+    a[..., 1] = neg_n + m * dim + kk[q]  # -N^m_k d_m N^i_j
+    a[..., 2] = i * dim + m  # N^i_m bracket^m_q
+    b = np.empty_like(a)
+    b[..., 0] = nsq + m * nsq + i * dim + kk[q]
+    b[..., 1] = nsq + m * nsq + i * dim + jj[q]
+    b[..., 2] = brackets + m * len(pairs) + q
+    return pairs, (
+        (b_left.reshape(-1, 2), b_right.reshape(-1, 2)),
+        (a.reshape(-1, 3 * dim), b.reshape(-1, 3 * dim)),
+    )
+
+
+class HaantjesTensor(StagedTensor):
+    """The Haantjes tensor of N, staged for evaluation.
+
+    Its roots are its torsion's.  Its table's inputs are N's entries, row
+    by row, then the contracted torsion's components.  Its stages are
+    haantjes_expression's: A^i_{mk}, the sums
+    inner^m_{jk} = A^m_{jk} - A^m_{kj} - sum_p N^m_p T^p_{jk}, then H.
+    """
+
+    def __init__(self, n: Endomorphism, torsion: TorsionTensor):
         import numpy as np
 
-        npts, nsq = values.shape[1], self.chart.dim ** 2
-        neg0 = len(self.roots)
-        v = np.empty((self._nrows, npts))
-        v[:neg0] = values
-        v[neg0] = -0.0
-        v[neg0 + 1] = 0.0
-        np.negative(values[:nsq], out=v[neg0 + 2:neg0 + 2 + nsq])
-        np.subtract(v[self._left], v[self._right], out=v[neg0 + 2 + nsq:])
-        acc = np.full((self._active, npts), -0.0)
+        self.chart, self.n, self.torsion = n.chart, n, torsion
+        self.pairs, self.roots = torsion.pairs, torsion.roots
+        n_const = np.array([e.value if type(e) is Constant else np.nan for row in n.matrix for e in row])
+        inputs = np.concatenate([n_const, torsion.constants])
+        rows = np.arange(len(inputs) + 3 + len(n_const))
+        self._schedule(inputs, n_const, _haantjes_layout(n.chart.dim), rows)
+
+    def expression(self) -> TorsionEvaluator:
+        return haantjes_expression(self.n)
+
+    def _inputs(self, values, done) -> list:
+        return [values[:self.chart.dim ** 2], self.torsion.contract(values, done)[0]]
+
+
+@lru_cache(maxsize=None)
+def _haantjes_layout(dim: int) -> tuple:
+    """The Haantjes tensor's stages, the same for every N on a chart of
+    dimension dim, as _torsion_layout gives the torsion's.  Rows are
+    numbered over N's entries, row by row, T's components, the rows of
+    0.0, 1.0, -1.0 and -N, then A^i_{mk} in the order (i, m, k) and
+    inner^m on pair q at row q*dim + m of its stage."""
+    import numpy as np
+
+    pairs = tuple(combinations(range(dim), 2))
+    npairs, nsq = len(pairs), dim * dim
+    jj, kk = np.array(pairs, dtype=np.intp).reshape(-1, 2, 1).transpose(1, 0, 2)
+    one = nsq + dim * npairs + 1
+    neg_n = one + 2
+    a_rows = neg_n + nsq
+    inner_rows = a_rows + dim ** 3
+    # A^i_{mk}: sum over l != m of T^i_{ml} N^l_k, read from the stored
+    # pair (m, l) for l > m and subtracted from the pair (l, m) for l < m
+    i, m, k, l = np.ix_(*[np.arange(dim)] * 4)
+    pair_of = np.zeros((dim, dim), dtype=np.intp)
+    pair_of[jj[:, 0], kk[:, 0]] = pair_of[kk[:, 0], jj[:, 0]] = np.arange(npairs)
+    shape, other = (dim,) * 4, np.broadcast_to(l != m, (dim,) * 4)
+    a_left = np.broadcast_to(nsq + pair_of[m, l] * dim + i, shape)[other]
+    a_right = np.broadcast_to(np.where(l > m, 0, neg_n) + l * dim + k, shape)[other]
+    # inner^m on pair (j, k): A^m_{jk} - A^m_{kj}, then -N^m_p T^p_{jk}
+    ms, ps, q = np.arange(dim), np.arange(dim), np.arange(npairs)[:, None, None]
+    c_left = np.empty((npairs, dim, dim + 2), dtype=np.intp)
+    c_left[..., 0] = a_rows + ms * nsq + jj * dim + kk
+    c_left[..., 1] = a_rows + ms * nsq + kk * dim + jj
+    c_left[..., 2:] = neg_n + ms[:, None] * dim + ps
+    c_right = np.empty_like(c_left)
+    c_right[..., 0], c_right[..., 1] = one, one + 1
+    c_right[..., 2:] = nsq + q * dim + ps
+    # H^i on pair (j, k): N^m_j A^i_{mk} over m, then -N^i_m inner^m over m
+    h_left = np.empty((npairs, dim, 2 * dim), dtype=np.intp)
+    h_left[..., :dim] = ps * dim + jj[..., None]
+    h_left[..., dim:] = neg_n + ms[:, None] * dim + ps
+    h_right = np.empty_like(h_left)
+    h_right[..., :dim] = a_rows + ms[:, None] * nsq + ps * dim + kk[..., None]
+    h_right[..., dim:] = inner_rows + q * dim + ps
+    return (
+        (a_left.reshape(dim ** 3, dim - 1), a_right.reshape(dim ** 3, dim - 1)),
+        (c_left.reshape(-1, dim + 2), c_right.reshape(-1, dim + 2)),
+        (h_left.reshape(-1, 2 * dim), h_right.reshape(-1, 2 * dim)),
+    )
+
+
+class _Schedule:
+    """One stage of a staged tensor: for each component, a sum of products
+    of two rows of a table of values, run in its builder's order.
+
+    The schedule is fixed when it is built, from the table's constant
+    column (each row's value if it is a constant, nan if not), run once
+    through the same arithmetic: which products have a structural-zero
+    factor and are skipped, and where a sum of constants folds to a
+    structural zero.  `constants` is that column for the sums, so its
+    zeros are the structural zeros.  The sums are run in `order`, by their
+    number of terms, so the s-th term of each of the first `active` sums
+    that has one is a step on a prefix of them.
+    """
+
+    def __init__(self, left, right, const):
+        import numpy as np
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            lc, rc = const[left], const[right]
+            product = lc * rc
+            product[np.isinf(product)] = np.nan  # built as a node
+            live = (lc != 0.0) & (rc != 0.0) & (product != 0.0)
+            # Each sum's constant column after each term, from ZERO: a
+            # skipped term adds 0.0, which changes no sum of terms that are
+            # not zeros; a sum that overflows is a node.
+            sums = np.cumsum(np.where(live, product, 0.0), axis=1)
+        last = sums[:, -1] if sums.shape[1] else np.zeros(len(sums))
+        self.constants = np.where(np.isfinite(last), last, np.nan)
+        self.zero = self.constants == 0.0
+        count = live.sum(axis=1)
+        self.products = int(count.sum())
+        self.order = np.argsort(-count, kind="stable")
+        live, left, right = live[self.order], left[self.order], right[self.order]
+        step = np.cumsum(live, axis=1) - 1
+        comp, term = np.nonzero(live)
+        by_step = np.argsort(step[comp, term], kind="stable")
+        comp, term = comp[by_step], term[by_step]
+        left, right = left[comp, term], right[comp, term]
+        widths = np.bincount(step[comp, term]).tolist()
+        self.active = widths[0] if widths else 0
+        # the sums that are not structural zeros: their rows in the run
+        # order, and in the stage
+        self.src = np.flatnonzero(~self.zero[self.order[:self.active]])
+        self.dst = self.order[self.src]
+        # Consecutive steps share one gather and multiply, up to
+        # max(sums, 64) products: a small stage takes all its products at
+        # once, a large one holds no more than its sums.
+        cap = max(self.active, 64)
+        self._blocks, block, lo, hi = [], [], 0, 0
+        for width in widths:
+            if hi - lo + width > cap:
+                self._blocks.append((left[lo:hi], right[lo:hi], block))
+                block, lo = [], hi
+            block.append(width)
+            hi += width
+        if block:
+            self._blocks.append((left[lo:hi], right[lo:hi], block))
+        self.work = 2 * max((len(a) for a, _, _ in self._blocks), default=0)
+        # where a sum of constants folds to a structural zero, held as -0.0
+        self._folds: dict[int, list[int]] = {}
+        comp, term = np.nonzero(live & (sums[self.order] == 0.0))
+        for c, s in zip(comp.tolist(), step[comp, term].tolist()):
+            self._folds.setdefault(s, []).append(c)
+
+    def run(self, v, acc, work) -> None:
+        """The sums into acc, one row for each of the first `active` in
+        `order`, from the table's values v: one numpy step per term position
+        over the sums that have one, which adds their products, gathered
+        and multiplied in work a block of steps at a time."""
+        import numpy as np
+
+        acc.fill(-0.0)
         s = 0
         for a, b, widths in self._blocks:
-            products = v[a]
-            products *= v[b]
+            products = np.take(v, a, axis=0, out=work[:len(a)], mode="clip")
+            products *= np.take(v, b, axis=0, out=work[len(a):2 * len(a)], mode="clip")
             lo = 0
             for width in widths:
                 np.add(acc[:width], products[lo:lo + width], out=acc[:width])
@@ -423,184 +578,6 @@ class TorsionTensor(StagedTensor):
                 if s in self._folds:
                     acc[self._folds[s]] = -0.0
                 s += 1
-        t = np.zeros((len(self.zero), npts))
-        t[self._dst] = acc[self._src]
-        return t, self.zero
-
-
-@lru_cache(maxsize=None)
-def _torsion_layout(dim: int) -> tuple:
-    """Where torsion_expression's factors sit, the same for every N on a
-    chart of dimension dim.  Factors are numbered in two tables: A holds
-    N's entries, row by row, then -N's; B holds the derivatives d_m N^i_j
-    in the order (m, i, j), then the brackets d_k N^m_j - d_j N^m_k in the
-    order (m, pair).  Returns the pairs j < k; the B numbers of each
-    bracket's two derivatives; and for the terms of the component on pair
-    q and row i, at row q*dim + i, in the order (m, term), the A numbers
-    of their first factors, whether that is in -N, and the B numbers of
-    their second factors."""
-    import numpy as np
-
-    pairs = tuple(combinations(range(dim), 2))
-    jj, kk = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    nsq, ms = dim * dim, np.arange(dim)[:, None]
-    left = (kk * nsq + ms * dim + jj).ravel()
-    right = (jj * nsq + ms * dim + kk).ravel()
-    q, i, m = np.ix_(np.arange(len(pairs)), np.arange(dim), np.arange(dim))
-    a = np.empty((len(pairs), dim, dim, 3), dtype=np.intp)
-    a[..., 0] = m * dim + jj[q]  # N^m_j d_m N^i_k
-    a[..., 1] = nsq + m * dim + kk[q]  # -N^m_k d_m N^i_j
-    a[..., 2] = i * dim + m  # N^i_m bracket^m_q
-    b = np.empty_like(a)
-    b[..., 0] = m * nsq + i * dim + kk[q]
-    b[..., 1] = m * nsq + i * dim + jj[q]
-    b[..., 2] = dim ** 3 + m * len(pairs) + q
-    a, b = a.reshape(-1, 3 * dim), b.reshape(-1, 3 * dim)
-    return pairs, left, right, a, a >= nsq, b
-
-
-class HaantjesTensor(StagedTensor):
-    """The Haantjes tensor of N, staged for evaluation.
-
-    Its roots are its torsion's.  Its stages read N's entries, row by row,
-    then the d components of T on each coordinate pair j < k, in the
-    order of `pairs`.  `constants` is fixed when they are built: each
-    one's value if it is a constant, nan if not, so the structural zeros
-    is_zero names are the zeros in it.
-    """
-
-    def __init__(self, n: Endomorphism, torsion: TorsionTensor):
-        import numpy as np
-
-        dim = n.chart.dim
-        self.chart = n.chart
-        self.n = n
-        self.torsion = torsion
-        self.pairs = torsion.pairs
-        self.roots = torsion.roots
-        self.constants = np.concatenate([
-            [e.value if type(e) is Constant else np.nan for row in n.matrix for e in row],
-            torsion.constants,
-        ])
-        # Only constants other than zero can fold into new structural zeros.
-        self._folds = bool(np.any(np.isfinite(self.constants) & (self.constants != 0.0)))
-        # Stage one reads u[i, m, l] = T^i_{ml}: row (q, i) of the pair
-        # q = (m, l) for m < l, the same row subtracted for l < m, and for
-        # l = m a row of -0.0 after the stage rows, which is skipped.
-        nsq, marker = dim * dim, len(self.constants)
-        self._jj, self._kk = np.array(self.pairs, dtype=np.intp).reshape(-1, 2).T
-        pair_of = np.zeros((dim, dim), dtype=np.intp)
-        pair_of[self._jj, self._kk] = pair_of[self._kk, self._jj] = np.arange(len(self.pairs))
-        rows = nsq + dim * pair_of[None] + np.arange(dim)[:, None, None]
-        rows[:, np.eye(dim, dtype=bool)] = marker
-        self._u_rows = rows
-        self._u_sign = np.where(np.tri(dim, k=-1, dtype=bool), -1.0, 1.0)[..., None]
-        # Structural zeros of the inputs, and of the products of stage one
-        # (over i, m, l, k) and of the inner sum (over m, p, pairs).
-        zero = np.append(self.constants == 0.0, True)
-        self._n_zero = zero[:nsq].reshape(dim, dim)
-        t_zero = zero[nsq:marker].reshape(-1, dim)
-        self._one_zero = zero[rows][..., None] | self._n_zero[None, None]
-        self._inner_zero = self._n_zero[..., None] | t_zero.T[None]
-
-    def expression(self) -> TorsionEvaluator:
-        return haantjes_expression(self.n)
-
-    def _contract(self, values, done):
-        """Runs haantjes_expression's two stages in its own summation order
-        on N's values and T's contraction, one numpy step per summed
-        index, vectorised over the points and the free indices, so IEEE
-        arithmetic gives the evaluated expansion bit for bit, given two of
-        the smart constructors' rules:
-        - a product with a structural zero is that zero, where numpy would
-          give 0 * inf = nan, so those products are zeroed;
-        - a sum starts at its first term that is not skipped, never at
-          0.0 + term, which would turn -0.0 into 0.0.  So a sum starts at
-          -0.0, and a structural zero is held as -0.0 while summing:
-          adding -0.0 changes no value, and adding to it gives the other
-          term.  A structural zero in the result reads 0.0, as ZERO does.
-        Which intermediates are structural zeros, folded constants
-        included, is read from one more column carried through every step,
-        which starts as `constants`.  A subtracted term is added negated,
-        which IEEE defines to be the same."""
-        import numpy as np
-
-        dim, npts, npairs = self.chart.dim, values.shape[1], len(self.pairs)
-        if not npairs:
-            return np.empty((0, npts)), np.empty(0, dtype=bool)
-        nsq, nrows = dim * dim, len(self.constants)
-        v = np.empty((nrows + 1, npts + 1))
-        v[:nsq, :-1] = values[:nsq]
-        v[nsq:nrows, :-1] = self.torsion.contract(values, done)[0]
-        v[:nrows, -1] = self.constants
-        v[nrows] = -0.0
-        n, t = v[:nsq].reshape(dim, dim, -1), v[nsq:nrows].reshape(npairs, dim, -1)
-        neg_n = -n
-        jj, kk, n_zero = self._jj, self._kk, self._n_zero
-        mark = _mark_zeros if self._folds else _unchanged
-        u = v[self._u_rows]
-        u *= self._u_sign
-        # A^i_{mk} = sum_l T^i_{ml} N^l_k
-        a = np.full((dim, dim, dim, npts + 1), -0.0)
-        buf = np.empty_like(a)
-        for l in range(dim):
-            _accumulate(a, u[:, :, l, None], n[l], self._one_zero[:, :, l], buf, mark)
-        del u, buf  # stage two holds other d^3 arrays; a chunk's peak is there
-        a_zero = a[..., -1] == 0.0
-        # inner^m_{jk} = A^m_{jk} - A^m_{kj} - sum_p N^m_p T^p_{jk}, where
-        # x - (structural zero) is x: x - 0.0 is x, x - (-0.0) is x + 0.0
-        inner, right = a[:, jj, kk], a[:, kk, jj]
-        right[a_zero[:, kk, jj]] = 0.0
-        inner -= right
-        del right
-        mark(inner)
-        buf = np.empty_like(inner)
-        for p in range(dim):
-            _accumulate(inner, neg_n[:, p, None], t[:, p], self._inner_zero[:, p], buf, mark)
-        # H^i_{jk} = sum_m N^m_j A^i_{mk} - sum_m N^i_m inner^m_{jk}
-        first = n_zero[None, :, jj] | a_zero[:, :, kk]
-        second = n_zero[..., None] | (inner[..., -1] == 0.0)[None]
-        h = np.full_like(inner, -0.0)
-        for m in range(dim):
-            _accumulate(h, n[m, jj], a[:, m, kk], first[:, m], buf, mark)
-        for m in range(dim):
-            _accumulate(h, neg_n[:, m, None], inner[m], second[:, m], buf, mark)
-        zero = h[..., -1] == 0.0
-        h[zero] = 0.0
-        return h[..., :-1].transpose(1, 0, 2).reshape(-1, npts), zero.T.reshape(-1)
-
-
-def _accumulate(acc, x, y, zero, buf, mark):
-    """acc += x * y in place, the product being -0.0 wherever zero marks a
-    factor that is a structural zero: the smart constructors skip it."""
-    import numpy as np
-
-    if zero.any():
-        if zero.all():
-            return
-        np.multiply(x, y, out=buf)
-        buf[zero] = -0.0
-    else:
-        np.multiply(x, y, out=buf)
-    mark(np.add(acc, mark(buf), out=acc))
-
-
-def _mark_zeros(x):
-    """x with the constants that folded to zero set to -0.0.
-
-    A fold that cancels gives 0.0 in every column, so these are the 0.0
-    entries of the last column; a structural zero held as -0.0 already
-    reads -0.0 there."""
-    import numpy as np
-
-    folded = x[..., -1].view(np.uint64) == 0
-    if folded.any():
-        x[folded] = -0.0
-    return x
-
-
-def _unchanged(x):
-    return x
 
 
 def pi_n(p: Bivector, n: Endomorphism) -> tuple[Bivector, list[Expr]]:

@@ -1,6 +1,7 @@
 """Test-only builders and references: random inputs that no verdict needs,
 the plan's base points as tuples, a torsion's value on general vector
 fields, staged torsion and Haantjes components evaluated at points, the
+count of the Haantjes stages' terms with no structural-zero factor, the
 torsion and concomitant loops as written before they skipped structural
 zeros, the Lie derivative, bracket of one-forms and Koszul-bracket
 concomitant that the closed-form concomitant replaced, the
@@ -138,6 +139,50 @@ def dense_torsion_expression(n: Endomorphism) -> dict:
                 comps.append(acc)
             pairs[(j, k)] = comps
     return pairs
+
+
+def haantjes_live_terms(n: Endomorphism) -> int:
+    """The terms of calculus.haantjes_expression's stages, A^i_{mk},
+    inner^m_{jk} and H^i_{jk}, with no structural-zero factor, counted in
+    its loops: each operand of the bracket A^m_{jk} - A^m_{kj} that is not
+    a structural zero counts as one term."""
+    dim = n.chart.dim
+    t = torsion_expression(n)
+    nm = n.matrix
+    live = 0
+
+    def count(x, y):
+        nonlocal live
+        live += not (is_zero(x) or is_zero(y))
+        return mul(x, y)
+
+    a = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for m in range(dim):
+            for k in range(dim):
+                acc = ZERO
+                for l in range(dim):
+                    if l > m:
+                        acc = add(acc, count(t.component(i, m, l), nm[l][k]))
+                    elif l < m:
+                        acc = sub(acc, count(t.component(i, l, m), nm[l][k]))
+                a[i][m][k] = acc
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            tjk = t.pair(j, k).components
+            inner = []
+            for m in range(dim):
+                acc = sub(a[m][j][k], a[m][k][j])
+                live += (not is_zero(a[m][j][k])) + (not is_zero(a[m][k][j]))
+                for p in range(dim):
+                    acc = sub(acc, count(nm[m][p], tjk[p]))
+                inner.append(acc)
+            for i in range(dim):
+                for m in range(dim):
+                    count(nm[m][j], a[i][m][k])
+                for m in range(dim):
+                    count(nm[i][m], inner[m])
+    return live
 
 
 def dense_compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:

@@ -88,6 +88,7 @@ from builders import (
     dense_concomitant,
     dense_phi_sequence_term,
     dense_torsion_expression,
+    haantjes_live_terms,
     staged_values,
     koszul_concomitant,
     lie_derivative,
@@ -456,21 +457,30 @@ def test_contraction_matches_the_evaluated_expansion_bit_for_bit(dim):
     pts = point_block(sample_plan(chart, count=48, seed=dim), 0, 48)
     pts[::4, 0] = 0.0  # -3 x0 is -0.0
     pts[1::4, 1 % dim] = 0.0  # 1/x1 is inf and log(x1^2) is -inf
-    nonfinite = negative_zeros = 0
+    nonfinite = negative_zeros = negated = 0
     for seed in range(4):
         h = haantjes_tensor(_awkward_endomorphism(chart, 17 * dim + seed))
         want = _assert_contraction_bits(h, pts)
         nonfinite += int((~np.isfinite(want)).sum())
         negative_zeros += int((bits(want) == bits(np.array(-0.0))).sum())
+        # the same draws with -x0 and -(x0 x1), whose derivatives along the
+        # other coordinates are the constant -0.0
+        n = _awkward_endomorphism(chart, 17 * dim + seed, _negated(chart))
+        _assert_contraction_bits(haantjes_tensor(n), pts)
+        negated += sum(
+            e is neg(ZERO) for plane in calculus._derivatives(n) for row in plane for e in row
+        )
     assert 0 < nonfinite < 4 * len(want) * len(pts)
     # these seeds give components that are -0.0 at d = 3, 4 and 5
     assert dim not in (3, 4, 5) or negative_zeros
+    assert negated
 
 
-@pytest.mark.parametrize("seed", [51, 231])
+@pytest.mark.parametrize("seed", [51, 231, 745, 1522])
 def test_contraction_matches_the_expansion_where_constants_cancel(seed):
     # On these draws sums of constant products cancel to a structural zero
-    # inside the contraction, which later sums must treat as ZERO.
+    # inside the contraction, which later sums must treat as ZERO: without
+    # that, 51, 231 and 1522 change bits in the inner sums and 745 in H's.
     chart = Chart(tuple(f"x{i}" for i in range(4)))
     x0, x1 = Coord(0), Coord(1)
     pool = [ZERO, ZERO, ZERO, constant(1.0), constant(-1.0), constant(2.0),
@@ -501,6 +511,26 @@ def test_battery_contractions_match_the_evaluated_expansion(sites, monkeypatch):
     for h in built:
         _assert_contraction_bits(h, pts)
         _assert_contraction_bits(h.torsion, pts)
+    expr.clear_tables()
+
+
+def test_haantjes_stages_run_only_products_without_a_structural_zero(monkeypatch):
+    expr.clear_tables()
+    st = closed_toda(3)
+    built = []
+    monkeypatch.setattr(
+        verify_module, "haantjes_tensor", lambda n: built.append(haantjes_tensor(n)) or built[-1]
+    )
+    run_identity_battery(st, sample_plan(st.chart), 1e-8)
+    # the rank-one W (x) eta, then f I + g N and N
+    assert len(built) == 3 and built[2].n is st.n
+    dim = st.chart.dim
+    npairs = dim * (dim - 1) // 2
+    every = dim ** 3 * (dim - 1) + npairs * dim * (dim + 2) + npairs * dim * 2 * dim
+    products = [sum(stage.products for stage in h.stages) for h in built]
+    assert products == [haantjes_live_terms(h.n) for h in built]
+    # W (x) eta has no structural zero; f I + g N and N have many
+    assert products[0] == every and products[2] < products[1] < every
     expr.clear_tables()
 
 
@@ -560,7 +590,7 @@ def test_staged_torsion_matches_the_expression_where_constants_cancel(seed):
     pts[::4, 0] = 0.0
     pts[1::4, 1] = 0.0
     t = nijenhuis_torsion(Endomorphism(chart, rows))
-    assert t._folds
+    assert t.stages[-1]._folds
     _assert_contraction_bits(t, pts)
 
 
