@@ -16,7 +16,9 @@ from functools import lru_cache
 from itertools import combinations
 from math import copysign
 
-from .expr import Chart, Constant, Expr, ZERO, add, constant, derive, div, is_zero, mul, neg, sub
+from .expr import (
+    _DERIVED, Chart, Constant, Expr, ZERO, add, constant, derive, div, is_zero, mul, neg, sub,
+)
 from .fields import (
     Bivector,
     DegreeError,
@@ -290,28 +292,34 @@ class StagedTensor:
             got = done[id(self)] = self._contract(values, done)
         return got
 
-    def _schedule(self, inputs, n_const, stages, rows) -> None:
+    def _schedule(self, inputs, stages, rows) -> None:
         """Fixes the stages, given as (left, right) factor rows of each
         term over a numbering of the inputs, with constant column `inputs`,
-        the rows of 0.0, 1.0, -1.0 and -N, then each stage's sums.  rows
-        takes that numbering, up to -N, to the rows of the table contract
-        fills; a stage's sums follow, held in its schedule's order, and
-        one that has no terms reads the row of 0.0."""
+        N's entries first, the rows of 0.0, 1.0, -1.0 and -N, then each
+        stage's sums.  rows takes that numbering, up to -N, to the rows of
+        the table contract fills; a stage's sums follow, held in its
+        schedule's order, and one that has no terms reads the row of 0.0.
+        The tensors of a kind whose inputs have the same constants share
+        their stages, once per verdict."""
         import numpy as np
 
-        const = np.concatenate([inputs, (0.0, 1.0, -1.0), -n_const])
-        self.stages = []
-        for left, right in stages:
-            stage = _Schedule(rows[left], rows[right], const)
-            self.stages.append(stage)
-            held = np.full(len(stage.zero), len(inputs))
-            held[stage.order[:stage.active]] = len(const) + np.arange(stage.active)
-            rows = np.concatenate([rows, held])
-            const = np.concatenate([const, stage.constants[stage.order[:stage.active]]])
-        last = self.stages[-1]
-        self._nrows = len(const) - last.active
-        self._work = max(max(stage.work for stage in self.stages), last.active + last.work)
-        self.constants, self.zero = last.constants, last.zero
+        key = (type(self), self.chart.dim, inputs.tobytes(), rows.tobytes())
+        got = _DERIVED.get(key)
+        if got is None:
+            const = np.concatenate([inputs, (0.0, 1.0, -1.0), -inputs[:self.chart.dim ** 2]])
+            built = []
+            for left, right in stages:
+                stage = _Schedule(rows[left], rows[right], const)
+                built.append(stage)
+                held = np.full(len(stage.zero), len(inputs))
+                held[stage.order[:stage.active]] = len(const) + np.arange(stage.active)
+                rows = np.concatenate([rows, held])
+                const = np.concatenate([const, stage.constants[stage.order[:stage.active]]])
+            last = built[-1]
+            work = max(max(stage.work for stage in built), last.active + last.work)
+            got = _DERIVED[key] = built, len(const) - last.active, work
+        self.stages, self._nrows, self._work = got
+        self.constants, self.zero = self.stages[-1].constants, self.stages[-1].zero
 
     def _contract(self, values, done):
         """Fills the table from the roots' values and runs the stages on it,
@@ -330,8 +338,9 @@ class StagedTensor:
         npts, nsq = values.shape[1], self.chart.dim ** 2
         inputs = self._inputs(values, done)
         v = np.empty((self._nrows, npts))
-        # the stages' products and the last stage's sums: apart from v, as
-        # np.take copies twice into an array that overlaps its source
+        # The stages' products and the last stage's sums, apart from v:
+        # np.take copies through a buffer when its output overlaps its
+        # source, and always in its default mode, so run uses mode="clip".
         work = np.empty((self._work, npts))
         first = 0
         for block in inputs:
@@ -378,7 +387,7 @@ class TorsionTensor(StagedTensor):
         rows = np.full(len(nodes), nroots)
         rows[keep] = np.arange(nroots)
         rows = np.concatenate([rows, nroots + np.arange(3 + nsq)])
-        self._schedule(const[keep], const[:nsq], stages, rows)
+        self._schedule(const[keep], stages, rows)
 
     def expression(self) -> TorsionEvaluator:
         return torsion_expression(self.n)
@@ -436,10 +445,12 @@ class HaantjesTensor(StagedTensor):
 
         self.chart, self.n, self.torsion = n.chart, n, torsion
         self.pairs, self.roots = torsion.pairs, torsion.roots
-        n_const = np.array([e.value if type(e) is Constant else np.nan for row in n.matrix for e in row])
-        inputs = np.concatenate([n_const, torsion.constants])
-        rows = np.arange(len(inputs) + 3 + len(n_const))
-        self._schedule(inputs, n_const, _haantjes_layout(n.chart.dim), rows)
+        inputs = np.concatenate([
+            [e.value if type(e) is Constant else np.nan for row in n.matrix for e in row],
+            torsion.constants,
+        ])
+        rows = np.arange(len(inputs) + 3 + n.chart.dim ** 2)
+        self._schedule(inputs, _haantjes_layout(n.chart.dim), rows)
 
     def expression(self) -> TorsionEvaluator:
         return haantjes_expression(self.n)
