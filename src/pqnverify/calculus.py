@@ -343,9 +343,9 @@ class StagedTensor:
         # source, and always in its default mode, so run uses mode="clip".
         work = np.empty((self._work, npts))
         first = 0
-        for block in inputs:
-            v[first:first + len(block)] = block
-            first += len(block)
+        for part in inputs:
+            v[first:first + len(part)] = part
+            first += len(part)
         v[first:first + 3] = ((0.0,), (1.0,), (-1.0,))
         np.negative(values[:nsq], out=v[first + 3:first + 3 + nsq])
         first += 3 + nsq
