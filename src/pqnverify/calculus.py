@@ -25,6 +25,7 @@ from .fields import (
     Endomorphism,
     KForm,
     VectorField,
+    _nonzero,
     _require_same_chart,
     _sorted_with_sign,
     interior_endomorphism,
@@ -77,15 +78,28 @@ def poisson_bracket(p: Bivector, f: Expr, g: Expr) -> Expr:
     return acc
 
 
-def jacobiator(p: Bivector, f: Expr, g: Expr, h: Expr) -> Expr:
-    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}}; identically zero iff P is Poisson."""
-    return add(
-        add(
-            poisson_bracket(p, f, poisson_bracket(p, g, h)),
-            poisson_bracket(p, g, poisson_bracket(p, h, f)),
-        ),
-        poisson_bracket(p, h, poisson_bracket(p, f, g)),
-    )
+def jacobi_sides(p: Bivector) -> list[Expr]:
+    """{x_i,{x_j,x_k}} + {x_j,{x_k,x_i}} + {x_k,{x_i,x_j}} on each coordinate
+    triple i < j < k, all zero iff P is Poisson: the nested brackets' nodes.
+
+    {x_a, x_b} is built once where P^{ab} is stored, and is ZERO elsewhere;
+    {x_c, g} reads only P's entries with c as an index, and is ZERO for a
+    constant g.  Each term left out folds to a zero constant, which leaves
+    a sum begun at ZERO as it was."""
+    x, dim = p.chart.coords(), p.chart.dim
+    touching = [Bivector(p.chart, {ab: e for ab, e in p.components.items() if c in ab})
+                for c in range(dim)]
+    inner = {}
+    for a, b in p.components:
+        inner[a, b] = poisson_bracket(touching[a], x[a], x[b])
+        inner[b, a] = poisson_bracket(touching[b], x[b], x[a])
+
+    def outer(c: int, a: int, b: int) -> Expr:
+        g = inner.get((a, b), ZERO)
+        return ZERO if type(g) is Constant else poisson_bracket(touching[c], x[c], g)
+
+    return [add(add(outer(i, j, k), outer(j, k, i)), outer(k, i, j))
+            for i, j, k in combinations(range(dim), 3)]
 
 
 class TorsionEvaluator:
@@ -635,9 +649,11 @@ def concomitant(p: Bivector, n: Endomorphism) -> dict[tuple[int, int], KForm]:
                                          + N^j_m d_k P^{mi} - P^{im} d_m N^j_k
                                          + d_m P^{ij} N^m_k ),
 
-    built from the first derivatives of P and N in O(d^4) products, the
-    five terms added per m in that order, and no product with a
-    structural-zero factor built (_signed_add).
+    built from the first derivatives of P and N, the five terms added per
+    m in that order, and no product with a structural-zero factor built
+    (_signed_add).  Per (i, j, k) only the m where one of the five terms
+    has no structural-zero factor are visited, unless the sum starts at
+    the constant -0.0, which a skipped term may fold to ZERO.
     """
     chart = _require_same_chart(p, n)
     dim = chart.dim
@@ -648,12 +664,23 @@ def concomitant(p: Bivector, n: Endomorphism) -> dict[tuple[int, int], KForm]:
     entry = [[p.component(min(a, b), max(a, b)) for b in range(dim)] for a in range(dim)]
     dp = [[[derive(e, k) for e in row] for row in entry] for k in range(dim)]
     dn = _derivatives(n)
+    # where the terms' factors are not structural zeros, indexed by m
+    n_row = [_nonzero(row) for row in nm]
+    n_col = [_nonzero(col) for col in zip(*nm)]
+    p_row = [_nonzero(row) for row in entry]
+    dp_row = [[_nonzero(row) for row in plane] for plane in dp]
+    dn_at = [[_nonzero(dn[m][i][k] for m in range(dim)) for k in range(dim)] for i in range(dim)]
     out = {}
     for i, j in combinations(range(dim), 2):
+        dp_ij = _nonzero(dp[m][i][j] for m in range(dim))
         comps = {}
         for k in range(dim):
             acc = derive(pin.component(i, j), k)
-            for m in range(dim):
+            visit = range(dim) if _is_negative_zero(acc) else sorted(
+                n_row[i] & dp_row[k][j] | p_row[j] & dn_at[i][k] | n_row[j] & dp_row[k][i]
+                | p_row[i] & dn_at[j][k] | dp_ij & n_col[k]
+            )
+            for m in visit:
                 acc = _signed_add(acc, -sign[m][j], nm[i][m], dp[k][m][j])
                 acc = _signed_add(acc, sign[j][m], entry[j][m], dn[m][i][k])
                 acc = _signed_add(acc, sign[m][i], nm[j][m], dp[k][m][i])
@@ -673,13 +700,15 @@ def _signed_add(acc: Expr, sign: int, x: Expr, y: Expr) -> Expr:
     derivative of a negated constant), which it may fold to ZERO."""
     if sign == 0:
         return acc
-    if (is_zero(x) or is_zero(y)) and not (
-        type(acc) is Constant and acc.value == 0.0 and copysign(1.0, acc.value) < 0
-    ):
+    if (is_zero(x) or is_zero(y)) and not _is_negative_zero(acc):
         return acc
     if sign > 0:
         return add(acc, mul(x, y))
     return sub(acc, mul(x, y))
+
+
+def _is_negative_zero(e: Expr) -> bool:
+    return type(e) is Constant and e.value == 0.0 and copysign(1.0, e.value) < 0
 
 
 def invariant(n: Endomorphism, k: int) -> Expr:

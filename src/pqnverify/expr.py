@@ -543,6 +543,11 @@ def _children(e: Expr) -> tuple[Expr, ...]:
 
 def derive(e: Expr, i: int) -> Expr:
     """Exact partial derivative with respect to coordinate index i."""
+    got = _DERIVED.get((e, i))
+    if got is not None:
+        return got
+    if type(e) is Constant:
+        return ZERO
 
     def go(n: Expr) -> Expr:
         got = _DERIVED.get((n, i))

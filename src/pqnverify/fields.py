@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from .expr import (
@@ -273,6 +272,11 @@ def _verdict_key(a) -> tuple:
     return a.chart, a.matrix
 
 
+def _nonzero(values) -> set[int]:
+    """The positions of the values that are not structural zeros."""
+    return {m for m, e in enumerate(values) if not is_zero(e)}
+
+
 # Pairings and applications.
 
 def pairing(alpha: KForm, x: VectorField) -> Expr:
@@ -480,27 +484,31 @@ def interior_form_on_bivectorfield(eta: KForm, x: VectorField, y: VectorField) -
 
 
 def interior_endomorphism(n: Endomorphism, omega: KForm) -> KForm:
-    """Sum over slots of inserting N into one argument of omega.
+    """Sum over slots t of inserting N into one argument of omega:
+    sum over t and l of N^l_{key[t]} omega(key with l in slot t).
 
-    On 0-forms the sum is empty, so the result is zero.
+    Only terms with a stored component of omega and a nonzero N entry are
+    built, added in (t, l) order from ZERO; the sum is never the constant
+    -0.0, so a term left out, which folds to a zero constant, changes no
+    node.  On 0-forms the sum is empty, so the result is zero.
     """
     chart = _require_same_chart(n, omega)
-    k = omega.degree
-    if k == 0:
-        return zero_kform(chart, 0)
+    nz = [_nonzero(row) for row in n.matrix]
+    terms: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for stored in omega.components:
+        for l in stored:
+            rest = tuple(x for x in stored if x != l)
+            for m in nz[l].difference(rest):
+                key = tuple(sorted(rest + (m,)))
+                terms.setdefault(key, []).append((key.index(m), l))
     comps: dict[tuple[int, ...], Expr] = {}
-    for key in combinations(range(chart.dim), k):
+    for key, slots in terms.items():
         acc = ZERO
-        for t in range(k):
-            for l in range(chart.dim):
-                entry = n.matrix[l][key[t]]
-                if is_zero(entry):
-                    continue
-                idx = key[:t] + (l,) + key[t + 1:]
-                acc = add(acc, mul(entry, omega.component(*idx)))
-        if not is_zero(acc):
-            comps[key] = acc
-    return KForm(chart, k, comps)
+        for t, l in sorted(slots):
+            idx = key[:t] + (l,) + key[t + 1:]
+            acc = add(acc, mul(n.matrix[l][key[t]], omega.component(*idx)))
+        comps[key] = acc
+    return KForm(chart, omega.degree, comps)
 
 
 # Star against a volume form, and divergence.

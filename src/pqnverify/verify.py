@@ -97,7 +97,7 @@ from .calculus import (
     d_scalar,
     haantjes_tensor,
     invariant,
-    jacobiator,
+    jacobi_sides,
     nijenhuis_torsion,
     phi_sequence_term,
     torsion_expression,
@@ -584,11 +584,7 @@ def verify_poisson(
     """Jacobi identity on coordinate triples; on an oriented 3d chart also
     the integrability of the dual one-form and that the sharp map kills it."""
     chart = pi.chart
-    coords = chart.coords()
-    pairs = []
-    for i, j, k in combinations(range(chart.dim), 3):
-        pairs.append((jacobiator(pi, coords[i], coords[j], coords[k]), ZERO))
-    checks = [("poisson.jacobi", pairs, "")]
+    checks = [("poisson.jacobi", [(side, ZERO) for side in jacobi_sides(pi)], "")]
     if volume is not None and chart.dim == 3:
         xi = xi_form(pi, volume)
         checks.append(_identity("poisson.integrability", wedge(xi, d(xi))))

@@ -2,13 +2,16 @@
 the plan's base points as tuples, a torsion's value on general vector
 fields, staged torsion and Haantjes components evaluated at points, the
 count of the Haantjes stages' terms with no structural-zero factor, the
-torsion and concomitant loops as written before they skipped structural
-zeros, the Lie derivative, bracket of one-forms and Koszul-bracket
-concomitant that the closed-form concomitant replaced, the
+torsion, concomitant and interior-endomorphism loops as written before
+they skipped structural zeros, the count of the concomitant's visited
+terms, the nested jacobiator that the Jacobi sides must equal, the Lie
+derivative, bracket of one-forms and Koszul-bracket concomitant that the
+closed-form concomitant replaced, the
 node-at-a-time evaluator that the tape replaced, and the smart
 constructors as written before each tested its operands' type once."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -48,7 +51,7 @@ from pqnverify.expr import (
     mul,
     sub,
 )
-from pqnverify.calculus import d, d_scalar, pi_n, torsion_expression
+from pqnverify.calculus import d, d_scalar, pi_n, poisson_bracket, torsion_expression
 from pqnverify.fields import (
     Bivector,
     DegreeError,
@@ -250,6 +253,65 @@ def dense_concomitant(p: Bivector, n: Endomorphism) -> dict[tuple[int, int], KFo
                 comps[(k,)] = acc
             out[(i, j)] = KForm(n.chart, 1, comps)
     return out
+
+
+def dense_interior_endomorphism(n: Endomorphism, omega: KForm) -> KForm:
+    """fields.interior_endomorphism as its loop built it before it visited
+    only omega's stored components: every key of the degree, every slot
+    and every nonzero N entry."""
+    k = omega.degree
+    comps = {}
+    for key in combinations(range(n.chart.dim), k):
+        acc = ZERO
+        for t in range(k):
+            for l in range(n.chart.dim):
+                entry = n.matrix[l][key[t]]
+                if is_zero(entry):
+                    continue
+                idx = key[:t] + (l,) + key[t + 1:]
+                acc = add(acc, mul(entry, omega.component(*idx)))
+        if not is_zero(acc):
+            comps[key] = acc
+    return KForm(n.chart, k, comps)
+
+
+def jacobiator(p: Bivector, f: Expr, g: Expr, h: Expr) -> Expr:
+    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}} from six nested brackets over all
+    of P's entries: the reference for calculus.jacobi_sides."""
+    return add(
+        add(
+            poisson_bracket(p, f, poisson_bracket(p, g, h)),
+            poisson_bracket(p, g, poisson_bracket(p, h, f)),
+        ),
+        poisson_bracket(p, h, poisson_bracket(p, f, g)),
+    )
+
+
+def concomitant_visits(p: Bivector, n: Endomorphism) -> int:
+    """The _signed_add calls of calculus.concomitant, counted on the dense
+    loop: five for each (i, j, k) and m where one of the five terms has
+    no structural-zero factor, and for every m where the sum starts at the
+    constant -0.0."""
+    dim = n.chart.dim
+    nm = n.matrix
+    pin = pi_n(p, n)[0]
+    entry = [[p.component(min(a, b), max(a, b)) for b in range(dim)] for a in range(dim)]
+    dp = [[[derive(e, k) for e in row] for row in entry] for k in range(dim)]
+    dn = [[[derive(e, m) for e in row] for row in nm] for m in range(dim)]
+    visits = 0
+    for i, j in combinations(range(dim), 2):
+        for k in range(dim):
+            start = derive(pin.component(i, j), k)
+            negative_zero = isinstance(start, Constant) and start.value == 0.0
+            if negative_zero and math.copysign(1.0, start.value) < 0:
+                visits += dim
+                continue
+            for m in range(dim):
+                factors = ((nm[i][m], dp[k][m][j]), (entry[j][m], dn[m][i][k]),
+                           (nm[j][m], dp[k][m][i]), (entry[i][m], dn[m][j][k]),
+                           (dp[m][i][j], nm[m][k]))
+                visits += any(not (is_zero(x) or is_zero(y)) for x, y in factors)
+    return 5 * visits
 
 
 def lie_derivative(x: VectorField, omega):

@@ -1,11 +1,12 @@
 """Differential operators, torsions, brackets, and the trace invariants."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from pqnverify import calculus, expr
+from pqnverify import calculus, expr, fields
 from pqnverify import verify as verify_module
 from pqnverify.calculus import (
     concomitant,
@@ -14,7 +15,7 @@ from pqnverify.calculus import (
     d_scalar,
     haantjes_tensor,
     invariant,
-    jacobiator,
+    jacobi_sides,
     nijenhuis_torsion,
     phi_sequence_term,
     pi_n,
@@ -40,6 +41,7 @@ from pqnverify.expr import (
     div,
     evaluate,
     intpow,
+    is_zero,
     log,
     mul,
     neg,
@@ -61,6 +63,7 @@ from pqnverify.fields import (
     divergence,
     dual_apply,
     identity_endomorphism,
+    interior_endomorphism,
     interior_form_on_bivectorfield,
     pairing,
     power,
@@ -75,6 +78,7 @@ from pqnverify.fields import (
 from pqnverify.verify import (
     evaluate_batch,
     point_block,
+    random_polynomial,
     run_identity_battery,
     run_suites,
     sample_plan,
@@ -84,11 +88,14 @@ from pqnverify.verify import (
 from builders import (
     bits,
     bracket_p,
+    concomitant_visits,
     dense_compose,
     dense_concomitant,
+    dense_interior_endomorphism,
     dense_phi_sequence_term,
     dense_torsion_expression,
     haantjes_live_terms,
+    jacobiator,
     staged_values,
     koszul_concomitant,
     lie_derivative,
@@ -631,7 +638,96 @@ def test_symbolic_builders_return_the_nodes_of_their_dense_loops(dim):
         assert all(
             a is b for ra, rb in zip(compose(n, n).matrix, squared.matrix) for a, b in zip(ra, rb)
         )
+        for degree in range(1, dim):
+            omega = _awkward_form(chart, degree, 47 * dim + 5 * seed + degree)
+            got = interior_endomorphism(n, omega)
+            want = dense_interior_endomorphism(n, omega)
+            assert list(got.components) == list(want.components)
+            assert all(got.components[c] is want.components[c] for c in got.components)
+        x = chart.coords()
+        nested = [jacobiator(p, x[i], x[j], x[k]) for i, j, k in combinations(range(dim), 3)]
+        assert all(a is b for a, b in zip(jacobi_sides(p), nested, strict=True))
         expr.clear_tables()
+
+
+def _awkward_form(chart: Chart, degree: int, seed: int) -> KForm:
+    """A form of the degree whose keys hold a structural zero, -2, -x0 or
+    -(x0 x1), or a random polynomial, about half of them the last."""
+    gen = splitmix64(seed)
+    special = [ZERO, ZERO, constant(-2.0), *_negated(chart)]
+    comps = {}
+    for key in combinations(range(chart.dim), degree):
+        pick = next(gen) % (2 * len(special))
+        comps[key] = special[pick] if pick < len(special) else random_polynomial(chart, gen)
+    return KForm(chart, degree, comps)
+
+
+def _negative_zero_start() -> tuple[Bivector, Endomorphism]:
+    """A pair whose PN^{01} is -x0 / 2: d_k PN^{01}, the start of the
+    concomitant's sums on (0, 1, k), is the constant -0.0 for k > 0."""
+    chart = Chart(tuple(f"x{i}" for i in range(4)))
+    x0 = Coord(0)
+    p = Bivector(chart, {(0, 1): neg(x0), (1, 2): constant(-2.0), (2, 3): mul(x0, Coord(3))})
+    rows = [[ZERO] * 4 for _ in range(4)]
+    rows[0][0] = rows[1][1] = ONE
+    rows[2][3], rows[3][0] = neg(mul(x0, Coord(1))), constant(-1.0)
+    return p, Endomorphism(chart, tuple(map(tuple, rows)))
+
+
+def test_concomitant_sums_that_start_at_negative_zero_return_the_dense_nodes():
+    p, n = _negative_zero_start()
+    assert derive(pi_n(p, n)[0].component(0, 1), 1) is neg(ZERO)
+    closed, dense = concomitant(p, n), dense_concomitant(p, n)
+    for key, form in closed.items():
+        assert list(form.components) == list(dense[key].components)
+        assert all(form.components[c] is dense[key].components[c] for c in form.components)
+    expr.clear_tables()
+
+
+def test_sparse_builders_visit_terms_in_proportion_to_the_nonzeros(monkeypatch):
+    expr.clear_tables()
+    st = closed_toda(8)
+    dim = st.chart.dim
+    # i_N on dphi, which has no component, builds no product; on phi one
+    # per stored component, slot l and N^l_m with m not another index
+    products = []
+    monkeypatch.setattr(fields, "mul", lambda a, b: products.append(1) or expr.mul(a, b))
+    dphi = d(st.phi)
+    assert dphi.components == {}
+    interior_endomorphism(st.n, dphi)
+    assert products == []
+    interior_endomorphism(st.n, st.phi)
+    nz = [[m for m, e in enumerate(row) if not is_zero(e)] for row in st.n.matrix]
+    terms = sum(m == l or m not in key for key in st.phi.components for l in key for m in nz[l])
+    assert len(products) == terms > 0
+    # the Jacobi sides: {x_a, x_b} for each stored P^{ab} and P^{ba}, and
+    # {x_c, g} only for a g that is not constant: none, P being constant
+    calls = []
+    bracket = calculus.poisson_bracket
+    monkeypatch.setattr(calculus, "poisson_bracket", lambda *a: calls.append(a) or bracket(*a))
+    verify_module.verify_poisson(st.pi, sample_plan(st.chart), 1e-8)
+    assert len(calls) == 2 * len(st.pi.components) < math.comb(dim, 3)
+    chart = Chart(tuple(f"x{i}" for i in range(8)))
+    p = _awkward_bivector(chart, 8)
+    calls.clear()
+    jacobi_sides(p)
+    # one outer bracket per non-constant P^{ab} and third index c
+    varying = sum(not isinstance(e, expr.Constant) for e in p.components.values())
+    assert len(calls) == 2 * len(p.components) + (8 - 2) * varying < 6 * math.comb(8, 3)
+    # the concomitant: five terms for each (i, j, k, m) with a term free of
+    # structural zeros, and for every m after a -0.0 start
+    adds = []
+    signed_add = calculus._signed_add
+    monkeypatch.setattr(calculus, "_signed_add", lambda *a: adds.append(1) or signed_add(*a))
+    small = closed_toda(4)
+    concomitant(small.pi, small.n)
+    dense = 5 * 8**3 * (8 - 1) // 2  # five per (i < j, k, m) at d = 8
+    assert len(adds) == concomitant_visits(small.pi, small.n) < dense
+    for p, n in (_negative_zero_start(), (p, _awkward_endomorphism(chart, 8, _negated(chart)))):
+        adds.clear()
+        concomitant(p, n)
+        assert len(adds) == concomitant_visits(p, n)
+    expr.clear_tables()
 
 
 def test_a_zero_product_is_skipped_unless_the_sum_is_negative_zero():
