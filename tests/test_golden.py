@@ -1,15 +1,21 @@
-"""Golden reports: the SHA-256 digest and exit code of `verify` (all suites,
-default flags) and `table` for a fixed set of catalog entries, plus a few
-`verify` runs at non-default sampling flags.
+"""Golden reports: the SHA-256 digest, the exit code and each check's
+(name, status) in report order, of `verify` (all suites, default flags)
+and `table` for a fixed set of catalog entries, plus a few `verify` runs
+at non-default sampling flags.
 
 Report bytes are the fixed point of every refactor. A change that alters
 them on purpose says why and regenerates the digests with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/reports.json
+
+A change that moves only residual digits keeps every exit code and status
+list, so its regenerated file differs from the old one in `sha256` lines
+only.
 """
 
 import hashlib
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -70,7 +76,9 @@ def report_digest(workdir: Path, case: str) -> dict:
         assert main(["catalog", *ENTRIES[entry], "--out", str(structure)]) == 0
     out = workdir / f"{case}.json"
     code = main([command, str(structure), *flags, "--out", str(out)])
-    return {"sha256": hashlib.sha256(out.read_bytes()).hexdigest(), "exit": code}
+    report = out.read_bytes()
+    checks = [[c["name"], c["status"]] for c in json.loads(report)["checks"]]
+    return {"sha256": hashlib.sha256(report).hexdigest(), "exit": code, "checks": checks}
 
 
 @pytest.fixture(scope="module")
@@ -89,10 +97,17 @@ def test_golden_file_lists_every_case(golden):
 
 @pytest.mark.parametrize("case", CASES)
 def test_report_matches_golden(golden, workdir, case):
-    assert report_digest(workdir, case) == golden[case]
+    got, want = report_digest(workdir, case), golden[case]
+    # verdicts first, so that a moved status is told apart from moved digits
+    assert got["exit"] == want["exit"]
+    assert got["checks"] == want["checks"]
+    assert got["sha256"] == want["sha256"]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = {case: report_digest(Path(tmp), case) for case in CASES}
-    sys.stdout.write(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(digests, indent=2, sort_keys=True)
+    # one [name, status] pair per line
+    text = re.sub(r'\[\s+("[^"]*"),\s+("[^"]*")\s+\]', r"[\1, \2]", text)
+    sys.stdout.write(text + "\n")
