@@ -33,7 +33,6 @@ from .fields import (
     power,
     scalar_form,
     sub_kforms,
-    trace,
     zero_vector,
 )
 
@@ -614,13 +613,18 @@ def pi_n(p: Bivector, n: Endomorphism) -> tuple[Bivector, list[Expr]]:
     """
     chart = _require_same_chart(p, n)
     dim = chart.dim
+    nm = n.matrix
     pm = [[p.component(i, j) for j in range(dim)] for i in range(dim)]
+    stored = [sorted(_nonzero(row)) for row in pm]
     a = [[ZERO] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
+            # a[i][j] = sum_m P^{im} N^j_m; add gives acc back for a zero
+            # product: acc starts at ZERO and is never the constant -0.0
             acc = ZERO
-            for m in range(dim):
-                acc = add(acc, mul(pm[i][m], n.matrix[j][m]))
+            for m in stored[i]:
+                if not is_zero(nm[j][m]):
+                    acc = add(acc, mul(pm[i][m], nm[j][m]))
             a[i][j] = acc
     comps = {}
     defects = []
@@ -711,11 +715,31 @@ def _is_negative_zero(e: Expr) -> bool:
     return type(e) is Constant and e.value == 0.0 and copysign(1.0, e.value) < 0
 
 
-def invariant(n: Endomorphism, k: int) -> Expr:
-    """The k-th trace invariant Tr(N^k) / (2k)."""
+@per_verdict
+def d_invariant(n: Endomorphism, k: int) -> KForm:
+    """dI_k for the k-th trace invariant I_k = Tr(N^k) / (2k), as a one-form.
+
+    By cyclicity of the trace d Tr(N^k) = k Tr(N^{k-1} dN), so
+
+        (dI_k)_m = sum_{i,j} (N^{k-1})^j_i d_m N^i_j / 2,
+
+    summed from ZERO in (i, j) order over the pairs where neither factor
+    is a structural zero.  It reads power(n, k - 1) and N's first
+    derivatives, which the torsion and the concomitant share, and
+    differentiates nothing built from N^k.
+    """
     if k < 1:
         raise ValueError("invariant index must be at least 1")
-    return div(trace(power(n, k)), constant(2.0 * k))
+    a = power(n, k - 1).matrix
+    comps = {}
+    for m, plane in enumerate(_derivatives(n)):
+        acc = ZERO
+        for i, row in enumerate(plane):
+            for j, e in enumerate(row):
+                if not (is_zero(e) or is_zero(a[j][i])):
+                    acc = add(acc, mul(a[j][i], e))
+        comps[(m,)] = div(acc, constant(2.0))
+    return KForm(n.chart, 1, comps)
 
 
 def phi_sequence_term(n: Endomorphism, s: int) -> KForm:

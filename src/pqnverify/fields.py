@@ -249,8 +249,8 @@ def scale_endomorphism(f: Expr, a: Endomorphism) -> Endomorphism:
 def per_verdict(builder):
     """Run a builder once per verdict for each argument list.
 
-    Keyed on each argument's chart and matrix, or for a KForm its degree
-    and components; the entries are hash-consed, so a rebuild would give
+    Keyed on each argument's chart and matrix, for a KForm its degree and
+    components, and for an int the int itself; the entries are hash-consed, so a rebuild would give
     the same nodes.  Kept in expr._DERIVED until clear_tables; built
     through __wrapped__, where a test may count builds.
     """
@@ -266,7 +266,9 @@ def per_verdict(builder):
     return memo
 
 
-def _verdict_key(a) -> tuple:
+def _verdict_key(a):
+    if type(a) is int:
+        return a
     if isinstance(a, KForm):
         return a.chart, a.degree, tuple(a.components.items())
     return a.chart, a.matrix

@@ -94,9 +94,9 @@ from .calculus import (
     concomitant,
     d,
     d_n,
+    d_invariant,
     d_scalar,
     haantjes_tensor,
-    invariant,
     jacobi_sides,
     nijenhuis_torsion,
     phi_sequence_term,
@@ -920,8 +920,7 @@ def verify_recursion_involutivity(
     """
     if kmax < 2:
         raise ValueError("kmax must be at least 2")
-    chart = pi.chart
-    dinv = {k: d_scalar(chart, invariant(n, k)) for k in range(1, kmax + 1)}
+    dinv = {k: d_invariant(n, k) for k in range(1, kmax + 1)}
     phis = {s: phi_sequence_term(n, s) for s in range(kmax)}
     sharps = {k: sharp(pi, dinv[k]) for k in dinv}
     checks = []
@@ -964,15 +963,14 @@ def verify_theo_inv(
     3-form factors through it against the differential of the first trace
     invariant, and it pairs to zero on the deficiency fields of the
     recursion."""
-    chart = pi.chart
     if omega.degree != 2:
         raise ValueError("expected a 2-form")
     if pmax < 1:
         raise ValueError("pmax must be at least 1")
-    di1 = d_scalar(chart, invariant(n, 1))
+    di1 = d_invariant(n, 1)
     lhs = add_kforms(phi, scale_kform(constant(2.0), wedge(di1, omega)))
     checks = [_identity("theoinv.factorization", lhs)]
-    xs = {k: sharp(pi, d_scalar(chart, invariant(n, k))) for k in range(1, pmax + 1)}
+    xs = {k: sharp(pi, d_invariant(n, k)) for k in range(1, pmax + 1)}
     # the deficiency fields y_k = N^{k-1} X_1 - X_k
     ys = {
         k: sub_vectors(apply_endomorphism(power(n, k - 1), xs[1]), xs[k])

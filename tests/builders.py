@@ -2,9 +2,10 @@
 the plan's base points as tuples, a torsion's value on general vector
 fields, staged torsion and Haantjes components evaluated at points, the
 count of the Haantjes stages' terms with no structural-zero factor, the
-torsion, concomitant and interior-endomorphism loops as written before
-they skipped structural zeros, the count of the concomitant's visited
-terms, the nested jacobiator that the Jacobi sides must equal, the Lie
+torsion, concomitant, pi_n and interior-endomorphism loops as written
+before they skipped structural zeros, the expanded trace invariant whose
+differential d_invariant builds without it, the count of the
+concomitant's visited terms, the nested jacobiator that the Jacobi sides must equal, the Lie
 derivative, bracket of one-forms and Koszul-bracket concomitant that the
 closed-form concomitant replaced, the
 node-at-a-time evaluator that the tape replaced, and the smart
@@ -67,6 +68,7 @@ from pqnverify.fields import (
     power,
     sharp,
     sub_kforms,
+    trace,
     volume_kform,
 )
 from pqnverify.verify import point_block, random_polynomial
@@ -220,6 +222,38 @@ def dense_phi_sequence_term(n: Endomorphism, s: int) -> KForm:
         if not is_zero(val):
             comps[(j,)] = val
     return KForm(n.chart, 1, comps)
+
+
+def dense_pi_n(p: Bivector, n: Endomorphism) -> tuple[Bivector, list[Expr]]:
+    """calculus.pi_n as its loop built it before it visited only P's
+    stored entries: a[i][j] summed over every m."""
+    dim = n.chart.dim
+    pm = [[p.component(i, j) for j in range(dim)] for i in range(dim)]
+    a = [[ZERO] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            acc = ZERO
+            for m in range(dim):
+                acc = add(acc, mul(pm[i][m], n.matrix[j][m]))
+            a[i][j] = acc
+    comps = {}
+    defects = []
+    for i in range(dim):
+        defects.append(mul(constant(2.0), a[i][i]))
+        for j in range(i + 1, dim):
+            skew = div(sub(a[i][j], a[j][i]), constant(2.0))
+            if not is_zero(skew):
+                comps[(i, j)] = skew
+            defects.append(add(a[i][j], a[j][i]))
+    return Bivector(n.chart, comps), defects
+
+
+def invariant(n: Endomorphism, k: int) -> Expr:
+    """The k-th trace invariant Tr(N^k) / (2k), expanded: the reference
+    whose differential calculus.d_invariant builds without it."""
+    if k < 1:
+        raise ValueError("invariant index must be at least 1")
+    return div(trace(power(n, k)), constant(2.0 * k))
 
 
 def dense_concomitant(p: Bivector, n: Endomorphism) -> dict[tuple[int, int], KForm]:

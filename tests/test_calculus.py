@@ -13,8 +13,8 @@ from pqnverify.calculus import (
     d,
     d_n,
     d_scalar,
+    d_invariant,
     haantjes_tensor,
-    invariant,
     jacobi_sides,
     nijenhuis_torsion,
     phi_sequence_term,
@@ -93,8 +93,10 @@ from builders import (
     dense_concomitant,
     dense_interior_endomorphism,
     dense_phi_sequence_term,
+    dense_pi_n,
     dense_torsion_expression,
     haantjes_live_terms,
+    invariant,
     jacobiator,
     staged_values,
     koszul_concomitant,
@@ -630,6 +632,13 @@ def test_symbolic_builders_return_the_nodes_of_their_dense_loops(dim):
         for key, form in closed.items():
             assert list(form.components) == list(dense[key].components)
             assert all(form.components[c] is dense[key].components[c] for c in form.components)
+        # -0.0 entries of N times P's constants make the dense loop's zero
+        # products constants of either sign
+        for q in (n, _with_negative_zeros(n)):
+            (got, got_defects), (want, want_defects) = pi_n(p, q), dense_pi_n(p, q)
+            assert list(got.components) == list(want.components)
+            assert all(got.components[c] is want.components[c] for c in got.components)
+            assert all(a is b for a, b in zip(got_defects, want_defects, strict=True))
         for s in range(3):
             got, want = phi_sequence_term(n, s), dense_phi_sequence_term(n, s)
             assert list(got.components) == list(want.components)
@@ -648,6 +657,14 @@ def test_symbolic_builders_return_the_nodes_of_their_dense_loops(dim):
         nested = [jacobiator(p, x[i], x[j], x[k]) for i, j, k in combinations(range(dim), 3)]
         assert all(a is b for a, b in zip(jacobi_sides(p), nested, strict=True))
         expr.clear_tables()
+
+
+def _with_negative_zeros(n: Endomorphism) -> Endomorphism:
+    """N with its first row's last entry and its last row's first entry
+    replaced by the constant -0.0."""
+    rows = [list(row) for row in n.matrix]
+    rows[0][-1] = rows[-1][0] = neg(ZERO)
+    return Endomorphism(n.chart, tuple(map(tuple, rows)))
 
 
 def _awkward_form(chart: Chart, degree: int, seed: int) -> KForm:
@@ -829,6 +846,79 @@ def test_closed_form_concomitant_matches_the_bracket_form(dim):
     assert (np.abs(w).reshape(len(closed), -1).max(axis=1) > 1e-6).all()
     scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(w)))
     assert (np.abs(g - w) / scale).max() <= 1e-12
+
+
+def _catalog_endomorphisms(dim: int) -> list[Endomorphism]:
+    if dim == 3:
+        recipe = RecipeInput(lam=div(Z, constant(2.0)), a=div(X, constant(2.0)), g=Z)
+        return [magri_veselov().n, r3_recipe(recipe).n]
+    if dim >= 4 and dim % 2 == 0:
+        return [das_okubo(dim // 2).n, closed_toda(dim // 2).n]
+    return []
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_d_invariant_matches_the_differential_of_the_expanded_trace(dim):
+    # dI_k = Tr(N^{k-1} dN) / 2 against d(Tr(N^k) / (2k)) derived through N^k
+    chart = Chart(tuple(f"x{i}" for i in range(dim)))
+    ns = [
+        _with_negative_zeros(_awkward_endomorphism(chart, 53 * dim + seed, _negated(chart)))
+        for seed in (6, 7)  # at d = 2 the first three seeds give constant traces
+    ] + _catalog_endomorphisms(dim)
+    for n in ns:
+        got, want = [], []
+        for k in range(1, 6):
+            mine, ref = d_invariant(n, k), d_scalar(n.chart, invariant(n, k))
+            got += [mine.component(m) for m in range(dim)]
+            want += [ref.component(m) for m in range(dim)]
+        pts = point_block(sample_plan(n.chart, seed=dim, count=32), 0, 32)
+        g, w = evaluate_batch(got, pts), evaluate_batch(want, pts)
+        assert np.isfinite(w).all()
+        assert np.abs(w).max() > 1e-6
+        scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(w)))
+        assert (np.abs(g - w) / scale).max() <= 1e-12
+    expr.clear_tables()
+
+
+def test_d_invariant_multiplies_only_pairs_free_of_structural_zeros(monkeypatch):
+    # one mul per (i, j, m) with (N^{k-1})^j_i and d_m N^i_j both nonzero,
+    # counted in calculus and in expr, where derive builds its products
+    expr.clear_tables()
+    n = closed_toda(8).n
+    dim = n.chart.dim
+    dn = calculus._derivatives(n)
+    powers = {k: power(n, k - 1).matrix for k in range(1, 6)}
+    products = []
+    for module in (calculus, expr):
+        monkeypatch.setattr(module, "mul", lambda a, b, m=module.mul: products.append(1) or m(a, b))
+    for k, a in powers.items():
+        products.clear()
+        d_invariant(n, k)
+        live = sum(
+            not (is_zero(a[j][i]) or is_zero(dn[m][i][j]))
+            for m in range(dim) for i in range(dim) for j in range(dim)
+        )
+        assert len(products) == live > 0
+    expr.clear_tables()
+
+
+def test_recursion_and_theoinv_build_each_d_invariant_once_per_verdict(monkeypatch):
+    st = closed_toda(2)
+    builds = []
+    build = calculus.d_invariant.__wrapped__
+    monkeypatch.setattr(
+        calculus.d_invariant, "__wrapped__", lambda n, k: builds.append(k) or build(n, k)
+    )
+    expr.clear_tables()
+    for verdict in (1, 2):
+        reports = run_suites(st, sample_plan(st.chart), 1e-8, suites=("recursion", "theoinv"))
+        assert {r.name.split(".")[0] for r in reports} == {"recursion", "involutivity", "theoinv"}
+        assert builds == [1, 2, 3, 4, 5] * verdict
+    # an int argument is keyed as itself
+    n = closed_toda(2).n
+    assert d_invariant(n, 2) is d_invariant(power(n, 1), 2)
+    assert builds[-1] == 2 and d_invariant(n, 3) is not d_invariant(n, 2)
+    expr.clear_tables()
 
 
 def test_trace_invariants():

@@ -72,7 +72,7 @@ def test_lattice_needs_two_sites():
 
 
 def test_first_invariant_is_the_total_momentum():
-    from pqnverify.calculus import invariant
+    from builders import invariant
 
     do = das_okubo(2)
     assert evaluate(invariant(do.n, 1), (1.0, 2.0, 0.0, 0.0)) == 3.0
