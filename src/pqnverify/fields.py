@@ -250,9 +250,10 @@ def per_verdict(builder):
     """Run a builder once per verdict for each argument list.
 
     Keyed on each argument's chart and matrix, for a KForm its degree and
-    components, and for an int the int itself; the entries are hash-consed, so a rebuild would give
-    the same nodes.  Kept in expr._DERIVED until clear_tables; built
-    through __wrapped__, where a test may count builds.
+    components, and for an int the int itself; the entries are
+    hash-consed, so a rebuild would give the same nodes.  Kept in
+    expr._DERIVED until clear_tables; built through __wrapped__, where a
+    test may count builds.
     """
 
     @functools.wraps(builder)
