@@ -5,9 +5,9 @@ count of the Haantjes stages' terms with no structural-zero factor, the
 torsion, concomitant, pi_n and interior-endomorphism loops as written
 before they skipped structural zeros, the expanded trace invariant whose
 differential d_invariant builds without it, the count of the
-concomitant's visited terms, the nested jacobiator that the Jacobi sides must equal, the Lie
-derivative, bracket of one-forms and Koszul-bracket concomitant that the
-closed-form concomitant replaced, the
+concomitant's visited terms, the nested jacobiator that the Jacobi sides
+must equal, the Lie derivative, bracket of one-forms and Koszul-bracket
+concomitant that the closed-form concomitant replaced, the
 node-at-a-time evaluator that the tape replaced, and the smart
 constructors as written before each tested its operands' type once."""
 
