@@ -5,10 +5,11 @@ Everything here is exact symbolic manipulation of expression trees, but
 for the torsion and Haantjes tensors that checks compare: their roots are
 N's entries and its first derivatives that are not structural zeros, and
 their components are contracted in numpy from the evaluated roots, on a
-schedule of the symbolic builder's products less those with a
-structural-zero factor, bit for bit equal to evaluating the builder's
-expressions (torsion_expression, haantjes_expression).  Numerical sampling
-lives in the verify module.
+staged schedule of sums of products less those with a structural-zero
+factor.  Their symbolic form is that schedule's expansion, the same sums
+run over expression nodes (StagedTensor.expression), so the contraction
+equals the evaluated expansion bit for bit.  Numerical sampling lives in
+the verify module.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from itertools import combinations
 from math import copysign
 
 from .expr import (
-    _DERIVED, Chart, Constant, Expr, ZERO, add, constant, derive, div, is_zero, mul, neg, sub,
+    _DERIVED, Chart, Constant, Expr, ONE, ZERO, add, constant, derive, div, is_zero, mul, neg, sub,
 )
 from .fields import (
     Bivector,
@@ -142,47 +143,13 @@ def nijenhuis_torsion(n: Endomorphism) -> "TorsionTensor":
     T is algebraic in N and its first derivatives: only N's d^2 entries
     and the derivatives d_m N^i_j that are not structural zeros are
     expression nodes.  verify evaluates them with a batch's other roots
-    and contracts T from their values in numpy (TorsionTensor.contract),
-    bit for bit equal to the evaluated torsion_expression.  A check side
-    that is a component of T reads it staged; consumers that build on T
-    algebraically call torsion_expression.
+    and contracts T from their values in numpy (TorsionTensor.contract).
+    Its symbolic form is its schedule's expansion (expression()), which
+    the consumers that build on T algebraically read: phi_sequence_term
+    and the pairings with theta of the haantjes and chain suites.  The
+    contraction equals the evaluated expansion bit for bit.
     """
     return TorsionTensor(n)
-
-
-@per_verdict
-def torsion_expression(n: Endomorphism) -> TorsionEvaluator:
-    """T as expressions, in O(d^4) symbolic products: on each pair j < k
-
-        T^i_{jk} = sum_m ( N^m_j d_m N^i_k - N^m_k d_m N^i_j
-                           + N^i_m (d_k N^m_j - d_j N^m_k) ),
-
-    the three terms added per m in that order, the bracket built once per
-    (m, j, k) and shared over i, and no product with a structural-zero
-    factor built (_signed_add).
-
-    Verdicts contract T numerically; this serves the consumers that build
-    on T: phi_sequence_term, the pairings with theta of the haantjes and
-    chain suites, haantjes_expression, and callers that walk a check's
-    nodes, such as a replacement of verify.run_pairs.
-    """
-    chart = n.chart
-    dim = chart.dim
-    nm = n.matrix
-    dn = _derivatives(n)
-    pairs = {}
-    for j, k in combinations(range(dim), 2):
-        bracket = [sub(dn[k][m][j], dn[j][m][k]) for m in range(dim)]
-        comps = []
-        for i in range(dim):
-            acc = ZERO
-            for m in range(dim):
-                acc = _signed_add(acc, 1, nm[m][j], dn[m][i][k])
-                acc = _signed_add(acc, -1, nm[m][k], dn[m][i][j])
-                acc = _signed_add(acc, 1, nm[i][m], bracket[m])
-            comps.append(acc)
-        pairs[(j, k)] = VectorField(chart, tuple(comps))
-    return TorsionEvaluator(chart, pairs)
 
 
 @per_verdict
@@ -192,75 +159,21 @@ def haantjes_tensor(n: Endomorphism) -> "HaantjesTensor":
     H is algebraic in N and its torsion T: no derivative is taken after T.
     So its roots are the staged torsion's, N's entries and its nonzero
     first derivatives, and HaantjesTensor.contract runs T's contraction
-    and then haantjes_expression's stages in numpy, vectorised over the
-    points, on the torsion's kind of schedule: each sum in the builder's
-    order, less every product with a structural-zero factor, so at most
-    O(d^4) products per point and fewer the sparser N is.  It equals the
-    evaluated expansion bit for bit.  The expansion stays for callers that
-    walk a check's nodes: a replacement of verify.run_pairs, such as
-    perfbench/exact.py, gets it.
+    and then H's stages in numpy, vectorised over the points, on the
+    torsion's kind of schedule: each sum in a fixed order, less every
+    product with a structural-zero factor, so at most O(d^4) products per
+    point and fewer the sparser N is.  Its symbolic form is the same
+    schedule's expansion (expression()), which the contraction equals bit
+    for bit; callers that walk a check's nodes, such as a replacement of
+    verify.run_pairs (perfbench/exact.py), get it.
     """
     return HaantjesTensor(n, nijenhuis_torsion(n))
 
 
-@per_verdict
-def haantjes_expression(n: Endomorphism) -> TorsionEvaluator:
-    """H as expressions, in O(d^4) symbolic products.
-
-    Two-stage contraction: first A^i_{mk} = sum_l T^i_{ml} N^l_k, once for
-    all (i, m, k).  On a coordinate pair (j, k) the identities
-    T(X,NY)^m = A^m_{jk} and T(NX,Y)^m = -A^m_{kj} then give
-        H^i_{jk} = sum_m N^m_j A^i_{mk}
-                   - sum_m N^i_m (A^m_{jk} - A^m_{kj} - sum_p N^m_p T^p_{jk}),
-    where the bracket is built once per (m, j, k) and shared over i.
-
-    Verdicts contract H numerically; this expansion serves callers that
-    walk a check's nodes, such as a replacement of verify.run_pairs.
-    """
-    chart = n.chart
-    dim = chart.dim
-    t = torsion_expression(n)
-    nm = n.matrix
-    # A^i_{mk}, read from the stored pairs l > m and, with the sign, l < m.
-    a = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for m in range(dim):
-            row = a[i][m]
-            for k in range(dim):
-                acc = ZERO
-                for l in range(dim):
-                    if l == m:
-                        continue
-                    if l > m:
-                        acc = add(acc, mul(t.component(i, m, l), nm[l][k]))
-                    else:
-                        acc = sub(acc, mul(t.component(i, l, m), nm[l][k]))
-                row[k] = acc
-    pairs = {}
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            tjk = t.pair(j, k).components
-            inner = []
-            for m in range(dim):
-                acc = sub(a[m][j][k], a[m][k][j])
-                for p in range(dim):
-                    acc = sub(acc, mul(nm[m][p], tjk[p]))
-                inner.append(acc)
-            comps = []
-            for i in range(dim):
-                acc = ZERO
-                for m in range(dim):
-                    acc = add(acc, mul(nm[m][j], a[i][m][k]))
-                for m in range(dim):
-                    acc = sub(acc, mul(nm[i][m], inner[m]))
-                comps.append(acc)
-            pairs[(j, k)] = VectorField(chart, tuple(comps))
-    return TorsionEvaluator(chart, pairs)
-
-
 class StagedEntry:
     """Component `row` of a staged tensor, times `scale` unless that is
-    None: a check's side, filled in after evaluation."""
+    None: a check's side, filled in after evaluation, or expanded to the
+    component of its tensor's expression()."""
 
     __slots__ = ("tensor", "row", "scale")
 
@@ -270,8 +183,7 @@ class StagedEntry:
         self.scale = scale
 
     def expand(self) -> Expr:
-        """The entry as an expression, as its tensor's symbolic builder
-        makes it."""
+        """The entry as an expression, from its tensor's expansion."""
         dim = self.tensor.chart.dim
         j, k = self.tensor.pairs[self.row // dim]
         got = self.tensor.expression().pair(j, k).components[self.row % dim]
@@ -283,6 +195,8 @@ class StagedTensor:
     contracted in numpy from the evaluated values of its roots.
     Components are numbered pair by pair, the i-th component on the q-th
     pair (j, k) at row q*d + i."""
+
+    _expression: TorsionEvaluator | None = None
 
     def pair(self, j: int, k: int, scale: Expr | None = None) -> tuple[StagedEntry, ...]:
         """The components on the pair j < k, each times scale if given."""
@@ -304,6 +218,35 @@ class StagedTensor:
         if got is None:
             got = done[id(self)] = self._contract(values, done)
         return got
+
+    def expression(self) -> TorsionEvaluator:
+        """The tensor as expressions: the schedule's expansion, kept on the
+        tensor."""
+        if self._expression is None:
+            dim, comps = self.chart.dim, self._expand()
+            self._expression = TorsionEvaluator(self.chart, {
+                jk: VectorField(self.chart, tuple(comps[q * dim:q * dim + dim]))
+                for q, jk in enumerate(self.pairs)
+            })
+        return self._expression
+
+    def _expand(self) -> list[Expr]:
+        """The components, in their numbering, from the stages run over a
+        table of (node, sign) rows laid out as contract lays out its
+        values: the inputs' nodes, ZERO, ONE, ONE negated, N's entries
+        negated, then each stage's sums (_Schedule.expand)."""
+        entries = [e for row in self.n.matrix for e in row]
+        nodes = [*self._input_nodes(), ZERO, ONE, ONE, *entries]
+        signs = [1] * (len(nodes) - len(entries) - 1) + [-1] * (len(entries) + 1)
+        for stage in self.stages[:-1]:
+            sums = stage.expand(nodes, signs)
+            nodes += sums
+            signs += [1] * len(sums)
+        last = self.stages[-1]
+        comps = [ZERO] * len(last.zero)
+        for c, e in zip(last.order.tolist(), last.expand(nodes, signs)):
+            comps[c] = e
+        return comps
 
     def _schedule(self, inputs, stages, rows) -> None:
         """Fixes the stages, given as (left, right) factor rows of each
@@ -336,9 +279,9 @@ class StagedTensor:
 
     def _contract(self, values, done):
         """Fills the table from the roots' values and runs the stages on it,
-        each sum in its builder's order.  IEEE arithmetic then gives the
-        evaluated expansion bit for bit, given the smart constructors'
-        rules:
+        each sum in its layout's term order.  IEEE arithmetic then gives the
+        evaluated expansion (expression()) bit for bit, given the smart
+        constructors' rules:
         - a product with a structural-zero factor is left out;
         - each sum starts at -0.0, so that its first term is the sum;
         - a subtracted product is added with -N or -1.0 as its factor, so
@@ -380,7 +323,11 @@ class TorsionTensor(StagedTensor):
     that are not structural zeros, in the order (m, i, j).  Its table's
     inputs are the roots, and a derivative that is a structural zero reads
     the row of 0.0.  Its stages are the brackets d_k N^m_j - d_j N^m_k,
-    then torsion_expression's terms for each component.
+    then for each component T^i_{jk} on a pair j < k the sum over m of
+
+        N^m_j d_m N^i_k - N^m_k d_m N^i_j + N^i_m (d_k N^m_j - d_j N^m_k),
+
+    the three terms per m in that order.
     """
 
     def __init__(self, n: Endomorphism):
@@ -402,11 +349,11 @@ class TorsionTensor(StagedTensor):
         rows = np.concatenate([rows, nroots + np.arange(3 + nsq)])
         self._schedule(const[keep], stages, rows)
 
-    def expression(self) -> TorsionEvaluator:
-        return torsion_expression(self.n)
-
     def _inputs(self, values, done) -> list:
         return [values]
+
+    def _input_nodes(self) -> list[Expr]:
+        return self.roots
 
 
 @lru_cache(maxsize=None)
@@ -449,8 +396,10 @@ class HaantjesTensor(StagedTensor):
 
     Its roots are its torsion's.  Its table's inputs are N's entries, row
     by row, then the contracted torsion's components.  Its stages are
-    haantjes_expression's: A^i_{mk}, the sums
-    inner^m_{jk} = A^m_{jk} - A^m_{kj} - sum_p N^m_p T^p_{jk}, then H.
+    A^i_{mk} = sum_l T^i_{ml} N^l_k, once for all (i, m, k); then, on each
+    pair j < k, with T(X,NY)^m = A^m_{jk} and T(NX,Y)^m = -A^m_{kj}, the
+    sums inner^m_{jk} = A^m_{jk} - A^m_{kj} - sum_p N^m_p T^p_{jk}; then
+    H^i_{jk} = sum_m N^m_j A^i_{mk} - sum_m N^i_m inner^m_{jk}.
     """
 
     def __init__(self, n: Endomorphism, torsion: TorsionTensor):
@@ -465,11 +414,13 @@ class HaantjesTensor(StagedTensor):
         rows = np.arange(len(inputs) + 3 + n.chart.dim ** 2)
         self._schedule(inputs, _haantjes_layout(n.chart.dim), rows)
 
-    def expression(self) -> TorsionEvaluator:
-        return haantjes_expression(self.n)
-
     def _inputs(self, values, done) -> list:
         return [values[:self.chart.dim ** 2], self.torsion.contract(values, done)[0]]
+
+    def _input_nodes(self) -> list[Expr]:
+        t = self.torsion.expression()
+        return [*(e for row in self.n.matrix for e in row),
+                *(c for jk in self.pairs for c in t.pair(*jk).components)]
 
 
 @lru_cache(maxsize=None)
@@ -521,7 +472,8 @@ def _haantjes_layout(dim: int) -> tuple:
 
 class _Schedule:
     """One stage of a staged tensor: for each component, a sum of products
-    of two rows of a table of values, run in its builder's order.
+    of two rows of a table of values, in its layout's term order: run
+    over the table's values in numpy, or expanded over its nodes.
 
     The schedule is fixed when it is built, from the table's constant
     column (each row's value if it is a constant, nan if not), run once
@@ -582,6 +534,23 @@ class _Schedule:
         comp, term = np.nonzero(live & (sums[self.order] == 0.0))
         for c, s in zip(comp.tolist(), step[comp, term].tolist()):
             self._folds.setdefault(s, []).append(c)
+
+    def expand(self, nodes, signs) -> list[Expr]:
+        """The first `active` sums in `order` as expressions, from the
+        table's nodes and the signs of their rows: each term of run, in
+        run's order, added to its sum as add(acc, mul(x, y)), or taken
+        away with sub where one factor's row is negated.  A sum starts at
+        ZERO, and add and sub fold a sum of constants that cancels to ZERO
+        where run holds -0.0."""
+        acc = [ZERO] * self.active
+        for a, b, widths in self._blocks:
+            terms = zip(a.tolist(), b.tolist())
+            for width in widths:
+                for c in range(width):
+                    x, y = next(terms)
+                    term = mul(nodes[x], nodes[y])
+                    acc[c] = add(acc[c], term) if signs[x] == signs[y] else sub(acc[c], term)
+        return acc
 
     def run(self, v, acc, work) -> None:
         """The sums into acc, one row for each of the first `active` in
@@ -751,7 +720,7 @@ def phi_sequence_term(n: Endomorphism, s: int) -> KForm:
         raise ValueError("sequence index must be non-negative")
     chart = n.chart
     dim = chart.dim
-    t = torsion_expression(n)
+    t = nijenhuis_torsion(n).expression()
     ns = power(n, s).matrix
     comps = {}
     for j in range(dim):

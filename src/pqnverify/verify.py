@@ -100,7 +100,6 @@ from .calculus import (
     jacobi_sides,
     nijenhuis_torsion,
     phi_sequence_term,
-    torsion_expression,
 )
 
 _MASK = (1 << 64) - 1
@@ -269,7 +268,7 @@ def _run_pairs_rebound() -> bool:
 def _expanded(pairs: list) -> list[tuple[Expr, Expr]]:
     """pairs with each staged entry expanded to its expression, for a
     replacement of run_pairs that walks the nodes (perfbench/exact.py
-    does).  The expansion is the tensor's O(d^4) symbolic builder."""
+    does).  The expansion is the tensor's schedule run over nodes."""
     return [
         tuple(e if isinstance(e, Expr) else e.expand() for e in pair) for pair in pairs
     ]
@@ -783,7 +782,7 @@ def verify_haantjes_structure(
     chart = n.chart
     if theta.degree != 1:
         raise ValueError("the structure one-form must have degree 1")
-    t = torsion_expression(n)
+    t = nijenhuis_torsion(n).expression()
     checks = [
         _identity("haantjes.H1_tensor_vanishes", haantjes_tensor(n)),
         _identity("haantjes.H2_theta_closed", d(theta)),
@@ -836,7 +835,7 @@ def verify_lm_chain(
     for i, ni in enumerate(chain):
         checks.append(_identity(f"chain.C3_theta_closed[{i}]", d_n(ni, theta)))
     for i in range(1, len(chain)):
-        t = torsion_expression(chain[i])
+        t = nijenhuis_torsion(chain[i]).expression()
         pairs = []
         for a in range(chart.dim):
             for b in range(a + 1, chart.dim):

@@ -1,15 +1,17 @@
 """Test-only builders and references: random inputs that no verdict needs,
 the plan's base points as tuples, a torsion's value on general vector
 fields, staged torsion and Haantjes components evaluated at points, the
-count of the Haantjes stages' terms with no structural-zero factor, the
-torsion, concomitant, pi_n and interior-endomorphism loops as written
-before they skipped structural zeros, the expanded trace invariant whose
-differential d_invariant builds without it, the count of the
-concomitant's visited terms, the nested jacobiator that the Jacobi sides
-must equal, the Lie derivative, bracket of one-forms and Koszul-bracket
-concomitant that the closed-form concomitant replaced, the
-node-at-a-time evaluator that the tape replaced, and the smart
-constructors as written before each tested its operands' type once."""
+hand-written torsion and Haantjes loops whose nodes the staged tensors'
+expansions must return, the count of the Haantjes stages' terms with no
+structural-zero factor, the torsion, concomitant, pi_n and
+interior-endomorphism loops as written before they skipped structural
+zeros, the expanded trace invariant whose differential d_invariant builds
+without it, the count of the concomitant's visited terms, the nested
+jacobiator that the Jacobi sides must equal, the Lie derivative, bracket
+of one-forms and Koszul-bracket concomitant that the closed-form
+concomitant replaced, the node-at-a-time evaluator that the tape
+replaced, and the smart constructors as written before each tested its
+operands' type once."""
 
 import math
 from itertools import combinations
@@ -52,7 +54,16 @@ from pqnverify.expr import (
     mul,
     sub,
 )
-from pqnverify.calculus import d, d_scalar, pi_n, poisson_bracket, torsion_expression
+from pqnverify.calculus import (
+    HaantjesTensor,
+    TorsionEvaluator,
+    _derivatives,
+    _signed_add,
+    d,
+    d_scalar,
+    pi_n,
+    poisson_bracket,
+)
 from pqnverify.fields import (
     Bivector,
     DegreeError,
@@ -125,10 +136,98 @@ def staged_values(tensor, pts) -> np.ndarray:
         return tensor.contract(evaluate_batch(tensor.roots, pts))[0]
 
 
+def torsion_expression(n: Endomorphism) -> TorsionEvaluator:
+    """T as expressions, in O(d^4) symbolic products: on each pair j < k
+
+        T^i_{jk} = sum_m ( N^m_j d_m N^i_k - N^m_k d_m N^i_j
+                           + N^i_m (d_k N^m_j - d_j N^m_k) ),
+
+    the three terms added per m in that order, the bracket built once per
+    (m, j, k) and shared over i, and no product with a structural-zero
+    factor built (calculus._signed_add): the reference for
+    calculus.nijenhuis_torsion(n).expression()."""
+    chart = n.chart
+    dim = chart.dim
+    nm = n.matrix
+    dn = _derivatives(n)
+    pairs = {}
+    for j, k in combinations(range(dim), 2):
+        bracket = [sub(dn[k][m][j], dn[j][m][k]) for m in range(dim)]
+        comps = []
+        for i in range(dim):
+            acc = ZERO
+            for m in range(dim):
+                acc = _signed_add(acc, 1, nm[m][j], dn[m][i][k])
+                acc = _signed_add(acc, -1, nm[m][k], dn[m][i][j])
+                acc = _signed_add(acc, 1, nm[i][m], bracket[m])
+            comps.append(acc)
+        pairs[(j, k)] = VectorField(chart, tuple(comps))
+    return TorsionEvaluator(chart, pairs)
+
+
+def haantjes_expression(n: Endomorphism) -> TorsionEvaluator:
+    """H as expressions, in O(d^4) symbolic products: the reference for
+    calculus.haantjes_tensor(n).expression().
+
+    Two-stage contraction: first A^i_{mk} = sum_l T^i_{ml} N^l_k, once for
+    all (i, m, k).  On a coordinate pair (j, k) the identities
+    T(X,NY)^m = A^m_{jk} and T(NX,Y)^m = -A^m_{kj} then give
+        H^i_{jk} = sum_m N^m_j A^i_{mk}
+                   - sum_m N^i_m (A^m_{jk} - A^m_{kj} - sum_p N^m_p T^p_{jk}),
+    where the bracket is built once per (m, j, k) and shared over i."""
+    chart = n.chart
+    dim = chart.dim
+    t = torsion_expression(n)
+    nm = n.matrix
+    # A^i_{mk}, read from the stored pairs l > m and, with the sign, l < m.
+    a = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for m in range(dim):
+            row = a[i][m]
+            for k in range(dim):
+                acc = ZERO
+                for l in range(dim):
+                    if l == m:
+                        continue
+                    if l > m:
+                        acc = add(acc, mul(t.component(i, m, l), nm[l][k]))
+                    else:
+                        acc = sub(acc, mul(t.component(i, l, m), nm[l][k]))
+                row[k] = acc
+    pairs = {}
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            tjk = t.pair(j, k).components
+            inner = []
+            for m in range(dim):
+                acc = sub(a[m][j][k], a[m][k][j])
+                for p in range(dim):
+                    acc = sub(acc, mul(nm[m][p], tjk[p]))
+                inner.append(acc)
+            comps = []
+            for i in range(dim):
+                acc = ZERO
+                for m in range(dim):
+                    acc = add(acc, mul(nm[m][j], a[i][m][k]))
+                for m in range(dim):
+                    acc = sub(acc, mul(nm[i][m], inner[m]))
+                comps.append(acc)
+            pairs[(j, k)] = VectorField(chart, tuple(comps))
+    return TorsionEvaluator(chart, pairs)
+
+
+def reference_components(tensor) -> list[Expr]:
+    """A staged torsion or Haantjes tensor's components as the reference
+    loop above builds them, in the order tensor.entries() lists them."""
+    build = haantjes_expression if isinstance(tensor, HaantjesTensor) else torsion_expression
+    ref = build(tensor.n)
+    return [c for jk in tensor.pairs for c in ref.pair(*jk).components]
+
+
 def dense_torsion_expression(n: Endomorphism) -> dict:
-    """calculus.torsion_expression's components as its loop built them
-    before it skipped products with a structural-zero factor: every
-    product built and added, keyed (j, k) for j < k."""
+    """torsion_expression's components as its loop built them before it
+    skipped products with a structural-zero factor: every product built
+    and added, keyed (j, k) for j < k."""
     dim = n.chart.dim
     dn = [[[derive(e, m) for e in row] for row in n.matrix] for m in range(dim)]
     pairs = {}
@@ -147,10 +246,10 @@ def dense_torsion_expression(n: Endomorphism) -> dict:
 
 
 def haantjes_live_terms(n: Endomorphism) -> int:
-    """The terms of calculus.haantjes_expression's stages, A^i_{mk},
-    inner^m_{jk} and H^i_{jk}, with no structural-zero factor, counted in
-    its loops: each operand of the bracket A^m_{jk} - A^m_{kj} that is not
-    a structural zero counts as one term."""
+    """The terms of haantjes_expression's stages, A^i_{mk}, inner^m_{jk}
+    and H^i_{jk}, with no structural-zero factor, counted in its loops:
+    each operand of the bracket A^m_{jk} - A^m_{kj} that is not a
+    structural zero counts as one term."""
     dim = n.chart.dim
     t = torsion_expression(n)
     nm = n.matrix

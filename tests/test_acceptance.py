@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from pqnverify.calculus import haantjes_tensor, torsion_expression
+from pqnverify.calculus import haantjes_tensor, nijenhuis_torsion
 from pqnverify.catalog import (
     RecipeInput,
     closed_toda,
@@ -168,8 +168,8 @@ def test_criterion_5_cubic_flow_chain_stalls_at_torsion_annihilation():
         r.status == "pass"
         for r in verify_haantjes_structure(mv.n, mv.theta, plan, TOL)
     )
-    t1 = torsion_expression(mv.n)
-    t2 = torsion_expression(power(mv.n, 2))
+    t1 = nijenhuis_torsion(mv.n).expression()
+    t2 = nijenhuis_torsion(power(mv.n, 2)).expression()
     for p in points(plan):
         got1 = [evaluate(c, p) for c in t1.pair(0, 2).components]
         ok = ok and max(abs(got1[0] + 1.0), abs(got1[1]), abs(got1[2])) <= 1e-10

@@ -20,7 +20,6 @@ from pqnverify.calculus import (
     phi_sequence_term,
     pi_n,
     poisson_bracket,
-    torsion_expression,
 )
 from pqnverify.catalog import (
     RecipeInput,
@@ -95,6 +94,7 @@ from builders import (
     dense_phi_sequence_term,
     dense_pi_n,
     dense_torsion_expression,
+    haantjes_expression,
     haantjes_live_terms,
     invariant,
     jacobiator,
@@ -103,7 +103,9 @@ from builders import (
     lie_derivative,
     random_bivector,
     random_endomorphism,
+    reference_components,
     torsion_apply,
+    torsion_expression,
 )
 
 CH = Chart(("x", "y", "z"))
@@ -275,7 +277,7 @@ def test_jacobiator_discriminates():
 class TestTorsions:
     def test_scalar_multiples_of_the_identity_are_torsion_free(self):
         f = parse("x^2 + z", CH)
-        t = torsion_expression(scale_endomorphism(f, identity_endomorphism(CH)))
+        t = nijenhuis_torsion(scale_endomorphism(f, identity_endomorphism(CH))).expression()
         for j in range(3):
             for k in range(j + 1, 3):
                 for p in POINTS:
@@ -283,21 +285,21 @@ class TestTorsions:
 
     def test_known_torsion_values(self):
         mv = magri_veselov()
-        t = torsion_expression(mv.n)
+        t = nijenhuis_torsion(mv.n).expression()
         assert tuple(ev(c) for c in t.pair(0, 2).components) == (-1.0, 0.0, 0.0)
-        t2 = torsion_expression(power(mv.n, 2))
+        t2 = nijenhuis_torsion(power(mv.n, 2)).expression()
         assert tuple(ev(c) for c in t2.pair(0, 1).components) == (0.0, -8.0, 0.0)
 
     def test_component_lookup_is_antisymmetric(self):
         mv = magri_veselov()
-        t = torsion_expression(mv.n)
+        t = nijenhuis_torsion(mv.n).expression()
         assert ev(t.component(0, 0, 2)) == -1.0
         assert ev(t.component(0, 2, 0)) == 1.0
         assert ev(t.component(0, 1, 1)) == 0.0
 
     def test_apply_is_bilinear_over_functions(self):
         mv = magri_veselov()
-        t = torsion_expression(mv.n)
+        t = nijenhuis_torsion(mv.n).expression()
         f = parse("y - 2*z", CH)
         x = VectorField(CH, (ONE, X, ZERO))
         y = VectorField(CH, (Z, ZERO, ONE))
@@ -311,7 +313,7 @@ class TestTorsions:
 
     def test_lattice_endomorphism_is_torsion_free(self):
         do = das_okubo(2)
-        t = torsion_expression(do.n)
+        t = nijenhuis_torsion(do.n).expression()
         pts = [(0.4, -0.2, 1.0, 0.3), (1.0, 2.0, 0.0, 0.0)]
         for j in range(4):
             for k in range(j + 1, 4):
@@ -344,7 +346,7 @@ class TestTorsions:
     def test_rank_one_torsion_closed_form(self):
         w = VectorField(CH, (ONE, ZERO, Y))
         eta = KForm(CH, 1, {(1,): X, (2,): ONE})
-        t = torsion_expression(tensor_product(w, eta))
+        t = nijenhuis_torsion(tensor_product(w, eta)).expression()
         f = pairing(eta, w)
         df = d_scalar(CH, f)
         eta_deta = wedge(eta, d(eta))
@@ -371,7 +373,7 @@ class TestTorsions:
         )
         xi = star(st.pi, st.volume)
         zlam = pairing(d_scalar(CH, st.lam), st.z)
-        t = torsion_expression(st.n)
+        t = nijenhuis_torsion(st.n).expression()
         for a in range(3):
             for b in range(a + 1, 3):
                 want = scale_vector(
@@ -451,9 +453,10 @@ def _awkward_endomorphism(chart: Chart, seed: int, extra=()) -> Endomorphism:
 
 
 def _assert_contraction_bits(h, pts) -> np.ndarray:
-    """The staged tensor's contraction equals its evaluated expansion bit
-    for bit, finiteness included; returns the expansion's values."""
-    want = evaluate_batch([e.expand() for e in h.entries()], pts)
+    """The staged tensor's contraction equals its evaluated reference
+    builder's expressions bit for bit, finiteness included; returns their
+    values."""
+    want = evaluate_batch(reference_components(h), pts)
     got = staged_values(h, pts)
     assert np.array_equal(np.isfinite(got), np.isfinite(want))
     assert np.array_equal(bits(got), bits(want))
@@ -619,7 +622,9 @@ def _awkward_bivector(chart: Chart, seed: int) -> Bivector:
 def test_symbolic_builders_return_the_nodes_of_their_dense_loops(dim):
     # Skipping a product with a structural-zero factor changes no node:
     # every component is the very node the loop that builds every product
-    # returns.
+    # returns.  The staged torsion's and Haantjes tensor's expansions are
+    # the very nodes of the hand-written loops, on N and on N with -0.0
+    # entries.
     chart = Chart(tuple(f"x{i}" for i in range(dim)))
     for seed in range(3):
         n = _awkward_endomorphism(chart, 41 * dim + seed, _negated(chart))
@@ -627,6 +632,17 @@ def test_symbolic_builders_return_the_nodes_of_their_dense_loops(dim):
         t = torsion_expression(n)
         for (j, k), comps in dense_torsion_expression(n).items():
             assert all(a is b for a, b in zip(t.pair(j, k).components, comps, strict=True))
+        for q in (n, _with_negative_zeros(n)):
+            for staged, reference in ((nijenhuis_torsion(q), torsion_expression(q)),
+                                      (haantjes_tensor(q), haantjes_expression(q))):
+                got = staged.expression()
+                assert list(got._pairs) == list(reference._pairs)
+                assert all(
+                    a is b
+                    for jk in got._pairs
+                    for a, b in zip(got.pair(*jk).components, reference.pair(*jk).components,
+                                    strict=True)
+                )
         closed, dense = concomitant(p, n), dense_concomitant(p, n)
         assert list(closed) == list(dense)
         for key, form in closed.items():
@@ -759,19 +775,22 @@ def test_a_zero_product_is_skipped_unless_the_sum_is_negative_zero():
 
 def test_a_lattice_verdict_builds_no_torsion_expression_for_the_battery(monkeypatch):
     # The rank-one W (x) eta and f I + g N of the battery are staged only;
-    # the phi sequence of the recursion suite builds on N's torsion.
+    # the phi sequence of the recursion suite expands N's torsion, and no
+    # Haantjes tensor is expanded.
     st = closed_toda(4)
-    staged, expressions = [], []
-    for fn, seen in ((calculus.nijenhuis_torsion, staged),
-                     (calculus.torsion_expression, expressions)):
-        build = fn.__wrapped__
-        monkeypatch.setattr(
-            fn, "__wrapped__", lambda m, b=build, s=seen: s.append(m.matrix) or b(m)
-        )
+    staged, expanded = [], []
+    build = calculus.nijenhuis_torsion.__wrapped__
+    monkeypatch.setattr(
+        calculus.nijenhuis_torsion, "__wrapped__", lambda m: staged.append(m.matrix) or build(m)
+    )
+    expand = calculus.StagedTensor._expand
+    monkeypatch.setattr(
+        calculus.StagedTensor, "_expand", lambda t: expanded.append(t) or expand(t)
+    )
     expr.clear_tables()
     run_suites(st, sample_plan(st.chart), 1e-8)
     assert len(staged) == len(set(staged)) == 3 and st.n.matrix in staged
-    assert expressions == [st.n.matrix]
+    assert [(type(t), t.n.matrix) for t in expanded] == [(calculus.TorsionTensor, st.n.matrix)]
 
 
 def test_pi_n_skew_symmetrizes_only_compatible_pairs():
