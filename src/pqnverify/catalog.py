@@ -329,7 +329,15 @@ def magri_veselov() -> Structure:
     )
 
 
-CATALOG_NAMES = ("das-okubo", "closed-toda", "r3-recipe", "prop-local", "magri-veselov")
+# Each catalog name with the parameters its builder takes.
+_PARAMETERS = {
+    "das-okubo": ("n",),
+    "closed-toda": ("n",),
+    "r3-recipe": ("lam", "a", "g", "b"),
+    "prop-local": ("lam", "a", "g", "b"),
+    "magri-veselov": (),
+}
+CATALOG_NAMES = tuple(_PARAMETERS)
 
 
 def _as_expr(chart: Chart, value, pname: str) -> Expr:
@@ -352,8 +360,15 @@ def by_name(
 
     The lattice builders take n (default 3); the 3d builders take the
     recipe functions lam, a, g and optional b, as expressions or strings
-    over the chart (x, y, z).
+    over the chart (x, y, z); magri-veselov takes none.  A parameter given
+    to a builder that does not take it is a ValueError.
     """
+    if name not in _PARAMETERS:
+        raise ValueError(f"unknown catalog name: {name}")
+    given = {"n": n, "lam": lam, "a": a, "g": g, "b": b}
+    for pname, value in given.items():
+        if value is not None and pname not in _PARAMETERS[name]:
+            raise ValueError(f"{name} does not take the parameter {pname}")
     if name == "das-okubo":
         return das_okubo(3 if n is None else n)
     if name == "closed-toda":
@@ -369,6 +384,4 @@ def by_name(
             b=None if b is None else _as_expr(chart, b, "b"),
         )
         return r3_recipe(inp) if name == "r3-recipe" else prop_local(inp)
-    if name == "magri-veselov":
-        return magri_veselov()
-    raise ValueError(f"unknown catalog name: {name}")
+    return magri_veselov()

@@ -293,6 +293,26 @@ def test_unknown_catalog_name_exits_two(capsys):
     assert "unknown catalog name" in err
 
 
+@pytest.mark.parametrize(
+    "args,pname",
+    [
+        (["das-okubo", "--lam", "x"], "lam"),
+        (["closed-toda", "--n", "2", "--b", "y"], "b"),
+        (["magri-veselov", "--n", "3"], "n"),
+        (["magri-veselov", "--g", "z"], "g"),
+        (["r3-recipe", "--n", "2", "--lam", "z", "--a", "y", "--g", "0"], "n"),
+        (["prop-local", "--n", "2", "--lam", "z", "--a", "y", "--g", "0"], "n"),
+    ],
+)
+def test_a_parameter_the_catalog_entry_does_not_take_exits_two(tmp_path, capsys, args, pname):
+    out_file = tmp_path / "entry.json"
+    code, out, err = run_cli(["catalog", *args, "--out", str(out_file)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"pqnverify: {args[0]} does not take the parameter {pname}\n"
+    assert not out_file.exists()
+
+
 def test_stdin_dash_reads_a_structure(monkeypatch, capsys):
     payload = json.dumps(MINIMAL).encode("utf-8")
     monkeypatch.setattr(
