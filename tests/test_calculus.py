@@ -94,7 +94,6 @@ from builders import (
     dense_phi_sequence_term,
     dense_pi_n,
     dense_torsion_expression,
-    haantjes_expression,
     haantjes_live_terms,
     invariant,
     jacobiator,
@@ -633,16 +632,9 @@ def test_symbolic_builders_return_the_nodes_of_their_dense_loops(dim):
         for (j, k), comps in dense_torsion_expression(n).items():
             assert all(a is b for a, b in zip(t.pair(j, k).components, comps, strict=True))
         for q in (n, _with_negative_zeros(n)):
-            for staged, reference in ((nijenhuis_torsion(q), torsion_expression(q)),
-                                      (haantjes_tensor(q), haantjes_expression(q))):
-                got = staged.expression()
-                assert list(got._pairs) == list(reference._pairs)
-                assert all(
-                    a is b
-                    for jk in got._pairs
-                    for a, b in zip(got.pair(*jk).components, reference.pair(*jk).components,
-                                    strict=True)
-                )
+            for staged in (nijenhuis_torsion(q), haantjes_tensor(q)):
+                got = [e.expand() for e in staged.entries()]
+                assert all(a is b for a, b in zip(got, reference_components(staged), strict=True))
         closed, dense = concomitant(p, n), dense_concomitant(p, n)
         assert list(closed) == list(dense)
         for key, form in closed.items():
