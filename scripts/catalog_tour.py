@@ -12,7 +12,8 @@ Everything else should pass.
 import argparse
 
 from pqnverify.catalog import by_name
-from pqnverify.verify import run_suites, sample_plan
+from pqnverify.expr import sample_plan
+from pqnverify.verify import run_suites
 
 TOUR = (
     ("das-okubo", {"n": 2}, ("poisson", "pn", "recursion")),

@@ -6,9 +6,9 @@ and its compensating three-form against the closed-form recipe.
 """
 
 from pqnverify.catalog import RecipeInput, prop_local_pair, r3_recipe
-from pqnverify.expr import ONE, Chart, parse, to_string
+from pqnverify.expr import ONE, Chart, parse, sample_plan, to_string
 from pqnverify.fields import Bivector
-from pqnverify.verify import check_identity, deform_3d, sample_plan
+from pqnverify.verify import check_identity, deform_3d
 
 CH = Chart(("x", "y", "z"))
 

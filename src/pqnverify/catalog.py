@@ -35,11 +35,14 @@ from .expr import (
     coord,
     derive,
     div,
+    evaluate_batch,
     exp,
     intpow,
     mul,
     neg,
     parse,
+    point_block,
+    sample_plan,
     sub,
     used_coords,
 )
@@ -47,6 +50,7 @@ from .fields import (
     Bivector,
     Endomorphism,
     KForm,
+    Structure,
     VectorField,
     VolumeForm,
     add_endomorphisms,
@@ -59,7 +63,6 @@ from .fields import (
     tensor_product,
     zero_kform,
 )
-from .verify import Structure, evaluate_batch, point_block, sample_plan
 
 R3_COORDS = ("x", "y", "z")
 

@@ -20,16 +20,9 @@ import math
 import sys
 
 from .catalog import by_name
-from .expr import Chart, ExprError, is_zero, parse, to_string, ZERO
-from .fields import Bivector, Endomorphism, KForm, VectorField, VolumeForm
-from .verify import (
-    SUITES,
-    CheckReport,
-    Structure,
-    run_suites,
-    sample_plan,
-    verify_recursion_involutivity,
-)
+from .expr import Chart, ExprError, is_zero, parse, sample_plan, to_string, ZERO
+from .fields import Bivector, Endomorphism, KForm, Structure, VectorField, VolumeForm
+from .verify import SUITES, CheckReport, run_suites, verify_recursion_involutivity
 
 SCHEMA_VERSION = 1
 

@@ -48,6 +48,15 @@ roots on successive chunks of points, or on successive rounds of
 replacement points, schedules them once, and drops it with
 `forget_program` when done. A tape index names one node only until the
 tape is truncated, so `clear_tables` drops that schedule too.
+
+The points come from a `SamplePlan`: a seed, a count and a box. splitmix64
+is counter based: with gamma = 0x9E3779B97F4A7C15, output k (from 0) of
+the stream seeded s is mix(s + (k + 1) * gamma mod 2^64), where mix is the
+generator's finaliser (two xor-shift-multiply rounds and a final
+xor-shift, all mod 2^64). On a chart of dimension dim, coordinate c of
+point j is output j * dim + c mapped to lo + (hi - lo) * (output / 2^64),
+so `point_block` computes any point of the stream directly, without
+replaying the outputs before it.
 """
 from __future__ import annotations
 
@@ -858,6 +867,101 @@ def _give_back(free: list[tuple[int, int]], start: int, size: int) -> None:
         i -= 1
         del free[i]
     free.insert(i, (start, size))
+
+
+# The point sampler whose points evaluate_batch runs on; see the module
+# docstring.
+
+_MASK = (1 << 64) - 1
+_TWO64 = 2.0 ** 64
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def splitmix64(seed: int):
+    """The splitmix64 generator as an endless iterator of uint64 values."""
+    state = seed & _MASK
+    while True:
+        state = (state + _GAMMA) & _MASK
+        z = state
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        yield z ^ (z >> 31)
+
+
+@dataclass(frozen=True)
+class SamplePlan:
+    """Where and how densely a check samples.
+
+    box holds one closed, finite interval per coordinate; the j-th point
+    uses stream outputs j*dim .. j*dim+dim-1 mapped affinely into the box.
+    """
+
+    seed: int
+    count: int
+    box: tuple[tuple[float, float], ...]
+    resample_limit: int = 1024
+
+    def __post_init__(self):
+        box = tuple((float(lo), float(hi)) for lo, hi in self.box)
+        object.__setattr__(self, "box", box)
+        if self.count < 1:
+            raise ValueError("a plan needs at least one sample point")
+        if self.resample_limit < 0:
+            raise ValueError("resample_limit must be non-negative")
+        for lo, hi in box:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"box bounds must be finite, got [{lo}, {hi}]")
+            if not (lo < hi):
+                raise ValueError(f"empty box interval [{lo}, {hi}]")
+
+
+def sample_plan(
+    chart: Chart,
+    box=(-1.0, 1.0),
+    count: int = 64,
+    seed: int = 42,
+    resample_limit: int = 1024,
+) -> SamplePlan:
+    """A plan over the chart; a single (lo, hi) pair is broadcast to every
+    coordinate."""
+    if len(box) == 2 and all(isinstance(v, (int, float)) for v in box):
+        intervals = tuple((float(box[0]), float(box[1])) for _ in range(chart.dim))
+    else:
+        intervals = tuple((float(lo), float(hi)) for lo, hi in box)
+        if len(intervals) != chart.dim:
+            raise ValueError("box must give one interval per coordinate")
+    return SamplePlan(seed, count, intervals, resample_limit)
+
+
+def point_block(plan: SamplePlan, start: int, count: int) -> np.ndarray:
+    """Points start .. start+count-1 of the plan's stream as a (count, dim)
+    float64 array, equal bit for bit to the scalar splitmix64 draw.
+
+    uint64 arithmetic wraps mod 2^64, so the counter form of the generator
+    is evaluated for every coordinate at once."""
+    import numpy as np
+
+    dim = len(plan.box)
+    k = np.arange(start * dim + 1, (start + count) * dim + 1, dtype=np.uint64)
+    z = np.uint64(plan.seed & _MASK) + k * np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    u = z.reshape(count, dim).astype(np.float64) / _TWO64
+    lo, hi = np.array(plan.box).T
+    return lo + (hi - lo) * u
+
+
+def point_stream(plan: SamplePlan):
+    """The plan's points as an endless iterator of tuples, drawn a block of
+    plan.count points at a time."""
+    start = 0
+    while True:
+        for row in point_block(plan, start, plan.count).tolist():
+            yield tuple(row)
+        start += plan.count
 
 
 # Printing. Levels mirror the grammar: sum < product < signed factor <

@@ -165,6 +165,24 @@ class VolumeForm:
     coefficient: Expr
 
 
+# Structures bundle the members the verifiers operate on.  Any member
+# other than the chart may be absent; suites skip what they cannot feed.
+
+@dataclass(frozen=True)
+class Structure:
+    chart: Chart
+    volume: VolumeForm | None = None
+    pi: Bivector | None = None
+    n: Endomorphism | None = None
+    phi: KForm | None = None  # degree 3
+    lam: Expr | None = None
+    z: VectorField | None = None
+    theta: KForm | None = None  # degree 1
+    omega: KForm | None = None  # degree 2
+    chain: tuple[Endomorphism, ...] | None = None
+    name: str = ""
+
+
 # Constructors and degenerate cases.
 
 def zero_kform(chart: Chart, degree: int) -> KForm:

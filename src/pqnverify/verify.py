@@ -7,19 +7,12 @@ passes when the largest scaled residual stays below the tolerance:
     residual(p) = max-norm of componentwise differences at p
     scale(p)    = max(1, largest |component| of either side at p)
 
-Points come from a splitmix64 stream, so every run (and every conforming
-reimplementation) sees the same cloud.  Points where any participating
-component fails to evaluate to a finite number are replaced by further
-stream points, up to a per-check resample budget.
-
-splitmix64 is counter based: with gamma = 0x9E3779B97F4A7C15, output k
-(from 0) of the stream seeded s is mix(s + (k + 1) * gamma mod 2^64),
-where mix is the generator's finaliser (two xor-shift-multiply rounds and
-a final xor-shift, all mod 2^64).  On a chart of dimension dim,
-coordinate c of point j is output j * dim + c mapped to
-lo + (hi - lo) * (output / 2^64), so any point of the stream is computed
-directly, without replaying the outputs before it.  Replacement points
-continue the stream after every point a check has drawn so far.
+Points come from a splitmix64 stream (expr.point_block), so every run
+(and every conforming reimplementation) sees the same cloud.  Points where
+any participating component fails to evaluate to a finite number are
+replaced by further stream points, up to a per-check resample budget.
+Replacement points continue the stream after every point a check has
+drawn so far.
 
 Every universally quantified identity here is tensorial in its vector
 arguments, so checking it on coordinate fields at sampled points is
@@ -29,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from math import comb, isfinite
+from math import comb
 
 import numpy as np
 
@@ -37,6 +30,7 @@ from . import expr
 from .expr import (
     Chart,
     Expr,
+    SamplePlan,
     ZERO,
     add,
     clear_tables,
@@ -50,12 +44,17 @@ from .expr import (
     is_zero,
     mul,
     neg,
+    point_block,
+    point_stream,  # unused here; perfbench/spans.py wraps verify.point_stream
+    sample_plan,  # unused here; perfbench/exact.py calls verify.sample_plan
+    splitmix64,
     sub,
 )
 from .fields import (
     Bivector,
     Endomorphism,
     KForm,
+    Structure,
     VectorField,
     VolumeForm,
     add_endomorphisms,
@@ -101,95 +100,6 @@ from .calculus import (
     nijenhuis_torsion,
     phi_sequence_term,
 )
-
-_MASK = (1 << 64) - 1
-_TWO64 = 2.0 ** 64
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-
-
-def splitmix64(seed: int):
-    """The splitmix64 generator as an endless iterator of uint64 values."""
-    state = seed & _MASK
-    while True:
-        state = (state + _GAMMA) & _MASK
-        z = state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        yield z ^ (z >> 31)
-
-
-@dataclass(frozen=True)
-class SamplePlan:
-    """Where and how densely a check samples.
-
-    box holds one closed, finite interval per coordinate; the j-th point
-    uses stream outputs j*dim .. j*dim+dim-1 mapped affinely into the box.
-    """
-
-    seed: int
-    count: int
-    box: tuple[tuple[float, float], ...]
-    resample_limit: int = 1024
-
-    def __post_init__(self):
-        box = tuple((float(lo), float(hi)) for lo, hi in self.box)
-        object.__setattr__(self, "box", box)
-        if self.count < 1:
-            raise ValueError("a plan needs at least one sample point")
-        if self.resample_limit < 0:
-            raise ValueError("resample_limit must be non-negative")
-        for lo, hi in box:
-            if not (isfinite(lo) and isfinite(hi)):
-                raise ValueError(f"box bounds must be finite, got [{lo}, {hi}]")
-            if not (lo < hi):
-                raise ValueError(f"empty box interval [{lo}, {hi}]")
-
-
-def sample_plan(
-    chart: Chart,
-    box=(-1.0, 1.0),
-    count: int = 64,
-    seed: int = 42,
-    resample_limit: int = 1024,
-) -> SamplePlan:
-    """A plan over the chart; a single (lo, hi) pair is broadcast to every
-    coordinate."""
-    if len(box) == 2 and all(isinstance(v, (int, float)) for v in box):
-        intervals = tuple((float(box[0]), float(box[1])) for _ in range(chart.dim))
-    else:
-        intervals = tuple((float(lo), float(hi)) for lo, hi in box)
-        if len(intervals) != chart.dim:
-            raise ValueError("box must give one interval per coordinate")
-    return SamplePlan(seed, count, intervals, resample_limit)
-
-
-def point_block(plan: SamplePlan, start: int, count: int) -> np.ndarray:
-    """Points start .. start+count-1 of the plan's stream as a (count, dim)
-    float64 array, equal bit for bit to the scalar splitmix64 draw.
-
-    uint64 arithmetic wraps mod 2^64, so the counter form of the generator
-    is evaluated for every coordinate at once."""
-    dim = len(plan.box)
-    k = np.arange(start * dim + 1, (start + count) * dim + 1, dtype=np.uint64)
-    z = np.uint64(plan.seed & _MASK) + k * np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    u = z.reshape(count, dim).astype(np.float64) / _TWO64
-    lo, hi = np.array(plan.box).T
-    return lo + (hi - lo) * u
-
-
-def point_stream(plan: SamplePlan):
-    """The plan's points as an endless iterator of tuples, drawn a block of
-    plan.count points at a time."""
-    start = 0
-    while True:
-        for row in point_block(plan, start, plan.count).tolist():
-            yield tuple(row)
-        start += plan.count
 
 
 @dataclass(frozen=True)
@@ -272,13 +182,6 @@ def _expanded(pairs: list) -> list[tuple[Expr, Expr]]:
     return [
         tuple(e if isinstance(e, Expr) else e.expand() for e in pair) for pair in pairs
     ]
-
-
-def _run_one(name: str, pairs: list, plan: SamplePlan, tol: float, detail: str = "") -> CheckReport:
-    """run_pairs on one check, with staged entries expanded if it is replaced."""
-    if _run_pairs_rebound():
-        pairs = _expanded(pairs)
-    return run_pairs(name, pairs, plan, tol, detail)
 
 
 def _settle(checks, plan: SamplePlan, tol: float) -> list[CheckReport]:
@@ -504,7 +407,7 @@ def component_pairs(lhs, rhs) -> list[tuple[Expr, Expr]]:
 def check_identity(name, lhs, rhs, plan, tol, detail: str = "") -> CheckReport:
     """Sampled identity check between two field objects of matching kind;
     rhs None stands for the zero object."""
-    return _run_one(name, component_pairs(lhs, rhs), plan, tol, detail)
+    return run_checks([(name, component_pairs(lhs, rhs), detail)], plan, tol)[0]
 
 
 def _identity(name: str, lhs, rhs=None) -> tuple[str, list[tuple[Expr, Expr]], str]:
@@ -519,57 +422,31 @@ def _run_in_order(entries: list, plan: SamplePlan, tol: float) -> list[CheckRepo
     return [e if isinstance(e, CheckReport) else next(settled) for e in entries]
 
 
-def _with_prefix(prefix: str, reports: list[CheckReport]) -> list[CheckReport]:
-    return [replace(r, name=f"{prefix}.{r.name}") for r in reports]
-
-
 # Deterministic random field generators for property-style identities.
 
-def random_polynomial(chart: Chart, gen, max_terms: int = 3, max_degree: int = 2) -> Expr:
-    """Small random polynomial with integer coefficients, driven by a
-    splitmix64 iterator."""
-    nterms = 1 + next(gen) % max_terms
+def random_polynomial(chart: Chart, gen) -> Expr:
+    """Random polynomial of at most three terms, each of degree at most two
+    with an integer coefficient, driven by a splitmix64 iterator."""
+    nterms = 1 + next(gen) % 3
     acc = ZERO
     for _ in range(nterms):
         c = int(next(gen) % 7) - 3
         if c == 0:
             c = 1
         term: Expr = constant(float(c))
-        degree = next(gen) % (max_degree + 1)
+        degree = next(gen) % 3
         for _ in range(degree):
             term = mul(term, coord(next(gen) % chart.dim))
         acc = add(acc, term)
     return acc
 
 
-def random_vectorfield(chart: Chart, gen, **kw) -> VectorField:
-    return VectorField(
-        chart, tuple(random_polynomial(chart, gen, **kw) for _ in range(chart.dim))
-    )
+def random_vectorfield(chart: Chart, gen) -> VectorField:
+    return VectorField(chart, tuple(random_polynomial(chart, gen) for _ in range(chart.dim)))
 
 
-def random_oneform(chart: Chart, gen, **kw) -> KForm:
-    return KForm(
-        chart, 1, {(i,): random_polynomial(chart, gen, **kw) for i in range(chart.dim)}
-    )
-
-
-# Structures bundle the members the verifiers operate on.  Any member
-# other than the chart may be absent; suites skip what they cannot feed.
-
-@dataclass(frozen=True)
-class Structure:
-    chart: Chart
-    volume: VolumeForm | None = None
-    pi: Bivector | None = None
-    n: Endomorphism | None = None
-    phi: KForm | None = None  # degree 3
-    lam: Expr | None = None
-    z: VectorField | None = None
-    theta: KForm | None = None  # degree 1
-    omega: KForm | None = None  # degree 2
-    chain: tuple[Endomorphism, ...] | None = None
-    name: str = ""
+def random_oneform(chart: Chart, gen) -> KForm:
+    return KForm(chart, 1, {(i,): random_polynomial(chart, gen) for i in range(chart.dim)})
 
 
 def xi_form(pi: Bivector, volume: VolumeForm) -> KForm:
@@ -774,25 +651,26 @@ def verify_3d_conditions(
     return run_checks(checks, plan, tol)
 
 
+def _theta_on_torsion(theta: KForm, n: Endomorphism) -> list[tuple[Expr, Expr]]:
+    """The pairs <theta, T_N(d_j, d_k)> = 0 for j < k, read from the
+    expansion of N's staged torsion."""
+    t = nijenhuis_torsion(n).expression()
+    return [(pairing(theta, t.pair(j, k)), ZERO) for j, k in combinations(range(n.chart.dim), 2)]
+
+
 def verify_haantjes_structure(
     n: Endomorphism, theta: KForm, plan: SamplePlan, tol: float
 ) -> list[CheckReport]:
     """The four defining conditions for a compatible pair of an
     endomorphism and a closed one-form."""
-    chart = n.chart
     if theta.degree != 1:
         raise ValueError("the structure one-form must have degree 1")
-    t = nijenhuis_torsion(n).expression()
     checks = [
         _identity("haantjes.H1_tensor_vanishes", haantjes_tensor(n)),
         _identity("haantjes.H2_theta_closed", d(theta)),
         _identity("haantjes.H3_theta_n_closed", d_n(n, theta)),
+        ("haantjes.H4_torsion_annihilated", _theta_on_torsion(theta, n), ""),
     ]
-    pairs = []
-    for j in range(chart.dim):
-        for k in range(j + 1, chart.dim):
-            pairs.append((pairing(theta, t.pair(j, k)), ZERO))
-    checks.append(("haantjes.H4_torsion_annihilated", pairs, ""))
     return run_checks(checks, plan, tol)
 
 
@@ -835,11 +713,7 @@ def verify_lm_chain(
     for i, ni in enumerate(chain):
         checks.append(_identity(f"chain.C3_theta_closed[{i}]", d_n(ni, theta)))
     for i in range(1, len(chain)):
-        t = nijenhuis_torsion(chain[i]).expression()
-        pairs = []
-        for a in range(chart.dim):
-            for b in range(a + 1, chart.dim):
-                pairs.append((pairing(theta, t.pair(a, b)), ZERO))
+        pairs = _theta_on_torsion(theta, chain[i])
         checks.append((f"chain.C4_torsion_annihilated[{i}]", pairs, ""))
     for i in range(len(chain)):
         for j in range(i, len(chain)):
@@ -1103,7 +977,8 @@ def deform_3d(
                     "neither sign matches the derivation term",
                 )
             )
-    reports.extend(_with_prefix("deform", verify_pqn(pi, n_tilde, phi_tilde, plan, tol)))
+    deformed = verify_pqn(pi, n_tilde, phi_tilde, plan, tol)
+    reports.extend(replace(r, name=f"deform.{r.name}") for r in deformed)
     return DeformationResult(n_tilde, phi_tilde, reports, sign)
 
 
@@ -1120,7 +995,7 @@ def _f_poly(lam: Expr, s: Expr, k: int) -> Expr:
 
 
 def rank_one_identity_reports(
-    w: VectorField, eta: KForm, plan: SamplePlan, tol: float, prefix: str = "battery"
+    w: VectorField, eta: KForm, plan: SamplePlan, tol: float
 ) -> list[CheckReport]:
     """Closed forms of the torsion and Haantjes tensors of W (x) eta."""
     chart = w.chart
@@ -1146,19 +1021,14 @@ def rank_one_identity_reports(
             rhs_h = scale_vector(neg(mul(intpow(f, 2), vol3)), w)
             pairs_h.extend(zip(h.pair(a, b), rhs_h.components))
     checks = [
-        (f"{prefix}.rank_one_torsion", pairs_t, ""),
-        (f"{prefix}.rank_one_haantjes", pairs_h, ""),
+        ("battery.rank_one_torsion", pairs_t, ""),
+        ("battery.rank_one_haantjes", pairs_h, ""),
     ]
     return run_checks(checks, plan, tol)
 
 
 def affine_scaling_report(
-    n: Endomorphism,
-    f: Expr,
-    g: Expr,
-    plan: SamplePlan,
-    tol: float,
-    prefix: str = "battery",
+    n: Endomorphism, f: Expr, g: Expr, plan: SamplePlan, tol: float
 ) -> CheckReport:
     """The Haantjes tensor of f I + g N is g^4 times that of N; the right
     side is each staged entry of H_N scaled by g^4 after contraction."""
@@ -1173,12 +1043,14 @@ def affine_scaling_report(
     for a in range(chart.dim):
         for b in range(a + 1, chart.dim):
             pairs.extend(zip(hm.pair(a, b), hn.pair(a, b, scale=g4)))
-    return _run_one(f"{prefix}.haantjes_affine_scaling", pairs, plan, tol)
+    return run_checks([("battery.haantjes_affine_scaling", pairs, "")], plan, tol)[0]
 
 
-def run_identity_battery(
-    structure: Structure, plan: SamplePlan, tol: float, kpow: int = 5
-) -> list[CheckReport]:
+# The battery checks its power identities on N^1 .. N^_KPOW.
+_KPOW = 5
+
+
+def run_identity_battery(structure: Structure, plan: SamplePlan, tol: float) -> list[CheckReport]:
     """One named report per closed-form identity: powers and torsions of
     scalar-plus-rank-one endomorphisms on oriented 3d charts, eigenform
     scaling, the sharp/interior exchange, rank-one closed forms, and the
@@ -1211,7 +1083,7 @@ def run_identity_battery(
         zlam = pairing(d_scalar(chart, lam), z)
 
         pairs = []
-        for k in range(1, kpow + 1):
+        for k in range(1, _KPOW + 1):
             model = add_endomorphisms(
                 scale_endomorphism(intpow(lam, k), identity_endomorphism(chart)),
                 scale_endomorphism(_f_poly(lam, s, k), tensor_product(z, xi)),
@@ -1230,7 +1102,7 @@ def run_identity_battery(
         entries.append((threed_names[2], pairs, ""))
 
         pairs = []
-        for k in range(1, kpow + 1):
+        for k in range(1, _KPOW + 1):
             t = nijenhuis_torsion(power(n, k))
             coeff = mul(_f_poly(lam, s, k), pairing(d_scalar(chart, intpow(lam, k)), z))
             for (a, b), ixi in _xi_on_pairs(xi).items():
@@ -1243,7 +1115,7 @@ def run_identity_battery(
             _identity(threed_names[4], interior_endomorphism(n, xi), scale_kform(eig, xi))
         )
         pairs = []
-        for k in range(1, kpow + 1):
+        for k in range(1, _KPOW + 1):
             pairs.extend(
                 component_pairs(
                     interior_endomorphism(power(n, k), xi), scale_kform(intpow(eig, k), xi)
@@ -1252,7 +1124,7 @@ def run_identity_battery(
         entries.append((threed_names[5], pairs, ""))
 
         pairs = []
-        for k in range(kpow):
+        for k in range(_KPOW):
             lhs = phi_sequence_term(n, k)
             rhs = scale_kform(mul(zlam, intpow(lam, k)), xi)
             pairs.extend(component_pairs(lhs, rhs))

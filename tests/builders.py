@@ -52,6 +52,7 @@ from pqnverify.expr import (
     is_one,
     is_zero,
     mul,
+    point_block,
     sub,
 )
 from pqnverify.calculus import (
@@ -82,26 +83,26 @@ from pqnverify.fields import (
     trace,
     volume_kform,
 )
-from pqnverify.verify import point_block, random_polynomial
+from pqnverify.verify import random_polynomial
 
 
-def random_endomorphism(chart: Chart, gen, **kw) -> Endomorphism:
+def random_endomorphism(chart: Chart, gen) -> Endomorphism:
     """An endomorphism whose entries are small random polynomials, driven
     by a splitmix64 iterator."""
     dim = chart.dim
     return Endomorphism(
         chart,
         tuple(
-            tuple(random_polynomial(chart, gen, **kw) for _ in range(dim))
+            tuple(random_polynomial(chart, gen) for _ in range(dim))
             for _ in range(dim)
         ),
     )
 
 
-def random_bivector(chart: Chart, gen, **kw) -> Bivector:
+def random_bivector(chart: Chart, gen) -> Bivector:
     """A bivector with a small random polynomial on every pair a < b."""
     pairs = [(a, b) for a in range(chart.dim) for b in range(a + 1, chart.dim)]
-    return Bivector(chart, {key: random_polynomial(chart, gen, **kw) for key in pairs})
+    return Bivector(chart, {key: random_polynomial(chart, gen) for key in pairs})
 
 
 def points(plan) -> list[tuple[float, ...]]:

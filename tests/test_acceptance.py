@@ -23,7 +23,7 @@ from pqnverify.catalog import (
     r3_recipe,
 )
 from pqnverify.cli import main
-from pqnverify.expr import ONE, Chart, derive, evaluate, parse
+from pqnverify.expr import ONE, Chart, derive, evaluate, parse, sample_plan, splitmix64
 from pqnverify.fields import Bivector, KForm, VolumeForm, power, sharp_flat, sub_endomorphisms
 from pqnverify.verify import (
     affine_scaling_report,
@@ -34,8 +34,6 @@ from pqnverify.verify import (
     random_vectorfield,
     rank_one_identity_reports,
     run_identity_battery,
-    sample_plan,
-    splitmix64,
     verify_3d_conditions,
     verify_haantjes_structure,
     verify_lm_chain,

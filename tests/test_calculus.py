@@ -45,6 +45,9 @@ from pqnverify.expr import (
     mul,
     neg,
     parse,
+    point_block,
+    sample_plan,
+    splitmix64,
     sub,
 )
 from pqnverify.fields import (
@@ -76,12 +79,9 @@ from pqnverify.fields import (
 )
 from pqnverify.verify import (
     evaluate_batch,
-    point_block,
     random_polynomial,
     run_identity_battery,
     run_suites,
-    sample_plan,
-    splitmix64,
 )
 
 from builders import (

@@ -31,6 +31,10 @@ from pqnverify.expr import (
     mul,
     neg,
     parse,
+    point_block,
+    point_stream,
+    sample_plan,
+    splitmix64,
     sqrt,
     sub,
     to_string,
@@ -38,6 +42,7 @@ from pqnverify.expr import (
 from pqnverify.fields import (
     Bivector,
     KForm,
+    Structure,
     VectorField,
     VolumeForm,
     sharp,
@@ -46,12 +51,9 @@ from pqnverify.fields import (
 from pqnverify.verify import (
     SUITES,
     CheckReport,
-    Structure,
     check_identity,
     deform_3d,
     evaluate_batch,
-    point_block,
-    point_stream,
     random_oneform,
     random_polynomial,
     random_vectorfield,
@@ -59,8 +61,6 @@ from pqnverify.verify import (
     run_checks,
     run_pairs,
     run_suites,
-    sample_plan,
-    splitmix64,
     verify_3d_conditions,
     verify_haantjes_structure,
     verify_lm_chain,
