@@ -25,7 +25,6 @@ from .fields import (
     DegreeError,
     Endomorphism,
     KForm,
-    VectorField,
     _nonzero,
     _require_same_chart,
     _sorted_with_sign,
@@ -34,7 +33,6 @@ from .fields import (
     power,
     scalar_form,
     sub_kforms,
-    zero_vector,
 )
 
 
@@ -102,34 +100,6 @@ def jacobi_sides(p: Bivector) -> list[Expr]:
             for i, j, k in combinations(range(dim), 3)]
 
 
-class TorsionEvaluator:
-    """A vector-valued antisymmetric bilinear map on vector fields.
-
-    Components are stored on coordinate pairs j < k; lookups with swapped
-    or repeated arguments apply the sign.  Values on general arguments
-    expand over the coordinate basis by function-bilinearity.
-    """
-
-    def __init__(self, chart: Chart, pair_fields: dict):
-        self.chart = chart
-        self._pairs = pair_fields
-
-    def pair(self, j: int, k: int) -> VectorField:
-        if j == k:
-            return zero_vector(self.chart)
-        if j < k:
-            return self._pairs[(j, k)]
-        flipped = self._pairs[(k, j)]
-        return VectorField(self.chart, tuple(neg(c) for c in flipped.components))
-
-    def component(self, i: int, j: int, k: int) -> Expr:
-        if j == k:
-            return ZERO
-        if j < k:
-            return self._pairs[(j, k)].components[i]
-        return neg(self._pairs[(k, j)].components[i])
-
-
 @per_verdict
 def _derivatives(n: Endomorphism) -> list:
     """dn[m][i][j] = d_m N^i_j, shared by the torsion and the concomitant."""
@@ -184,9 +154,8 @@ class StagedEntry:
 
     def expand(self) -> Expr:
         """The entry as an expression, from its tensor's expansion."""
-        dim = self.tensor.chart.dim
-        j, k = self.tensor.pairs[self.row // dim]
-        got = self.tensor.expression().pair(j, k).components[self.row % dim]
+        q, i = divmod(self.row, self.tensor.chart.dim)
+        got = self.tensor.expression()[i].component(*self.tensor.pairs[q])
         return got if self.scale is None else mul(self.scale, got)
 
 
@@ -196,7 +165,7 @@ class StagedTensor:
     Components are numbered pair by pair, the i-th component on the q-th
     pair (j, k) at row q*d + i."""
 
-    _expression: TorsionEvaluator | None = None
+    _expression: tuple[KForm, ...] | None = None
 
     def pair(self, j: int, k: int, scale: Expr | None = None) -> tuple[StagedEntry, ...]:
         """The components on the pair j < k, each times scale if given."""
@@ -219,15 +188,17 @@ class StagedTensor:
             got = done[id(self)] = self._contract(values, done)
         return got
 
-    def expression(self) -> TorsionEvaluator:
-        """The tensor as expressions: the schedule's expansion, kept on the
-        tensor."""
+    def expression(self) -> tuple[KForm, ...]:
+        """The tensor as expressions, the schedule's expansion, kept on the
+        tensor: one 2-form per row i, holding the components on pairs
+        j < k, so t[i].component(j, k) is the component with the sign of
+        the pair's order."""
         if self._expression is None:
             dim, comps = self.chart.dim, self._expand()
-            self._expression = TorsionEvaluator(self.chart, {
-                jk: VectorField(self.chart, tuple(comps[q * dim:q * dim + dim]))
-                for q, jk in enumerate(self.pairs)
-            })
+            self._expression = tuple(
+                KForm(self.chart, 2, {jk: comps[q * dim + i] for q, jk in enumerate(self.pairs)})
+                for i in range(dim)
+            )
         return self._expression
 
     def _expand(self) -> list[Expr]:
@@ -420,7 +391,7 @@ class HaantjesTensor(StagedTensor):
     def _input_nodes(self) -> list[Expr]:
         t = self.torsion.expression()
         return [*(e for row in self.n.matrix for e in row),
-                *(c for jk in self.pairs for c in t.pair(*jk).components)]
+                *(ti.component(*jk) for jk in self.pairs for ti in t)]
 
 
 @lru_cache(maxsize=None)
@@ -729,7 +700,7 @@ def phi_sequence_term(n: Endomorphism, s: int) -> KForm:
         for i in range(dim):
             for r in range(dim):
                 if not is_zero(ns[i][r]):
-                    acc = _signed_add(acc, 1, ns[i][r], t.component(r, j, i))
+                    acc = _signed_add(acc, 1, ns[i][r], t[r].component(j, i))
         val = div(acc, constant(2.0))
         if not is_zero(val):
             comps[(j,)] = val

@@ -52,7 +52,6 @@ from .fields import (
     KForm,
     Structure,
     VectorField,
-    VolumeForm,
     add_endomorphisms,
     basis_oneform,
     divergence,
@@ -267,7 +266,7 @@ def r3_recipe(inp: RecipeInput) -> Structure:
         add(mul(inp.a, derive(c, 0)), mul(b, derive(c, 1))),
         mul(c, add(ax, by)),
     )
-    volume = VolumeForm(chart, ONE)
+    volume = KForm(chart, 3, {(0, 1, 2): ONE})
     theta = scale_kform(divergence(z, volume), xi)
     return Structure(
         chart=chart,
@@ -303,7 +302,7 @@ def prop_local(inp: RecipeInput) -> Structure:
     chart = n1.chart
     return Structure(
         chart=chart,
-        volume=VolumeForm(chart, ONE),
+        volume=KForm(chart, 3, {(0, 1, 2): ONE}),
         pi=Bivector(chart, {(0, 1): ONE}),
         n=n1,
         phi=zero_kform(chart, 3),

@@ -21,7 +21,7 @@ import sys
 
 from .catalog import by_name
 from .expr import Chart, ExprError, is_zero, parse, sample_plan, to_string, ZERO
-from .fields import Bivector, Endomorphism, KForm, Structure, VectorField, VolumeForm
+from .fields import Bivector, Endomorphism, KForm, Structure, VectorField
 from .verify import SUITES, CheckReport, run_suites, verify_recursion_involutivity
 
 SCHEMA_VERSION = 1
@@ -71,6 +71,8 @@ def _load_document(raw: bytes, source: str) -> dict:
         raise InputError(
             f"{source}: {exc.msg} (line {exc.lineno} column {exc.colno})"
         ) from exc
+    except ValueError as exc:  # an integer literal past int()'s digit limit
+        raise InputError(f"{source}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{source}: top level must be an object")
     return doc
@@ -179,7 +181,8 @@ def structure_from_doc(doc: dict, source: str) -> Structure:
         vblock = doc["volume"]
         if not isinstance(vblock, dict) or set(vblock) != {"coeff"}:
             raise InputError("volume: expected an object with a coeff entry")
-        volume = VolumeForm(chart, _expr(chart, vblock["coeff"], "volume.coeff"))
+        coeff = _expr(chart, vblock["coeff"], "volume.coeff")
+        volume = KForm(chart, dim, {tuple(range(dim)): coeff})
 
     pi = None
     if "bivector" in doc:
@@ -264,7 +267,7 @@ def structure_to_doc(st: Structure) -> dict:
     if st.name:
         doc["name"] = st.name
     if st.volume is not None:
-        doc["volume"] = {"coeff": to_string(st.volume.coefficient, chart)}
+        doc["volume"] = {"coeff": to_string(st.volume.component(*range(chart.dim)), chart)}
     if st.pi is not None:
         doc["bivector"] = _form_doc(st.pi)
     if st.n is not None:
@@ -388,8 +391,11 @@ def _write_output(text: str, out):
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _parse_box(text, dim: int):

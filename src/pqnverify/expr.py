@@ -507,6 +507,7 @@ def intpow(base: Expr, exponent) -> Expr:
 
 
 _MAX_EXPONENT = 2**1023  # the tape stores exponents as floats
+_MAX_EXPONENT_DIGITS = len(str(_MAX_EXPONENT))
 
 
 def _fold_unary(cls, op: int, fn, a: Expr) -> Expr:
@@ -894,8 +895,9 @@ def splitmix64(seed: int):
 class SamplePlan:
     """Where and how densely a check samples.
 
-    box holds one closed, finite interval per coordinate; the j-th point
-    uses stream outputs j*dim .. j*dim+dim-1 mapped affinely into the box.
+    box holds one closed interval per coordinate, with finite bounds and a
+    finite width hi - lo; the j-th point uses stream outputs
+    j*dim .. j*dim+dim-1 mapped affinely into the box.
     """
 
     seed: int
@@ -915,6 +917,8 @@ class SamplePlan:
                 raise ValueError(f"box bounds must be finite, got [{lo}, {hi}]")
             if not (lo < hi):
                 raise ValueError(f"empty box interval [{lo}, {hi}]")
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"box interval [{lo}, {hi}] is wider than a float holds")
 
 
 def sample_plan(
@@ -1137,6 +1141,8 @@ class _Parser:
             t = self.peek()
             if t.kind != "num" or not t.text.isdigit():
                 raise ExprError("exponent must be a non-negative integer", t.offset)
+            if len(t.text) > _MAX_EXPONENT_DIGITS:  # int() refuses over 4,300
+                raise ExprError("exponent too large", t.offset)
             self.advance()
             return intpow(base, int(t.text))
         return base

@@ -130,6 +130,15 @@ class KForm:
         )
 
     def component(self, *idx: int) -> Expr:
+        if len(idx) == 2:
+            # a 2-form's lookups are the hot ones: no sort
+            j, k = idx
+            if j < k:
+                return self.components.get(idx, ZERO)
+            if j == k:
+                return ZERO
+            e = self.components.get((k, j))
+            return ZERO if e is None else neg(e)
         sign, key = _sorted_with_sign(idx)
         if sign == 0:
             return ZERO
@@ -159,19 +168,13 @@ class Endomorphism:
             raise ValueError("matrix must be square with the chart dimension")
 
 
-@dataclass(frozen=True, eq=False)
-class VolumeForm:
-    chart: Chart
-    coefficient: Expr
-
-
 # Structures bundle the members the verifiers operate on.  Any member
 # other than the chart may be absent; suites skip what they cannot feed.
 
 @dataclass(frozen=True)
 class Structure:
     chart: Chart
-    volume: VolumeForm | None = None
+    volume: KForm | None = None  # top degree
     pi: Bivector | None = None
     n: Endomorphism | None = None
     phi: KForm | None = None  # degree 3
@@ -202,17 +205,9 @@ def basis_oneform(chart: Chart, i: int) -> KForm:
     return KForm(chart, 1, {(i,): ONE})
 
 
-def zero_vector(chart: Chart) -> VectorField:
-    return VectorField(chart, (ZERO,) * chart.dim)
-
-
 def identity_endomorphism(chart: Chart) -> Endomorphism:
     d = chart.dim
     return Endomorphism(chart, tuple(tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d)))
-
-
-def volume_kform(v: VolumeForm) -> KForm:
-    return KForm(v.chart, v.chart.dim, {tuple(range(v.chart.dim)): v.coefficient})
 
 
 # Linear arithmetic on each type.
@@ -532,9 +527,10 @@ def interior_endomorphism(n: Endomorphism, omega: KForm) -> KForm:
     return KForm(chart, omega.degree, comps)
 
 
-# Star against a volume form, and divergence.
+# Star against a volume form, and divergence.  A volume is a top-degree
+# KForm, rho dx^0 ^ ... ^ dx^(dim-1).
 
-def star(p, v: VolumeForm) -> KForm:
+def star(p, v: KForm) -> KForm:
     """Contraction of a multivector into the volume form.
 
     Defined for every degree when the chart is three dimensional; in other
@@ -542,15 +538,19 @@ def star(p, v: VolumeForm) -> KForm:
     """
     p = _as_multivector(p, v.chart)
     chart = _require_same_chart(p, v)
+    if v.degree != chart.dim:
+        raise DegreeError("a volume form has top degree")
     if chart.dim != 3 and p.degree not in (0, chart.dim):
         raise DegreeError("intermediate degrees are only supported on 3d charts")
-    return interior_mv(p, volume_kform(v))
+    return interior_mv(p, v)
 
 
-def divergence(x: VectorField, v: VolumeForm) -> Expr:
+def divergence(x: VectorField, v: KForm) -> Expr:
     """The function div(X) with L_X V = div(X) V."""
     chart = _require_same_chart(x, v)
-    rho = v.coefficient
+    if v.degree != chart.dim:
+        raise DegreeError("a volume form has top degree")
+    rho = v.component(*range(chart.dim))
     acc = ZERO
     for i in range(chart.dim):
         acc = add(acc, derive(mul(rho, x.components[i]), i))

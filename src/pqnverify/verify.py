@@ -56,7 +56,6 @@ from .fields import (
     KForm,
     Structure,
     VectorField,
-    VolumeForm,
     add_endomorphisms,
     add_kforms,
     apply_endomorphism,
@@ -391,12 +390,6 @@ def component_pairs(lhs, rhs) -> list[tuple[Expr, Expr]]:
                 r = ZERO if rhs is None else rhs.matrix[i][j]
                 out.append((lhs.matrix[i][j], r))
         return out
-    if isinstance(lhs, VolumeForm):
-        if rhs is None:
-            return [(lhs.coefficient, ZERO)]
-        if not isinstance(rhs, VolumeForm) or rhs.chart != lhs.chart:
-            raise TypeError("kind mismatch: volume form expected on both sides")
-        return [(lhs.coefficient, rhs.coefficient)]
     if isinstance(lhs, StagedTensor):
         if rhs is not None:
             raise TypeError("a staged tensor is compared with zero only")
@@ -449,13 +442,13 @@ def random_oneform(chart: Chart, gen) -> KForm:
     return KForm(chart, 1, {(i,): random_polynomial(chart, gen) for i in range(chart.dim)})
 
 
-def xi_form(pi: Bivector, volume: VolumeForm) -> KForm:
+def xi_form(pi: Bivector, volume: KForm) -> KForm:
     """The one-form dual to a bivector on an oriented 3d chart."""
     return star(pi, volume)
 
 
 def verify_poisson(
-    pi: Bivector, plan: SamplePlan, tol: float, volume: VolumeForm | None = None
+    pi: Bivector, plan: SamplePlan, tol: float, volume: KForm | None = None
 ) -> list[CheckReport]:
     """Jacobi identity on coordinate triples; on an oriented 3d chart also
     the integrability of the dual one-form and that the sharp map kills it."""
@@ -607,7 +600,7 @@ def verify_3d_conditions(
     pi: Bivector,
     n: Endomorphism,
     phi: KForm | None,
-    volume: VolumeForm,
+    volume: KForm,
     plan: SamplePlan,
     tol: float,
     lam: Expr | None = None,
@@ -644,7 +637,7 @@ def verify_3d_conditions(
     zlam = pairing(d_scalar(chart, lam), z)
     if phi is None:
         phi = zero_kform(chart, 3)
-    model_phi = KForm(chart, 3, {(0, 1, 2): neg(mul(zlam, volume.coefficient))})
+    model_phi = KForm(chart, 3, {(0, 1, 2): neg(mul(zlam, volume.component(0, 1, 2)))})
     checks.append(_identity(names[2], phi, model_phi))
     pairs = _torsion_closed_form_pairs(nijenhuis_torsion(n), xi, ds, z, zlam)
     checks.append((names[3], pairs, ""))
@@ -655,7 +648,8 @@ def _theta_on_torsion(theta: KForm, n: Endomorphism) -> list[tuple[Expr, Expr]]:
     """The pairs <theta, T_N(d_j, d_k)> = 0 for j < k, read from the
     expansion of N's staged torsion."""
     t = nijenhuis_torsion(n).expression()
-    return [(pairing(theta, t.pair(j, k)), ZERO) for j, k in combinations(range(n.chart.dim), 2)]
+    return [(pairing(theta, VectorField(n.chart, tuple(ti.component(j, k) for ti in t))), ZERO)
+            for j, k in combinations(range(n.chart.dim), 2)]
 
 
 def verify_haantjes_structure(

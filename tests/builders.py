@@ -57,7 +57,6 @@ from pqnverify.expr import (
 )
 from pqnverify.calculus import (
     HaantjesTensor,
-    TorsionEvaluator,
     _derivatives,
     _signed_add,
     d,
@@ -71,7 +70,6 @@ from pqnverify.fields import (
     Endomorphism,
     KForm,
     VectorField,
-    VolumeForm,
     _require_same_chart,
     add_kforms,
     dual_apply,
@@ -81,7 +79,6 @@ from pqnverify.fields import (
     sharp,
     sub_kforms,
     trace,
-    volume_kform,
 )
 from pqnverify.verify import random_polynomial
 
@@ -111,12 +108,13 @@ def points(plan) -> list[tuple[float, ...]]:
 
 
 def torsion_apply(t, x: VectorField, y: VectorField) -> VectorField:
-    """The value of a torsion (calculus.TorsionEvaluator) on two general
-    vector fields, expanded over the coordinate basis by
+    """The value of a torsion, given as its d 2-forms (t[i] holding T^i on
+    the pairs j < k, as calculus.StagedTensor.expression() returns it), on
+    two general vector fields, expanded over the coordinate basis by
     function-bilinearity."""
     chart = _require_same_chart(x, y)
     comps = [ZERO] * chart.dim
-    for (j, k), v in t._pairs.items():
+    for j, k in combinations(range(chart.dim), 2):
         coeff = sub(
             mul(x.components[j], y.components[k]),
             mul(x.components[k], y.components[j]),
@@ -124,8 +122,15 @@ def torsion_apply(t, x: VectorField, y: VectorField) -> VectorField:
         if is_zero(coeff):
             continue
         for i in range(chart.dim):
-            comps[i] = add(comps[i], mul(coeff, v.components[i]))
+            comps[i] = add(comps[i], mul(coeff, t[i].component(j, k)))
     return VectorField(chart, tuple(comps))
+
+
+def two_forms(chart: Chart, pairs: dict) -> tuple[KForm, ...]:
+    """Components keyed (j, k) for j < k, a list per pair over i, as the d
+    2-forms whose i-th holds the i-th component of every pair."""
+    return tuple(KForm(chart, 2, {jk: comps[i] for jk, comps in pairs.items()})
+                 for i in range(chart.dim))
 
 
 def staged_values(tensor, pts) -> np.ndarray:
@@ -137,7 +142,7 @@ def staged_values(tensor, pts) -> np.ndarray:
         return tensor.contract(evaluate_batch(tensor.roots, pts))[0]
 
 
-def torsion_expression(n: Endomorphism) -> TorsionEvaluator:
+def torsion_expression(n: Endomorphism) -> tuple[KForm, ...]:
     """T as expressions, in O(d^4) symbolic products: on each pair j < k
 
         T^i_{jk} = sum_m ( N^m_j d_m N^i_k - N^m_k d_m N^i_j
@@ -162,11 +167,11 @@ def torsion_expression(n: Endomorphism) -> TorsionEvaluator:
                 acc = _signed_add(acc, -1, nm[m][k], dn[m][i][j])
                 acc = _signed_add(acc, 1, nm[i][m], bracket[m])
             comps.append(acc)
-        pairs[(j, k)] = VectorField(chart, tuple(comps))
-    return TorsionEvaluator(chart, pairs)
+        pairs[(j, k)] = comps
+    return two_forms(chart, pairs)
 
 
-def haantjes_expression(n: Endomorphism) -> TorsionEvaluator:
+def haantjes_expression(n: Endomorphism) -> tuple[KForm, ...]:
     """H as expressions, in O(d^4) symbolic products: the reference for
     calculus.haantjes_tensor(n).expression().
 
@@ -191,14 +196,14 @@ def haantjes_expression(n: Endomorphism) -> TorsionEvaluator:
                     if l == m:
                         continue
                     if l > m:
-                        acc = add(acc, mul(t.component(i, m, l), nm[l][k]))
+                        acc = add(acc, mul(t[i].component(m, l), nm[l][k]))
                     else:
-                        acc = sub(acc, mul(t.component(i, l, m), nm[l][k]))
+                        acc = sub(acc, mul(t[i].component(l, m), nm[l][k]))
                 row[k] = acc
     pairs = {}
     for j in range(dim):
         for k in range(j + 1, dim):
-            tjk = t.pair(j, k).components
+            tjk = [tp.component(j, k) for tp in t]
             inner = []
             for m in range(dim):
                 acc = sub(a[m][j][k], a[m][k][j])
@@ -213,8 +218,8 @@ def haantjes_expression(n: Endomorphism) -> TorsionEvaluator:
                 for m in range(dim):
                     acc = sub(acc, mul(nm[i][m], inner[m]))
                 comps.append(acc)
-            pairs[(j, k)] = VectorField(chart, tuple(comps))
-    return TorsionEvaluator(chart, pairs)
+            pairs[(j, k)] = comps
+    return two_forms(chart, pairs)
 
 
 def reference_components(tensor) -> list[Expr]:
@@ -222,7 +227,7 @@ def reference_components(tensor) -> list[Expr]:
     loop above builds them, in the order tensor.entries() lists them."""
     build = haantjes_expression if isinstance(tensor, HaantjesTensor) else torsion_expression
     ref = build(tensor.n)
-    return [c for jk in tensor.pairs for c in ref.pair(*jk).components]
+    return [ri.component(*jk) for jk in tensor.pairs for ri in ref]
 
 
 def dense_torsion_expression(n: Endomorphism) -> dict:
@@ -268,13 +273,13 @@ def haantjes_live_terms(n: Endomorphism) -> int:
                 acc = ZERO
                 for l in range(dim):
                     if l > m:
-                        acc = add(acc, count(t.component(i, m, l), nm[l][k]))
+                        acc = add(acc, count(t[i].component(m, l), nm[l][k]))
                     elif l < m:
-                        acc = sub(acc, count(t.component(i, l, m), nm[l][k]))
+                        acc = sub(acc, count(t[i].component(l, m), nm[l][k]))
                 a[i][m][k] = acc
     for j in range(dim):
         for k in range(j + 1, dim):
-            tjk = t.pair(j, k).components
+            tjk = [tp.component(j, k) for tp in t]
             inner = []
             for m in range(dim):
                 acc = sub(a[m][j][k], a[m][k][j])
@@ -317,7 +322,7 @@ def dense_phi_sequence_term(n: Endomorphism, s: int) -> KForm:
         acc = ZERO
         for i in range(dim):
             for r in range(dim):
-                acc = add(acc, mul(ns[i][r], t.component(r, j, i)))
+                acc = add(acc, mul(ns[i][r], t[r].component(j, i)))
         val = div(acc, constant(2.0))
         if not is_zero(val):
             comps[(j,)] = val
@@ -448,17 +453,12 @@ def concomitant_visits(p: Bivector, n: Endomorphism) -> int:
     return 5 * visits
 
 
-def lie_derivative(x: VectorField, omega):
+def lie_derivative(x: VectorField, omega: KForm) -> KForm:
     """Lie derivative of a form along a vector field, by Cartan's formula.
 
-    Accepts a KForm of any degree or a VolumeForm (returned as the same
-    kind).  On functions this reduces to X(f), on top-degree forms to
-    d(i_X omega).
+    Accepts a KForm of any degree.  On functions this reduces to X(f), on
+    top-degree forms, such as a volume, to d(i_X omega).
     """
-    if isinstance(omega, VolumeForm):
-        res = lie_derivative(x, volume_kform(omega))
-        top = tuple(range(omega.chart.dim))
-        return VolumeForm(omega.chart, res.components.get(top, ZERO))
     chart = _require_same_chart(x, omega)
     if omega.degree == 0:
         return interior_mv(x, d(omega))

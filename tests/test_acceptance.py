@@ -24,7 +24,7 @@ from pqnverify.catalog import (
 )
 from pqnverify.cli import main
 from pqnverify.expr import ONE, Chart, derive, evaluate, parse, sample_plan, splitmix64
-from pqnverify.fields import Bivector, KForm, VolumeForm, power, sharp_flat, sub_endomorphisms
+from pqnverify.fields import Bivector, KForm, power, sharp_flat, sub_endomorphisms
 from pqnverify.verify import (
     affine_scaling_report,
     check_identity,
@@ -169,9 +169,9 @@ def test_criterion_5_cubic_flow_chain_stalls_at_torsion_annihilation():
     t1 = nijenhuis_torsion(mv.n).expression()
     t2 = nijenhuis_torsion(power(mv.n, 2)).expression()
     for p in points(plan):
-        got1 = [evaluate(c, p) for c in t1.pair(0, 2).components]
+        got1 = [evaluate(ti.component(0, 2), p) for ti in t1]
         ok = ok and max(abs(got1[0] + 1.0), abs(got1[1]), abs(got1[2])) <= 1e-10
-        got2 = [evaluate(c, p) for c in t2.pair(0, 1).components]
+        got2 = [evaluate(ti.component(0, 1), p) for ti in t2]
         ok = ok and max(abs(got2[0]), abs(got2[1] + 8.0), abs(got2[2])) <= 1e-10
     chain_reports = verify_lm_chain(mv.chain, mv.theta, plan, TOL, n=mv.n)
     failing_c = sorted(
@@ -226,7 +226,7 @@ def test_criterion_7_random_batteries_and_poisson_discrimination():
             r.status == "pass"
             for r in rank_one_identity_reports(w, eta, plan, TOL)
         )
-    vol = VolumeForm(R3, ONE)
+    vol = KForm(R3, 3, {(0, 1, 2): ONE})
     flat = Bivector(R3, {(0, 1): ONE})
     ok = ok and all(
         r.status == "pass" for r in verify_poisson(flat, plan, TOL, volume=vol)

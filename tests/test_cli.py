@@ -73,6 +73,26 @@ def test_recipe_structure_documents_round_trip():
     assert structure_to_doc(again) == doc
 
 
+@pytest.mark.parametrize(
+    "chart, coeff, written",
+    [
+        ({"dim": 3, "coords": ["x", "y", "z"]}, "0", "0"),
+        ({"dim": 3, "coords": ["x", "y", "z"]}, "-0", "0"),
+        ({"dim": 2, "coords": ["p", "q"]}, "exp(p)*q", "exp(p)*q"),
+        ({"dim": 1, "coords": ["t"]}, "-t", "-t"),
+    ],
+    ids=["zero", "negative-zero", "2d", "1d"],
+)
+def test_volume_blocks_round_trip_to_their_bytes(chart, coeff, written):
+    # A volume is a top-degree KForm, which stores no zero coefficient; the
+    # block is written back from its component all the same, with a zero
+    # (of either sign) spelled "0".
+    st = structure_from_doc({"chart": chart, "volume": {"coeff": coeff}}, "<mem>")
+    assert st.volume.degree == chart["dim"]
+    want = {"chart": chart, "volume": {"coeff": written}}
+    assert emit_document(structure_to_doc(st)) == json.dumps(want, indent=2) + "\n"
+
+
 def test_verify_passes_on_a_flat_bivector(tmp_path, capsys):
     path = write_structure(tmp_path, MINIMAL)
     code, out, err = run_cli(["verify", path, "--suites", "poisson"], capsys)
@@ -381,6 +401,55 @@ def test_infinite_boxes_exit_two(tmp_path, capsys, command, box):
     assert err.startswith("pqnverify: box bounds must be finite")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_a_box_wider_than_a_float_holds_exits_two(tmp_path, capsys):
+    # Each bound is finite but hi - lo overflows: the points would be
+    # sampled outside the box, and residuals at infinite points reported.
+    sf = tmp_path / "mv.json"
+    run_cli(["catalog", "magri-veselov", "--out", str(sf)], capsys)
+    code, out, err = run_cli(
+        ["verify", str(sf), "--box=-1.7e308:1.7e308", "--suites", "chain"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("pqnverify: box interval [-1.7e+308, 1.7e+308] is wider than")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"chart": {"dim": 3, "coords": ["x", "y", "z"]},
+                    "bivector": {"components": {"1,2": "x^" + "9" * 5000}}}),
+        '{"chart": {"dim": ' + "9" * 5000 + ', "coords": []}}',
+    ],
+    ids=["exponent", "chart-dim"],
+)
+def test_integer_literals_past_the_digit_limit_exit_two(tmp_path, capsys, text):
+    # int() refuses more than 4,300 digits with a ValueError, which must not
+    # escape as a traceback and exit 1.
+    path = tmp_path / "structure.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["verify", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("pqnverify: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "table", "catalog"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_an_unwritable_out_exits_two(tmp_path, capsys, command, where):
+    sf = tmp_path / "toda2.json"
+    run_cli(["catalog", "closed-toda", "--n", "2", "--out", str(sf)], capsys)
+    target = tmp_path / "absent" / "r.json" if where == "missing-dir" else tmp_path
+    args = ["closed-toda", "--n", "2"] if command == "catalog" else [str(sf), "--kmax", "2"]
+    code, out, err = run_cli([command, *args, "--out", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"pqnverify: cannot write {target}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["verify", "table"])

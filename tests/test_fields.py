@@ -24,7 +24,6 @@ from pqnverify.fields import (
     Endomorphism,
     KForm,
     VectorField,
-    VolumeForm,
     apply_endomorphism,
     apply_form,
     basis_oneform,
@@ -50,7 +49,7 @@ from pqnverify.fields import (
 
 CH = Chart(("x", "y", "z"))
 X, Y, Z = Coord(0), Coord(1), Coord(2)
-VOL = VolumeForm(CH, ONE)
+VOL = KForm(CH, 3, {(0, 1, 2): ONE})
 CANONICAL = Bivector(CH, {(0, 1): ONE})
 
 POINTS = [(0.7, -0.4, 1.3), (-0.9, 0.2, 0.5), (0.1, 1.1, -0.8)]
@@ -299,7 +298,7 @@ class TestStarAndDivergence:
 
     def test_star_scales_with_the_volume(self):
         f = parse("1 + x^2/4", CH)
-        scaled = star(CANONICAL, VolumeForm(CH, f))
+        scaled = star(CANONICAL, KForm(CH, 3, {(0, 1, 2): f}))
         plain = scale_kform(f, star(CANONICAL, VOL))
         for p in POINTS:
             for i in range(3):
@@ -324,7 +323,7 @@ class TestStarAndDivergence:
             assert ev(divergence(x, VOL), p) == pytest.approx(1.0, rel=1e-12)
 
     def test_divergence_sees_the_volume_weight(self):
-        vol = VolumeForm(CH, parse("exp(x)", CH))
+        vol = KForm(CH, 3, {(0, 1, 2): parse("exp(x)", CH)})
         out = divergence(basis_vector(CH, 0), vol)
         for p in POINTS:
             assert ev(out, p) == pytest.approx(1.0, rel=1e-12)

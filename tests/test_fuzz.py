@@ -152,3 +152,78 @@ def test_verify_exits_cleanly_on_generated_documents(doc):
         assert err.getvalue() == ""
         report = json.loads(out.getvalue())
         assert (code == 1) == any(c["status"] == "fail" for c in report["checks"])
+
+
+# Sampling flags on a small 3d structure with the cheap poisson suite.
+# The bivector holds an integer exponent literal of a drawn length, and
+# the chart's dim is sometimes an integer literal too long for int().  The
+# bivector is Poisson unless its (1,3) entry is y.
+FLAG_DOC = (
+    '{"chart": {"dim": %s, "coords": ["x", "y", "z"]}, "volume": {"coeff": "1"},'
+    ' "bivector": {"components": {"1,2": "x^%s", "1,3": "%s", "2,3": "z"}}}'
+)
+BOUND = st.one_of(
+    st.floats(-10, 10), st.floats(-1.7e308, 1.7e308, allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def intervals(draw):
+    """One lo:hi interval, broadcast, or one per coordinate; mostly with
+    lo < hi, each bound anywhere up to about the largest float."""
+    count = 3 if draw(st.booleans()) else 1
+    if rare(draw, 10):
+        count = 2
+    box = [tuple(sorted(draw(st.tuples(BOUND, BOUND)))) for _ in range(count)]
+    if rare(draw, 10):
+        box[0] = box[0][::-1]
+    return box
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    box=intervals(),
+    samples=st.integers(-2, 200),
+    seed=st.integers(-(2**70), 2**70),
+    resample_limit=st.integers(-2, 2000),
+    exponent_digits=st.one_of(st.integers(1, 3), st.integers(1, 5000)),
+    dim_digits=st.sampled_from([0] * 9 + [5000]),
+    poisson=st.booleans(),
+)
+@example(box=[(-1.7e308, 1.7e308)], samples=64, seed=42, resample_limit=1024,
+         exponent_digits=1, dim_digits=0, poisson=True)
+@example(box=[(-1.0, 1.0)], samples=64, seed=42, resample_limit=1024,
+         exponent_digits=5000, dim_digits=0, poisson=True)
+@example(box=[(-1.0, 1.0)], samples=64, seed=42, resample_limit=1024,
+         exponent_digits=1, dim_digits=5000, poisson=True)
+def test_sampling_flags_and_long_literals_exit_cleanly(
+    box, samples, seed, resample_limit, exponent_digits, dim_digits, poisson
+):
+    dim = "9" * dim_digits if dim_digits else "3"
+    text = FLAG_DOC % (dim, "9" * exponent_digits, "0" if poisson else "y")
+    flags = [
+        "--box=" + ",".join(f"{lo!r}:{hi!r}" for lo, hi in box),
+        f"--samples={samples}",
+        f"--seed={seed}",
+        f"--resample-limit={resample_limit}",
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "structure.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", path, "--suites", "poisson", *flags])
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("pqnverify: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert code in (0, 1)
+        assert err.getvalue() == ""
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert (code == 1) == any(c["status"] == "fail" for c in report["checks"])

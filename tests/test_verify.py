@@ -44,7 +44,6 @@ from pqnverify.fields import (
     KForm,
     Structure,
     VectorField,
-    VolumeForm,
     sharp,
     star,
 )
@@ -84,7 +83,7 @@ from builders import (
 
 CH = Chart(("x", "y", "z"))
 X, Y, Z = Coord(0), Coord(1), Coord(2)
-VOL = VolumeForm(CH, ONE)
+VOL = KForm(CH, 3, {(0, 1, 2): ONE})
 CANONICAL = Bivector(CH, {(0, 1): ONE})
 HALF = constant(2.0)
 
@@ -486,7 +485,7 @@ def test_verify_3d_conditions_on_the_recipe(plan):
 
 def test_verify_3d_conditions_survive_a_volume_rescale(plan):
     st = r3_recipe(RECIPE)
-    vol = VolumeForm(CH, parse("1 + x^2/4", CH))
+    vol = KForm(CH, 3, {(0, 1, 2): parse("1 + x^2/4", CH)})
     reports = verify_3d_conditions(st.pi, st.n, st.phi, vol, plan, 1e-8)
     assert all(r.status == "pass" for r in reports)
 
@@ -495,7 +494,7 @@ def test_verify_3d_conditions_need_three_coordinates():
     do = das_okubo(2)
     plan = sample_plan(do.chart)
     with pytest.raises(ValueError):
-        verify_3d_conditions(do.pi, do.n, None, VolumeForm(do.chart, ONE), plan, 1e-8)
+        verify_3d_conditions(do.pi, do.n, None, KForm(do.chart, 4, {(0, 1, 2, 3): ONE}), plan, 1e-8)
 
 
 def test_verify_haantjes_structure_passes_and_validates(plan):
