@@ -1049,6 +1049,9 @@ class _Token:
         self.offset = offset
 
 
+_DIGITS = "0123456789"  # str.isdigit() also takes digits int() and float() refuse
+
+
 def _tokenize(text: str) -> list[_Token]:
     toks = []
     i, n = 0, len(text)
@@ -1057,23 +1060,23 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             if i < n and text[i] == ".":
                 i += 1
-                if i >= n or not text[i].isdigit():
+                if i >= n or text[i] not in _DIGITS:
                     raise ExprError("malformed number: digits required after '.'", start)
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
             if i < n and text[i] in "eE":
                 i += 1
                 if i < n and text[i] in "+-":
                     i += 1
-                if i >= n or not text[i].isdigit():
+                if i >= n or text[i] not in _DIGITS:
                     raise ExprError("malformed number: digits required in exponent", start)
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
             toks.append(_Token("num", text[start:i], start))
             continue
@@ -1141,10 +1144,11 @@ class _Parser:
             t = self.peek()
             if t.kind != "num" or not t.text.isdigit():
                 raise ExprError("exponent must be a non-negative integer", t.offset)
-            if len(t.text) > _MAX_EXPONENT_DIGITS:  # int() refuses over 4,300
+            digits = t.text.lstrip("0") or "0"
+            if len(digits) > _MAX_EXPONENT_DIGITS:  # int() refuses over 4,300
                 raise ExprError("exponent too large", t.offset)
             self.advance()
-            return intpow(base, int(t.text))
+            return intpow(base, int(digits))
         return base
 
     def parse_atom(self) -> Expr:

@@ -130,15 +130,6 @@ class KForm:
         )
 
     def component(self, *idx: int) -> Expr:
-        if len(idx) == 2:
-            # a 2-form's lookups are the hot ones: no sort
-            j, k = idx
-            if j < k:
-                return self.components.get(idx, ZERO)
-            if j == k:
-                return ZERO
-            e = self.components.get((k, j))
-            return ZERO if e is None else neg(e)
         sign, key = _sorted_with_sign(idx)
         if sign == 0:
             return ZERO

@@ -218,6 +218,9 @@ CHART2 = {"dim": 2, "coords": ["x", "y"]}
                                "coords": [f"x{i}" for i in range(2 * MAX_SITES + 1)]},
                      "bivector": {"components": {"1,2": "1"}}}),
          f"chart.dim must be at most {2 * MAX_SITES}, got {2 * MAX_SITES + 1}"),
+        # str.isdigit() takes these digits, which int() and float() refuse
+        *((json.dumps({"chart": CHART2, "bivector": {"components": {"1,2": entry}}}),
+           "unexpected character") for entry in ["²", "x^²", "2²", "٣"]),
     ],
 )
 def test_malformed_inputs_exit_two(tmp_path, capsys, payload, fragment):
@@ -227,6 +230,7 @@ def test_malformed_inputs_exit_two(tmp_path, capsys, payload, fragment):
     assert code == 2
     assert out == ""
     assert err.startswith("pqnverify:")
+    assert err.count("\n") == 1
     assert fragment in err
 
 
@@ -436,6 +440,18 @@ def test_integer_literals_past_the_digit_limit_exit_two(tmp_path, capsys, text):
     assert out == ""
     assert err.startswith("pqnverify: ")
     assert err.count("\n") == 1
+
+
+def test_leading_zeros_do_not_count_toward_the_exponent_limit(tmp_path, capsys):
+    reports = []
+    for exponent in ["2", "0" * 5000 + "2"]:
+        doc = {"chart": {"dim": 3, "coords": ["x", "y", "z"]},
+               "bivector": {"components": {"1,2": "x^" + exponent}}}
+        code, out, err = run_cli(["verify", write_structure(tmp_path, doc)], capsys)
+        assert code in (0, 1)
+        assert err == ""
+        reports.append(json.loads(out)["checks"])
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("command", ["verify", "table", "catalog"])

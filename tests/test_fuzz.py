@@ -155,7 +155,7 @@ def test_verify_exits_cleanly_on_generated_documents(doc):
 
 
 # Sampling flags on a small 3d structure with the cheap poisson suite.
-# The bivector holds an integer exponent literal of a drawn length, and
+# The bivector holds a drawn exponent literal (EXPONENT below), and
 # the chart's dim is sometimes an integer literal too long for int().  The
 # bivector is Poisson unless its (1,3) entry is y.
 FLAG_DOC = (
@@ -184,27 +184,43 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+# An exponent literal: ASCII digits, possibly zero-padded or past int()'s
+# 4,300-digit limit, or a short run that mixes in digits int() refuses.
+EXPONENT = st.one_of(
+    st.builds(
+        lambda zeros, nines: "0" * zeros + "9" * nines,
+        st.sampled_from([0] * 6 + [400, 5000]),
+        st.one_of(st.integers(1, 3), st.integers(1, 5000)),
+    ),
+    st.text(alphabet="0129\u00b2\u00b3\u0663", min_size=1, max_size=3),
+)
+
+
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(
     box=intervals(),
     samples=st.integers(-2, 200),
     seed=st.integers(-(2**70), 2**70),
     resample_limit=st.integers(-2, 2000),
-    exponent_digits=st.one_of(st.integers(1, 3), st.integers(1, 5000)),
+    exponent=EXPONENT,
     dim_digits=st.sampled_from([0] * 9 + [5000]),
     poisson=st.booleans(),
 )
 @example(box=[(-1.7e308, 1.7e308)], samples=64, seed=42, resample_limit=1024,
-         exponent_digits=1, dim_digits=0, poisson=True)
+         exponent="9", dim_digits=0, poisson=True)
 @example(box=[(-1.0, 1.0)], samples=64, seed=42, resample_limit=1024,
-         exponent_digits=5000, dim_digits=0, poisson=True)
+         exponent="9" * 5000, dim_digits=0, poisson=True)
 @example(box=[(-1.0, 1.0)], samples=64, seed=42, resample_limit=1024,
-         exponent_digits=1, dim_digits=5000, poisson=True)
+         exponent="9", dim_digits=5000, poisson=True)
+@example(box=[(-1.0, 1.0)], samples=64, seed=42, resample_limit=1024,
+         exponent="0" * 5000 + "2", dim_digits=0, poisson=True)
+@example(box=[(-1.0, 1.0)], samples=64, seed=42, resample_limit=1024,
+         exponent="\u00b2", dim_digits=0, poisson=True)
 def test_sampling_flags_and_long_literals_exit_cleanly(
-    box, samples, seed, resample_limit, exponent_digits, dim_digits, poisson
+    box, samples, seed, resample_limit, exponent, dim_digits, poisson
 ):
     dim = "9" * dim_digits if dim_digits else "3"
-    text = FLAG_DOC % (dim, "9" * exponent_digits, "0" if poisson else "y")
+    text = FLAG_DOC % (dim, exponent, "0" if poisson else "y")
     flags = [
         "--box=" + ",".join(f"{lo!r}:{hi!r}" for lo, hi in box),
         f"--samples={samples}",
