@@ -56,6 +56,21 @@ class InputError(Exception):
     """Anything wrong with the command input; mapped to exit code 2."""
 
 
+# Longest parser message printed; a longer one (a long flag value) is cut.
+_PARSER_MESSAGE_CHARS = 120
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are input errors: one line, without
+    the usage, and a long value cut short."""
+
+    def error(self, message):
+        text = " ".join(message.split())
+        if len(text) > _PARSER_MESSAGE_CHARS:
+            text = text[:_PARSER_MESSAGE_CHARS - 3] + "..."
+        raise InputError(text)
+
+
 # ---------------------------------------------------------------------------
 # structure files
 
@@ -537,7 +552,7 @@ def _add_sampling_flags(sub):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pqnverify",
         description="Seeded numerical verification of symbolic compatibility "
         "structures on coordinate charts.",
@@ -570,9 +585,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {"verify": _cmd_verify, "table": _cmd_table, "catalog": _cmd_catalog}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except InputError as exc:
         print(f"pqnverify: {exc}", file=sys.stderr)

@@ -17,6 +17,15 @@ drawn so far.
 Every universally quantified identity here is tensorial in its vector
 arguments, so checking it on coordinate fields at sampled points is
 equivalent to checking it on arbitrary fields.
+
+Each suite has a builder that returns its entries: (name, pairs, detail)
+check triples and reports already decided.  A public verify_* function
+settles its builder's entries in one run_checks batch.  run_suites builds
+the suites in table order and merges consecutive batches while the merged
+batch is evaluated in one chunk of points, so a verdict's small suites
+share one evaluation; a batch too large for one chunk is settled alone.
+An evaluation does not depend on which roots share it, so the grouping
+changes no report.
 """
 from __future__ import annotations
 
@@ -130,10 +139,12 @@ def run_checks(
     """Reports for (name, pairs, detail) checks, in order, settled in one
     evaluation pass.
 
+    The checks may come from several suites: run_suites passes each group
+    of consecutive batches that one chunk of points holds (_groups).
     The roots of every check are evaluated together at the plan's points,
     so that nodes the checks share are evaluated once, in chunks of as
-    many points as keep the output within REGISTER_BUDGET floats (one
-    point at least).  Each chunk is reduced
+    many points as keep their rows of values (the sides and _held_rows)
+    within REGISTER_BUDGET floats (one point at least).  Each chunk is reduced
     at once to every check's finiteness and scaled residual per point.
     Points where a check has a component that is not finite are then
     replaced for that check alone.  An evaluation does not depend on which
@@ -270,17 +281,8 @@ def _scaled_residuals(
     if not starts:
         return finite, scaled
     roots, staged = _staging(exprs)
-    # A Haantjes contraction holds arrays of d^3 rows besides the roots'
-    # values.  Its torsion's components count with the roots, as they did
-    # when they were roots, so its chunks stay about as wide as then.
-    held = {
-        id(h.torsion): len(h.torsion.constants)
-        for h, *_ in staged
-        if isinstance(h, HaantjesTensor)
-    }
-    width = max(1, expr.REGISTER_BUDGET // (len(roots) + sum(held.values())))
+    width = max(1, expr.REGISTER_BUDGET // (len(exprs) + sum(_held_rows(exprs).values())))
     width = -(-npts // -(-npts // width))  # even chunks
-    rows = 2 * np.array(starts)
     counts = np.diff(np.append(starts, len(exprs) // 2))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, npts, width):
@@ -299,17 +301,41 @@ def _scaled_residuals(
                     vals[dst[zero[src] | scale_zero]] = 0.0
             lhs, rhs = vals[0::2], vals[1::2]
             residual = np.maximum.reduceat(np.abs(lhs - rhs), starts, axis=0)
-            scale = np.maximum(
-                1.0, np.maximum.reduceat(np.maximum(np.abs(lhs), np.abs(rhs)), starts, axis=0)
-            )
+            # np.maximum propagates nan, so the largest |side| is finite
+            # exactly where every side is
+            big = np.maximum.reduceat(np.maximum(np.abs(lhs), np.abs(rhs)), starts, axis=0)
+            scale = np.maximum(1.0, big)
             value = residual / scale
             over = np.isinf(residual)
             if over.any():
                 s = np.repeat(scale, counts, axis=0)
                 value[over] = np.maximum.reduceat(np.abs(lhs / s - rhs / s), starts, axis=0)[over]
             scaled[:, lo:lo + width] = value
-            finite[:, lo:lo + width] = np.logical_and.reduceat(np.isfinite(vals), rows, axis=0)
+            finite[:, lo:lo + width] = np.isfinite(big)
     return finite, scaled
+
+
+def _held_rows(exprs: list) -> dict[int, int]:
+    """Rows of values a chunk holds per point besides the sides in exprs,
+    by the id of what holds them: each distinct staged tensor's roots and
+    each distinct scale, which follow the sides among the roots
+    (_staging), and each Haantjes tensor's torsion components.
+
+    A Haantjes contraction holds arrays of d^3 rows besides the roots'
+    values.  Its torsion's components count with the roots, as they did
+    when they were roots, so its chunks stay about as wide as then.
+    _scaled_residuals sizes its chunks by the sides plus these rows, and
+    run_suites merges batches by the same count."""
+    held: dict[int, int] = {}
+    for e in exprs:
+        if isinstance(e, Expr):
+            continue
+        held[id(e.tensor.roots)] = len(e.tensor.roots)
+        if e.scale is not None:
+            held[id(e.scale)] = 1
+        if isinstance(e.tensor, HaantjesTensor):
+            held[id(e.tensor.torsion)] = len(e.tensor.torsion.constants)
+    return held
 
 
 def _staging(exprs: list) -> tuple[list[Expr], list]:
@@ -410,8 +436,10 @@ def _identity(name: str, lhs, rhs=None) -> tuple[str, list[tuple[Expr, Expr]], s
 
 def _run_in_order(entries: list, plan: SamplePlan, tol: float) -> list[CheckReport]:
     """Reports for entries that are run_checks triples or reports already
-    decided, in order, with the triples settled in one pass."""
-    settled = iter(run_checks([e for e in entries if not isinstance(e, CheckReport)], plan, tol))
+    decided, in order, with the triples settled in one run_checks batch
+    (none when there are no triples)."""
+    checks = [e for e in entries if not isinstance(e, CheckReport)]
+    settled = iter(run_checks(checks, plan, tol) if checks else ())
     return [e if isinstance(e, CheckReport) else next(settled) for e in entries]
 
 
@@ -452,13 +480,16 @@ def verify_poisson(
 ) -> list[CheckReport]:
     """Jacobi identity on coordinate triples; on an oriented 3d chart also
     the integrability of the dual one-form and that the sharp map kills it."""
-    chart = pi.chart
+    return _run_in_order(_poisson_entries(pi, volume), plan, tol)
+
+
+def _poisson_entries(pi: Bivector, volume: KForm | None) -> list:
     checks = [("poisson.jacobi", [(side, ZERO) for side in jacobi_sides(pi)], "")]
-    if volume is not None and chart.dim == 3:
+    if volume is not None and pi.chart.dim == 3:
         xi = xi_form(pi, volume)
         checks.append(_identity("poisson.integrability", wedge(xi, d(xi))))
         checks.append(_identity("poisson.sharp_annihilates_xi", sharp(pi, xi)))
-    return run_checks(checks, plan, tol)
+    return checks
 
 
 @per_verdict
@@ -482,13 +513,12 @@ def verify_pn(
     pi: Bivector, n: Endomorphism, plan: SamplePlan, tol: float
 ) -> list[CheckReport]:
     """Both compatibility conditions plus a vanishing torsion check."""
+    return _run_in_order(_pn_entries(pi, n), plan, tol)
+
+
+def _pn_entries(pi: Bivector, n: Endomorphism) -> list:
     c1, c2 = _compatibility_pairs(pi, n)
-    checks = [
-        ("pn.C1", c1, ""),
-        ("pn.C2", c2, ""),
-        _identity("pn.torsion", nijenhuis_torsion(n)),
-    ]
-    return run_checks(checks, plan, tol)
+    return [("pn.C1", c1, ""), ("pn.C2", c2, ""), _identity("pn.torsion", nijenhuis_torsion(n))]
 
 
 def verify_pqn(
@@ -496,6 +526,10 @@ def verify_pqn(
 ) -> list[CheckReport]:
     """Compatibility, closedness of the 3-form under d and under the
     induced derivation, and the prescribed-torsion condition."""
+    return _run_in_order(_pqn_entries(pi, n, phi, tol), plan, tol)
+
+
+def _pqn_entries(pi: Bivector, n: Endomorphism, phi: KForm, tol: float) -> list:
     chart = pi.chart
     if phi.degree != 3:
         raise ValueError("the structure form must have degree 3")
@@ -518,7 +552,7 @@ def verify_pqn(
             )
             pairs.extend(zip(t.pair(a, b), rhs.components))
     entries.append(("pqn.torsion_prescribed", pairs, ""))
-    return _run_in_order(entries, plan, tol)
+    return entries
 
 
 def reconstruct_decomposition(
@@ -613,6 +647,13 @@ def verify_3d_conditions(
     When lam and Z are not supplied they are reconstructed from N and the
     dual one-form; all four checks are skipped if that fails.
     """
+    return _run_in_order(_threed_entries(pi, n, phi, volume, plan, tol, lam, z), plan, tol)
+
+
+def _threed_entries(
+    pi: Bivector, n: Endomorphism, phi: KForm | None, volume: KForm, plan: SamplePlan,
+    tol: float, lam: Expr | None, z: VectorField | None,
+) -> list:
     chart = pi.chart
     if chart.dim != 3:
         raise ValueError("these conditions are specific to 3d charts")
@@ -641,7 +682,7 @@ def verify_3d_conditions(
     checks.append(_identity(names[2], phi, model_phi))
     pairs = _torsion_closed_form_pairs(nijenhuis_torsion(n), xi, ds, z, zlam)
     checks.append((names[3], pairs, ""))
-    return run_checks(checks, plan, tol)
+    return checks
 
 
 def _theta_on_torsion(theta: KForm, n: Endomorphism) -> list[tuple[Expr, Expr]]:
@@ -657,15 +698,18 @@ def verify_haantjes_structure(
 ) -> list[CheckReport]:
     """The four defining conditions for a compatible pair of an
     endomorphism and a closed one-form."""
+    return _run_in_order(_haantjes_entries(n, theta), plan, tol)
+
+
+def _haantjes_entries(n: Endomorphism, theta: KForm) -> list:
     if theta.degree != 1:
         raise ValueError("the structure one-form must have degree 1")
-    checks = [
+    return [
         _identity("haantjes.H1_tensor_vanishes", haantjes_tensor(n)),
         _identity("haantjes.H2_theta_closed", d(theta)),
         _identity("haantjes.H3_theta_n_closed", d_n(n, theta)),
         ("haantjes.H4_torsion_annihilated", _theta_on_torsion(theta, n), ""),
     ]
-    return run_checks(checks, plan, tol)
 
 
 def verify_lm_chain(
@@ -685,6 +729,10 @@ def verify_lm_chain(
     under chain.product_closed; for a genuine chain it is a consequence of
     the conditions, not one of them.
     """
+    return _run_in_order(_chain_entries(chain, theta, n), plan, tol)
+
+
+def _chain_entries(chain, theta: KForm, n: Endomorphism | None) -> list:
     chain = tuple(chain)
     if not chain:
         raise ValueError("chain must contain at least one endomorphism")
@@ -713,7 +761,7 @@ def verify_lm_chain(
         for j in range(i, len(chain)):
             theta_ij = dual_apply(chain[i], dual_apply(chain[j], theta))
             checks.append(_identity(f"chain.product_closed[{i},{j}]", d(theta_ij)))
-    return run_checks(checks, plan, tol)
+    return checks
 
 
 def verify_minpoly(
@@ -727,6 +775,10 @@ def verify_minpoly(
     """The quadratic polynomial annihilating a scalar-plus-rank-one
     endomorphism: N^2 - (s + 2 lam) N + (lam^2 + s lam) I with
     s = <xi, Z>."""
+    return _run_in_order(_minpoly_entries(n, lam, z, xi), plan, tol)
+
+
+def _minpoly_entries(n: Endomorphism, lam: Expr, z: VectorField, xi: KForm) -> list:
     chart = n.chart
     s = pairing(xi, z)
     coeff1 = add(s, mul(constant(2.0), lam))
@@ -735,7 +787,7 @@ def verify_minpoly(
         sub_endomorphisms(compose(n, n), scale_endomorphism(coeff1, n)),
         scale_endomorphism(coeff0, identity_endomorphism(chart)),
     )
-    return [check_identity("minpoly.quadratic_annihilator", model, None, plan, tol)]
+    return [_identity("minpoly.quadratic_annihilator", model)]
 
 
 def _bracket_from_differentials(pi: Bivector, df: KForm, dg: KForm) -> Expr:
@@ -785,6 +837,24 @@ def verify_recursion_involutivity(
     for k > j >= 1.  Both forms were cross-checked numerically on a
     compatible, non-involutive pair, where every term is nonzero.
     """
+    checks = _recursion_entries(pi, n, kmax)
+    reports = _run_in_order(checks, plan, tol)
+    cells = _cells(kmax)
+    table: list[list[float | None]] = [[None] * kmax for _ in range(kmax)]
+    for (i, j), rep in zip(cells, reports[len(checks) - len(cells):]):
+        table[i - 1][j - 1] = rep.max_scaled_residual
+        table[j - 1][i - 1] = rep.max_scaled_residual
+    return RecursionResult(reports, table, kmax)
+
+
+def _cells(kmax: int) -> list[tuple[int, int]]:
+    """The involutivity table's cells (i, j), i <= j, row by row."""
+    return [(i, j) for i in range(1, kmax + 1) for j in range(i, kmax + 1)]
+
+
+def _recursion_entries(pi: Bivector, n: Endomorphism, kmax: int) -> list:
+    """The recursion steps, the bracket differences and then one check
+    per involutivity cell."""
     if kmax < 2:
         raise ValueError("kmax must be at least 2")
     dinv = {k: d_invariant(n, k) for k in range(1, kmax + 1)}
@@ -805,16 +875,10 @@ def verify_recursion_involutivity(
                 pairing(phis[k - 2], sharps[j]),
             )
             checks.append((f"recursion.bracket_difference[{k},{j}]", [(lhs, rhs)], ""))
-    cells = [(i, j) for i in range(1, kmax + 1) for j in range(i, kmax + 1)]
-    for i, j in cells:
+    for i, j in _cells(kmax):
         bracket = _bracket_from_differentials(pi, dinv[i], dinv[j])
         checks.append((f"involutivity.pair[{i},{j}]", [(bracket, ZERO)], ""))
-    reports = run_checks(checks, plan, tol)
-    table: list[list[float | None]] = [[None] * kmax for _ in range(kmax)]
-    for (i, j), rep in zip(cells, reports[len(checks) - len(cells):]):
-        table[i - 1][j - 1] = rep.max_scaled_residual
-        table[j - 1][i - 1] = rep.max_scaled_residual
-    return RecursionResult(reports, table, kmax)
+    return checks
 
 
 def verify_theo_inv(
@@ -830,6 +894,10 @@ def verify_theo_inv(
     3-form factors through it against the differential of the first trace
     invariant, and it pairs to zero on the deficiency fields of the
     recursion."""
+    return _run_in_order(_theoinv_entries(pi, n, phi, omega, pmax), plan, tol)
+
+
+def _theoinv_entries(pi: Bivector, n: Endomorphism, phi: KForm, omega: KForm, pmax: int) -> list:
     if omega.degree != 2:
         raise ValueError("expected a 2-form")
     if pmax < 1:
@@ -860,7 +928,7 @@ def verify_theo_inv(
                 )
             pairs.append((val, ZERO))
     checks.append(("theoinv.obstruction_pairings", pairs, ""))
-    return run_checks(checks, plan, tol)
+    return checks
 
 
 @dataclass(frozen=True)
@@ -992,6 +1060,10 @@ def rank_one_identity_reports(
     w: VectorField, eta: KForm, plan: SamplePlan, tol: float
 ) -> list[CheckReport]:
     """Closed forms of the torsion and Haantjes tensors of W (x) eta."""
+    return run_checks(_rank_one_checks(w, eta), plan, tol)
+
+
+def _rank_one_checks(w: VectorField, eta: KForm) -> list:
     chart = w.chart
     m = tensor_product(w, eta)
     t = nijenhuis_torsion(m)
@@ -1014,11 +1086,10 @@ def rank_one_identity_reports(
             pairs_t.extend(zip(t.pair(a, b), rhs_t.components))
             rhs_h = scale_vector(neg(mul(intpow(f, 2), vol3)), w)
             pairs_h.extend(zip(h.pair(a, b), rhs_h.components))
-    checks = [
+    return [
         ("battery.rank_one_torsion", pairs_t, ""),
         ("battery.rank_one_haantjes", pairs_h, ""),
     ]
-    return run_checks(checks, plan, tol)
 
 
 def affine_scaling_report(
@@ -1026,6 +1097,10 @@ def affine_scaling_report(
 ) -> CheckReport:
     """The Haantjes tensor of f I + g N is g^4 times that of N; the right
     side is each staged entry of H_N scaled by g^4 after contraction."""
+    return run_checks([_affine_scaling_check(n, f, g)], plan, tol)[0]
+
+
+def _affine_scaling_check(n: Endomorphism, f: Expr, g: Expr) -> tuple:
     chart = n.chart
     m = add_endomorphisms(
         scale_endomorphism(f, identity_endomorphism(chart)), scale_endomorphism(g, n)
@@ -1037,7 +1112,7 @@ def affine_scaling_report(
     for a in range(chart.dim):
         for b in range(a + 1, chart.dim):
             pairs.extend(zip(hm.pair(a, b), hn.pair(a, b, scale=g4)))
-    return run_checks([("battery.haantjes_affine_scaling", pairs, "")], plan, tol)[0]
+    return "battery.haantjes_affine_scaling", pairs, ""
 
 
 # The battery checks its power identities on N^1 .. N^_KPOW.
@@ -1050,6 +1125,15 @@ def run_identity_battery(structure: Structure, plan: SamplePlan, tol: float) -> 
     scaling, the sharp/interior exchange, rank-one closed forms, and the
     quartic scaling of the Haantjes tensor.  Identities whose members are
     absent from the structure are reported as skipped."""
+    batches = _battery_batches(structure, plan, tol)
+    return [r for batch in batches for r in _run_in_order(batch, plan, tol)]
+
+
+def _battery_batches(structure: Structure, plan: SamplePlan, tol: float) -> list[list]:
+    """The battery's entries in three batches: the 3d closed forms and the
+    sharp/interior exchange, the rank-one identities, and the affine
+    scaling.  At scale each of the last two is larger than one chunk of
+    points, and is settled alone."""
     chart = structure.chart
     entries: list = []
     gen = splitmix64(plan.seed ^ 0xB47759)
@@ -1155,25 +1239,21 @@ def run_identity_battery(structure: Structure, plan: SamplePlan, tol: float) -> 
             )
         )
 
-    reports = _run_in_order(entries, plan, tol)
-
     w = structure.z if structure.z is not None else random_vectorfield(chart, gen)
     eta = structure.theta
     if eta is None and structure.pi is not None and structure.volume is not None and chart.dim == 3:
         eta = xi_form(structure.pi, structure.volume)
     if eta is None:
         eta = random_oneform(chart, gen)
-    reports.extend(rank_one_identity_reports(w, eta, plan, tol))
+    rank_one = _rank_one_checks(w, eta)
 
     if structure.n is not None:
         f = random_polynomial(chart, gen)
         g = random_polynomial(chart, gen)
-        reports.append(affine_scaling_report(structure.n, f, g, plan, tol))
+        affine = _affine_scaling_check(structure.n, f, g)
     else:
-        reports.append(
-            _skip("battery.haantjes_affine_scaling", tol, "needs an endomorphism")
-        )
-    return reports
+        affine = _skip("battery.haantjes_affine_scaling", tol, "needs an endomorphism")
+    return [entries, rank_one, [affine]]
 
 
 def _present(st: Structure, member: str):
@@ -1187,48 +1267,87 @@ def _missing(tol: float, suite: str, members: dict) -> list[CheckReport]:
     return [_skip(f"{suite}.skipped", tol, "missing members: " + ", ".join(absent))]
 
 
-def _run_minpoly(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[CheckReport]:
+def _minpoly_batch(st: Structure, plan: SamplePlan, tol: float) -> list:
     xi = xi_form(st.pi, st.volume)
     split = _split(st.n, xi, plan, st.lam, st.z)
     if split is None:
         note = "no split data and reconstruction found no usable point"
         return [_skip("minpoly.skipped", tol, note)]
-    return verify_minpoly(st.n, *split, xi, plan, tol)
+    return _minpoly_entries(st.n, *split, xi)
 
 
-# suite -> (members it needs, runner).  A runner takes (structure s, plan p,
-# tol t, kmax k) and looks its suite function up by module-level name when
-# called.  "3d chart" is a pseudo-member, present on three-dimensional charts.
+# suite -> (members it needs, builder).  A builder takes (structure s, plan
+# p, tol t, kmax k) and returns the suite's entries in batches: lists of
+# run_checks triples and reports already decided, in report order.  Each
+# suite is one batch but the battery, which is three, as
+# run_identity_battery settles them.  Builders are looked up by
+# module-level name when called.  "3d chart" is a pseudo-member, present on
+# three-dimensional charts.
 _SUITE_TABLE = {
-    "poisson": (("pi",), lambda s, p, t, k: verify_poisson(s.pi, p, t, volume=s.volume)),
-    "pn": (("pi", "n"), lambda s, p, t, k: verify_pn(s.pi, s.n, p, t)),
-    "pqn": (("pi", "n", "phi"), lambda s, p, t, k: verify_pqn(s.pi, s.n, s.phi, p, t)),
+    "poisson": (("pi",), lambda s, p, t, k: [_poisson_entries(s.pi, s.volume)]),
+    "pn": (("pi", "n"), lambda s, p, t, k: [_pn_entries(s.pi, s.n)]),
+    "pqn": (("pi", "n", "phi"), lambda s, p, t, k: [_pqn_entries(s.pi, s.n, s.phi, t)]),
     "3d": (
         ("pi", "n", "volume", "3d chart"),
-        lambda s, p, t, k: verify_3d_conditions(
-            s.pi, s.n, s.phi, s.volume, p, t, lam=s.lam, z=s.z
-        ),
+        lambda s, p, t, k: [_threed_entries(s.pi, s.n, s.phi, s.volume, p, t, s.lam, s.z)],
     ),
-    "haantjes": (
-        ("n", "theta"),
-        lambda s, p, t, k: verify_haantjes_structure(s.n, s.theta, p, t),
+    "haantjes": (("n", "theta"), lambda s, p, t, k: [_haantjes_entries(s.n, s.theta)]),
+    "chain": (("chain", "theta"), lambda s, p, t, k: [_chain_entries(s.chain, s.theta, s.n)]),
+    "recursion": (("pi", "n"), lambda s, p, t, k: [_recursion_entries(s.pi, s.n, k)]),
+    "minpoly": (
+        ("pi", "n", "volume", "3d chart"),
+        lambda s, p, t, k: [_minpoly_batch(s, p, t)],
     ),
-    "chain": (
-        ("chain", "theta"),
-        lambda s, p, t, k: verify_lm_chain(s.chain, s.theta, p, t, n=s.n),
-    ),
-    "recursion": (
-        ("pi", "n"),
-        lambda s, p, t, k: verify_recursion_involutivity(s.pi, s.n, k, p, t).reports,
-    ),
-    "minpoly": (("pi", "n", "volume", "3d chart"), _run_minpoly),
     "theoinv": (
         ("pi", "n", "phi", "omega"),
-        lambda s, p, t, k: verify_theo_inv(s.pi, s.n, s.phi, s.omega, k, p, t),
+        lambda s, p, t, k: [_theoinv_entries(s.pi, s.n, s.phi, s.omega, k)],
     ),
-    "battery": ((), lambda s, p, t, k: run_identity_battery(s, p, t)),
+    "battery": ((), lambda s, p, t, k: _battery_batches(s, p, t)),
 }
 SUITES = tuple(_SUITE_TABLE)
+
+
+def _suite_batches(structure: Structure, plan: SamplePlan, tol: float, suites, kmax: int):
+    """The named suites' batches in table order, each suite built when its
+    first batch is asked for."""
+    for suite, (members, builder) in _SUITE_TABLE.items():
+        if suite not in suites:
+            continue
+        have = {m: _present(structure, m) for m in members}
+        if any(value is None for value in have.values()):
+            yield _missing(tol, suite, have)
+        else:
+            yield from builder(structure, plan, tol, kmax)
+
+
+def _groups(batches, count: int):
+    """Consecutive batches merged while their triples are evaluated in one
+    chunk of count points: while the sides plus their _held_rows, times
+    count, stay within REGISTER_BUDGET.  A batch that does not fit starts
+    the next group, and a group that alone takes more than one chunk is
+    given out at once.  So a group that fits is given out only after the
+    batch after it is built and found not to fit."""
+
+    def fits(sides: int, held: dict) -> bool:
+        return (sides + sum(held.values())) * count <= expr.REGISTER_BUDGET
+
+    group: list = []
+    sides, held = 0, {}
+    for batch in batches:
+        exprs = [e for entry in batch if not isinstance(entry, CheckReport)
+                 for pair in entry[1] for e in pair]
+        more = _held_rows(exprs)
+        if group and not fits(sides + len(exprs), {**held, **more}):
+            yield group
+            group, sides, held = [], 0, {}
+        group += batch
+        sides += len(exprs)
+        held.update(more)
+        if not fits(sides, held):
+            yield group
+            group, sides, held = [], 0, {}
+    if group:
+        yield group
 
 
 def run_suites(
@@ -1242,6 +1361,13 @@ def run_suites(
     carries; a suite whose members are absent contributes one skipped
     report naming them.
 
+    The suites are built in table order.  Consecutive batches merge while
+    the merged batch is evaluated in one chunk of the plan's points; a
+    batch that does not fit settles the pending group through run_checks
+    and starts the next, and a batch that alone takes more than one chunk
+    is settled alone (_groups).  The grouping depends only on the batches'
+    sizes and the point count, and changes no report.
+
     Empties the expression tables on return, so the nodes one verdict
     builds are not held for the next."""
     if suites is None:
@@ -1251,14 +1377,8 @@ def run_suites(
         raise ValueError("unknown suites: " + ", ".join(sorted(unknown)))
     reports: list[CheckReport] = []
     try:
-        for suite, (members, runner) in _SUITE_TABLE.items():
-            if suite not in suites:
-                continue
-            have = {m: _present(structure, m) for m in members}
-            if any(value is None for value in have.values()):
-                reports += _missing(tol, suite, have)
-            else:
-                reports += runner(structure, plan, tol, kmax)
+        for group in _groups(_suite_batches(structure, plan, tol, suites, kmax), plan.count):
+            reports += _run_in_order(group, plan, tol)
     finally:
         clear_tables()
     return reports

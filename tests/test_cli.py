@@ -287,6 +287,25 @@ def test_unknown_suite_exits_two(tmp_path, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["verify", "PATH", "--samples", "abc"], "argument --samples: invalid int value: 'abc'"),
+        (["table", "PATH", "--tol", "small"], "argument --tol: invalid float value"),
+        (["verify", "PATH", "--seed", "9" * 5000], "argument --seed: invalid int value: '999"),
+        (["catalog", "closed-toda", "--n", "two"], "argument --n: invalid int value: 'two'"),
+        (["verify"], "the following arguments are required: file"),
+        (["verify", "PATH", "--bogus", "a\nb"], "unrecognized arguments: --bogus a b"),
+    ],
+)
+def test_malformed_flags_exit_two_in_one_short_line(tmp_path, capsys, argv, fragment):
+    path = write_structure(tmp_path, MINIMAL)
+    code, out, err = run_cli([path if a == "PATH" else a for a in argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("pqnverify: " + fragment)
+    assert err.count("\n") == 1 and len(err) <= len("pqnverify: ") + 121
+
+
 def test_small_kmax_exits_two(tmp_path, capsys):
     path = write_structure(tmp_path, MINIMAL)
     code, _, err = run_cli(["table", path, "--kmax", "1"], capsys)

@@ -13,7 +13,7 @@ import os
 import tempfile
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 
 from pqnverify.cli import main
 
@@ -196,12 +196,36 @@ EXPONENT = st.one_of(
 )
 
 
+def _refused(convert):
+    def refused(text):
+        try:
+            convert(text)
+        except ValueError:
+            return True
+        return False
+
+    return refused
+
+
+# Candidate bad flag values: short runs of mostly digit-like text (int()
+# takes some non-ASCII digits and surrounding spaces), or a literal past
+# int()'s 4,300-digit limit, which must not be echoed in full.
+UNPARSEABLE = st.one_of(st.text(alphabet="09.e-x _\u0663\n", max_size=6), st.just("9" * 5000))
+REFUSED_INT = UNPARSEABLE.filter(_refused(int))
+
+
+@st.composite
+def int_flags(draw, ints):
+    """A flag value: mostly one of ints, sometimes text int() refuses."""
+    return draw(REFUSED_INT) if rare(draw, 10) else draw(ints)
+
+
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(
     box=intervals(),
-    samples=st.integers(-2, 200),
-    seed=st.integers(-(2**70), 2**70),
-    resample_limit=st.integers(-2, 2000),
+    samples=int_flags(st.integers(-2, 200)),
+    seed=int_flags(st.integers(-(2**70), 2**70)),
+    resample_limit=int_flags(st.integers(-2, 2000)),
     exponent=EXPONENT,
     dim_digits=st.sampled_from([0] * 9 + [5000]),
     poisson=st.booleans(),
@@ -216,6 +240,8 @@ EXPONENT = st.one_of(
          exponent="0" * 5000 + "2", dim_digits=0, poisson=True)
 @example(box=[(-1.0, 1.0)], samples=64, seed=42, resample_limit=1024,
          exponent="\u00b2", dim_digits=0, poisson=True)
+@example(box=[(-1.0, 1.0)], samples="abc", seed="9" * 5000, resample_limit=1024,
+         exponent="9", dim_digits=0, poisson=True)
 def test_sampling_flags_and_long_literals_exit_cleanly(
     box, samples, seed, resample_limit, exponent, dim_digits, poisson
 ):
@@ -243,3 +269,48 @@ def test_sampling_flags_and_long_literals_exit_cleanly(
         assert err.getvalue() == ""
         report = json.loads(out.getvalue(), parse_constant=_reject_constant)
         assert (code == 1) == any(c["status"] == "fail" for c in report["checks"])
+
+
+def _exits_cleanly(argv) -> int:
+    """Exit 0 with a JSON document on stdout, or 2 with one short line on
+    stderr; returns the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("pqnverify: ")
+        assert err.getvalue().count("\n") == 1
+        assert len(err.getvalue()) < 200
+    else:
+        assert code == 0 and err.getvalue() == ""
+        json.loads(out.getvalue())
+    return code
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(["closed-toda", "das-okubo", "r3-recipe", "magri-veselov", "toda"]),
+    n=st.one_of(st.none(), int_flags(st.integers(-2, 5))),
+    lam=st.one_of(st.none(), expressions(3)),
+    g=st.one_of(st.none(), expressions(3)),
+)
+@example(name="closed-toda", n="x" * 5000, lam=None, g=None)
+def test_catalog_flags_exit_cleanly(name, n, lam, g):
+    argv = ["catalog", name]
+    for flag, value in (("--n", n), ("--lam", lam), ("--g", g)):
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    _exits_cleanly(argv)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    command=st.sampled_from(["verify", "table"]),
+    flag=st.sampled_from(["--seed", "--samples", "--kmax", "--resample-limit", "--tol"]),
+    text=UNPARSEABLE,
+)
+def test_unparseable_sampling_flags_exit_two(command, flag, text):
+    assume(_refused(float if flag == "--tol" else int)(text))
+    # the flag is refused before the file is read
+    assert _exits_cleanly([command, "unread.json", f"{flag}={text}"]) == 2

@@ -656,31 +656,27 @@ def test_run_suites_on_the_full_recipe_structure(plan):
     assert all(r.status == "pass" for r in reports)
 
 
-class _NoReports(list):
-    reports = ()
-
-
-def test_run_suites_looks_suite_functions_up_when_called(plan, monkeypatch):
-    # The benchmark's tracer rebinds these module attributes; the suite
-    # table must reach the rebound functions.
-    functions = {
-        "poisson": "verify_poisson",
-        "pn": "verify_pn",
-        "pqn": "verify_pqn",
-        "3d": "verify_3d_conditions",
-        "haantjes": "verify_haantjes_structure",
-        "chain": "verify_lm_chain",
-        "recursion": "verify_recursion_involutivity",
-        "minpoly": "verify_minpoly",
-        "theoinv": "verify_theo_inv",
-        "battery": "run_identity_battery",
+def test_run_suites_looks_suite_builders_up_when_called(plan, monkeypatch):
+    # The suite table reaches builders rebound on the module, as a tracer
+    # or a test rebinds them.
+    builders = {
+        "poisson": "_poisson_entries",
+        "pn": "_pn_entries",
+        "pqn": "_pqn_entries",
+        "3d": "_threed_entries",
+        "haantjes": "_haantjes_entries",
+        "chain": "_chain_entries",
+        "recursion": "_recursion_entries",
+        "minpoly": "_minpoly_batch",
+        "theoinv": "_theoinv_entries",
+        "battery": "_battery_batches",
     }
     called = []
 
     def stand_in(suite):
-        return lambda *args, **kwargs: called.append(suite) or _NoReports()
+        return lambda *args, **kwargs: called.append(suite) or []
 
-    for suite, name in functions.items():
+    for suite, name in builders.items():
         monkeypatch.setattr(verify_module, name, stand_in(suite))
     st = replace(r3_recipe(RECIPE), omega=KForm(CH, 2, {}))
     assert run_suites(st, plan, 1e-8) == []
@@ -804,8 +800,9 @@ def test_no_evaluation_sees_structurally_equal_nodes(tmp_path, capsys, monkeypat
     path.write_text(json.dumps(cli.structure_to_doc(closed_toda(2))), encoding="utf-8")
     assert cli.main(["verify", str(path)]) == 1
     capsys.readouterr()
-    # one call per batch: the verdict settles its checks in 7 batches
-    assert len(duplicates) >= 7
+    # one call per batch: at 64 points one chunk holds every suite, so the
+    # verdict settles its checks in one batch
+    assert len(duplicates) == 1
     assert set(duplicates) == {0}
 
 
@@ -900,6 +897,86 @@ def test_each_batch_of_a_verdict_reports_as_its_checks_alone(tmp_path, capsys, m
     assert len(settled) >= 150
     assert sum("resampled" in r.detail for r in settled) >= 20
     assert any(r.name == "3d.decomposition" and r.max_scaled_residual == 2.0 for r in settled)
+
+
+def _record_batches(monkeypatch) -> list:
+    """Per run_checks call: its checks, and the point counts of the
+    evaluate_batch calls it makes."""
+    batches = []
+    settle, evaluate = verify_module.run_checks, verify_module.evaluate_batch
+
+    def recording(checks, plan, tol):
+        batches.append((list(checks), []))
+        return settle(checks, plan, tol)
+
+    def counting(exprs, pts):
+        batches[-1][1].append(len(pts))
+        return evaluate(exprs, pts)
+
+    monkeypatch.setattr(verify_module, "run_checks", recording)
+    monkeypatch.setattr(verify_module, "evaluate_batch", counting)
+    return batches
+
+
+def _chunk_rows(checks) -> int:
+    sides = [e for _, pairs, _ in checks for pair in pairs for e in pair]
+    return len(sides) + sum(verify_module._held_rows(sides).values())
+
+
+def test_at_4096_points_each_suite_batch_settles_alone(monkeypatch):
+    # No two batches of closed-toda n=3 fit one chunk of 4,096 points, so
+    # each is settled alone, as the public suite functions settle them.
+    st = closed_toda(3)
+    batches = _record_batches(monkeypatch)
+    run_suites(st, sample_plan(st.chart, count=4096), 1e-8)
+    names = [[name for name, _, _ in checks] for checks, _ in batches]
+    assert [sorted({n.split(".")[0] for n in b}) for b in names] == [
+        ["poisson"], ["pn"], ["pqn"], ["involutivity", "recursion"], ["theoinv"],
+        ["battery"], ["battery"],
+    ]
+    assert names[-2:] == [
+        ["battery.rank_one_torsion", "battery.rank_one_haantjes"],
+        ["battery.haantjes_affine_scaling"],
+    ]
+    assert all(_chunk_rows(checks) * 4096 > expr.REGISTER_BUDGET for checks, _ in batches)
+
+
+def test_at_64_points_consecutive_suites_merge_within_one_chunk(monkeypatch):
+    recipe, lattice = r3_recipe(RECIPE), closed_toda(4)
+    plans = {st.name: sample_plan(st.chart, count=64) for st in (recipe, lattice)}
+    want = {
+        st.name: [_report_bits(r) for r in run_suites(st, plans[st.name], 1e-8)]
+        for st in (recipe, lattice)
+    }
+    batches = _record_batches(monkeypatch)
+
+    def settle(st) -> list:
+        del batches[:]
+        got = [_report_bits(r) for r in run_suites(st, plans[st.name], 1e-8)]
+        assert got == want[st.name]
+        return [(checks, points, _chunk_rows(checks)) for checks, points in batches]
+
+    for st, count in ((recipe, 1), (lattice, 3)):
+        settled = settle(st)
+        assert len(settled) == count
+        for _, points, rows in settled:
+            # every merged batch is evaluated in one chunk of 64 points
+            assert rows * 64 <= expr.REGISTER_BUDGET
+            assert points[0] == 64 and 64 not in points[1:]
+    # closed-toda n=4: every suite but the battery in the first batch
+    first = {name.split(".")[0] for name, _, _ in settled[0][0]}
+    assert first == {"poisson", "pn", "pqn", "recursion", "involutivity", "theoinv"}
+    # With a budget of 600 rows a point, the lattice's battery batches take
+    # more than one chunk each and its other suites split into groups.
+    monkeypatch.setattr(expr, "REGISTER_BUDGET", 600 * 64)
+    settled = settle(lattice)
+    assert 3 < len(settled) < 7 and max(rows for *_, rows in settled) > 600
+    for checks, points, rows in settled:
+        if rows > 600:  # settled alone: a single suite's batch, in several chunks
+            assert len({name.split(".")[0] for name, _, _ in checks}) == 1
+            assert len(points) > 1
+        else:
+            assert points[0] == 64
 
 
 def test_a_cleared_tape_does_not_reuse_an_old_program(monkeypatch):
