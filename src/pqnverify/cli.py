@@ -14,13 +14,15 @@ Exit codes: 0 all non-skipped checks pass, 1 at least one failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .catalog import by_name
-from .expr import Chart, ExprError, is_zero, parse, sample_plan, to_string, ZERO
+from .expr import Chart, ExprError, clear_tables, is_zero, parse, sample_plan, to_string, ZERO
 from .fields import Bivector, Endomorphism, KForm, Structure, VectorField
 from .verify import SUITES, CheckReport, run_suites, verify_recursion_involutivity
 
@@ -321,7 +323,7 @@ def _emit(value, indent: str = "") -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)  # what json.dumps(value) returns
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -330,9 +332,7 @@ def _emit(value, indent: str = "") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        rows = [
-            f"{inner}{json.dumps(str(k))}: {_emit(v, inner)}" for k, v in value.items()
-        ]
+        rows = [f"{inner}{_emit(str(k))}: {_emit(v, inner)}" for k, v in value.items()]
         return "{\n" + ",\n".join(rows) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)):
         if not len(value):
@@ -551,6 +551,7 @@ def _add_sampling_flags(sub):
     sub.add_argument("--out", default=None, help="write the document here, not stdout")
 
 
+@functools.cache  # one parser per process; parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pqnverify",
@@ -585,6 +586,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, then empty the expression tables: a process that
+    runs many commands holds the nodes of one at a time."""
     handlers = {"verify": _cmd_verify, "table": _cmd_table, "catalog": _cmd_catalog}
     try:
         args = _build_parser().parse_args(argv)
@@ -595,6 +598,8 @@ def main(argv=None) -> int:
     except RecursionError:
         print("pqnverify: input nested too deeply", file=sys.stderr)
         return 2
+    finally:
+        clear_tables()
 
 
 if __name__ == "__main__":

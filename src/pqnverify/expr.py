@@ -41,13 +41,11 @@ values, so the output is bit-identical to one whatever the grouping or
 block width. The one exception is which nan an operation on two nans
 returns, which depends on whether numpy's SIMD loop or its scalar tail
 computes the element. `evaluate` runs the same tape on a one-row array.
-The last schedule is kept, keyed on the roots' tape indices, with the
-number of points it was compiled for; a call on the same roots and at
-most that many points reuses it. So a caller that evaluates the same
-roots on successive chunks of points, or on successive rounds of
-replacement points, schedules them once, and drops it with
-`forget_program` when done. A tape index names one node only until the
-tape is truncated, so `clear_tables` drops that schedule too.
+A `Program` is a tuple of roots holding their schedule, compiled for
+calls of up to a number of points. `evaluate_batch` runs one as it is,
+so a caller that evaluates the same roots on successive chunks or rounds
+of points schedules them once. It compiles other roots for the call, as
+it does a Program on more points or from before the last `clear_tables`.
 
 The points come from a `SamplePlan`: a seed, a count and a box. splitmix64
 is counter based: with gamma = 0x9E3779B97F4A7C15, output k (from 0) of
@@ -226,12 +224,6 @@ class Sqrt(Expr):
 _TABLE: dict[tuple, Expr] = {}
 # The memo of derive and of the builders fields.per_verdict wraps.
 _DERIVED: dict[tuple, object] = {}
-# The last program _compile built, keyed on its roots' tape indices, with
-# the number of points it was built for: evaluating the same roots again
-# on no more points, the next chunk or resampling round, skips the
-# schedule. A program built for fewer points may hold a register per
-# value, which would leave room for only a few points per block.
-_PROGRAM: dict[bytes, tuple] = {}
 
 # The tape: one entry per node, appended as the node is built.
 # _TAPE_KEY holds level << 4 | opcode, the level being the height above
@@ -357,25 +349,17 @@ _PINNED_TAPE = [len(column) for column in _TAPE]
 
 
 def clear_tables() -> None:
-    """Empty the node table, the per-verdict memo and the program memo and
-    truncate the tape, keeping ZERO and ONE."""
+    """Empty the node table and the per-verdict memo and truncate the tape,
+    keeping ZERO and ONE."""
     global _BASE
     _TABLE.clear()
     _DERIVED.clear()
-    _PROGRAM.clear()
     _TABLE.update(_PINNED)
     _BASE += len(_TAPE_KEY)
     for column, length in zip(_TAPE, _PINNED_TAPE):
         del column[length:]
     for s, n in enumerate(_PINNED.values()):
         _set_slot(n, "_slot", _BASE + s)
-
-
-def forget_program() -> None:
-    """Drop the kept schedule.  It holds a few words per node the roots
-    reach, so a caller done with its chunks frees it before building more
-    nodes."""
-    _PROGRAM.clear()
 
 
 def constant(value) -> Constant:
@@ -643,15 +627,27 @@ def evaluate(e: Expr, point) -> float:
     return float(_run([e], np.asarray(point, dtype=float).reshape(1, -1))[0, 0])
 
 
-def evaluate_batch(exprs: list[Expr], pts: np.ndarray) -> np.ndarray:
+class Program(tuple):
+    """Root expressions with the schedule _compile built for them, for
+    calls of up to npts points, and base, the tape epoch it was built in.
+    A schedule built for fewer points may hold a register per value,
+    which would leave room for only a few points per block."""
+
+    def __new__(cls, roots, npts: int):
+        self = super().__new__(cls, roots)
+        self.npts, self.base, self.schedule = npts, _BASE, _compile(self, npts)
+        return self
+
+
+def evaluate_batch(exprs: list[Expr] | Program, pts: np.ndarray) -> np.ndarray:
     """Evaluate expressions at points; result shape (len(exprs), npts).
 
     Domain failures surface as nan or inf entries, as in evaluate().
     """
-    return _run(list(exprs), pts)
+    return _run(exprs, pts)
 
 
-def _run(roots: list[Expr], pts: np.ndarray) -> np.ndarray:
+def _run(roots: list[Expr] | Program, pts: np.ndarray) -> np.ndarray:
     import numpy as np
 
     pts = np.asarray(pts, dtype=float)
@@ -659,14 +655,9 @@ def _run(roots: list[Expr], pts: np.ndarray) -> np.ndarray:
     out = np.empty((len(roots), npts))
     if not roots or not npts:
         return out
-    slots = np.array([_index(r) for r in roots], dtype=np.intp)
-    key = slots.tobytes()
-    kept = _PROGRAM.get(key)
-    if kept is None or kept[0] < npts:
-        kept = (npts, _compile(slots, npts))
-        _PROGRAM.clear()
-        _PROGRAM[key] = kept
-    registers, widest, steps, const, coords, rows = kept[1]
+    if not (isinstance(roots, Program) and roots.npts >= npts and roots.base == _BASE):
+        roots = Program(roots, npts)
+    registers, widest, steps, const, coords, rows = roots.schedule
     if coords is not None and int(coords[2].max()) >= dim:
         raise IndexError(f"points have {dim} coordinates, fewer than the expressions use")
     width = min(npts, max(1, REGISTER_BUDGET // (registers + 2 * widest)))
@@ -698,7 +689,7 @@ def _run(roots: list[Expr], pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _compile(roots: np.ndarray, npts: int):
+def _compile(roots, npts: int):
     """Registers, operand buffer rows and steps for the roots' groups.
 
     Each step is (ufunc, first register, end register, operand registers,
@@ -707,7 +698,7 @@ def _compile(roots: np.ndarray, npts: int):
     rows are the roots' registers."""
     import numpy as np
 
-    op, val, kids, starts, rootpos = _schedule(roots)
+    op, val, kids, starts, rootpos = _schedule(np.array([_index(r) for r in roots], dtype=np.intp))
     ngroups = len(starts) - 1
     nodes = len(op)
     if nodes * npts <= REGISTER_BUDGET // 8:

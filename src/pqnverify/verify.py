@@ -39,6 +39,7 @@ from . import expr
 from .expr import (
     Chart,
     Expr,
+    Program,
     SamplePlan,
     ZERO,
     add,
@@ -204,7 +205,8 @@ def _settle(checks, plan: SamplePlan, tol: float) -> list[CheckReport]:
             for lhs, rhs in pairs:
                 exprs += (lhs, rhs)
     pts = point_block(plan, 0, plan.count)
-    rows = zip(*_scaled_residuals(exprs, starts, pts))
+    if starts:  # some check has pairs
+        rows = zip(*_scaled_residuals(_prepared(exprs, plan.count), starts, pts))
     reports = []
     for name, pairs, detail in checks:
         if pairs:
@@ -212,7 +214,6 @@ def _settle(checks, plan: SamplePlan, tol: float) -> list[CheckReport]:
         else:
             note = _join(detail, "no components")
             reports.append(CheckReport(name, "pass", 0.0, None, 0, tol, note))
-    expr.forget_program()
     return reports
 
 
@@ -229,11 +230,10 @@ def _report(
     """One check's report from its finiteness and scaled residuals at the
     plan's points, replacing the points where it is not finite.
 
-    Every round evaluates the same roots on no more points than the first,
-    so the rounds share the program the first compiles."""
+    Every round evaluates the check's sides on no more points than the
+    first, so the rounds share the Program the first compiles."""
     budget = plan.resample_limit
     replaced = 0
-    sides = [e for pair in pairs for e in pair]
     while not finite.all() and budget > 0:
         slots = np.flatnonzero(~finite)[:budget]
         take = len(slots)
@@ -242,8 +242,9 @@ def _report(
         budget -= take
         if not replaced:
             pts = pts.copy()  # the batch's other checks keep the plan's points
+            batch = _prepared([e for pair in pairs for e in pair], take)
         pts[slots] = fresh
-        ok, value = _scaled_residuals(sides, [0], fresh)
+        ok, value = _scaled_residuals(batch, [0], fresh)
         finite[slots], scaled[slots] = ok[0], value[0]
         replaced += take
     if not finite.all():
@@ -265,29 +266,26 @@ def _report(
 
 
 def _scaled_residuals(
-    exprs: list[Expr], starts: list[int], pts: np.ndarray
+    batch: tuple[Program, list, int], starts: list[int], pts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per check and point: whether every component is finite, and the
-    scaled residual, each of shape (len(starts), len(pts)).
+    scaled residual, each of shape (len(starts), len(pts)), for a
+    _prepared batch, in chunks as wide as its Program was compiled for.
 
-    exprs alternate lhs and rhs; starts holds each check's first pair.  The
-    residual at a point is the largest |lhs - rhs| over the check's pairs
-    and its scale is max(1, largest |lhs| or |rhs|).  Where that difference
-    of finite sides overflows, the scaled residual is the largest
-    |lhs/scale - rhs/scale| instead."""
-    npts = len(pts)
+    The sides alternate lhs and rhs; starts holds each check's first pair.
+    The residual at a point is the largest |lhs - rhs| over the check's
+    pairs and its scale is max(1, largest |lhs| or |rhs|).  Where that
+    difference of finite sides overflows, the scaled residual is the
+    largest |lhs/scale - rhs/scale| instead."""
+    program, staged, sides = batch
+    npts, width = len(pts), program.npts
     finite = np.empty((len(starts), npts), dtype=bool)
     scaled = np.empty((len(starts), npts))
-    if not starts:
-        return finite, scaled
-    roots, staged = _staging(exprs)
-    width = max(1, expr.REGISTER_BUDGET // (len(exprs) + sum(_held_rows(exprs).values())))
-    width = -(-npts // -(-npts // width))  # even chunks
-    counts = np.diff(np.append(starts, len(exprs) // 2))
+    counts = np.diff(np.append(starts, sides // 2))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, npts, width):
-            out = evaluate_batch(roots, pts[lo:lo + width])
-            vals = out[:len(exprs)]
+            out = evaluate_batch(program, pts[lo:lo + width])
+            vals = out[:sides]
             contracted: dict = {}  # by tensor; a Haantjes tensor reads its torsion's
             for tensor, first, scale, dst, src in staged:
                 values = out[first:first + len(tensor.roots)]
@@ -319,12 +317,12 @@ def _held_rows(exprs: list) -> dict[int, int]:
     """Rows of values a chunk holds per point besides the sides in exprs,
     by the id of what holds them: each distinct staged tensor's roots and
     each distinct scale, which follow the sides among the roots
-    (_staging), and each Haantjes tensor's torsion components.
+    (_prepared), and each Haantjes tensor's torsion components.
 
     A Haantjes contraction holds arrays of d^3 rows besides the roots'
     values.  Its torsion's components count with the roots, as they did
     when they were roots, so its chunks stay about as wide as then.
-    _scaled_residuals sizes its chunks by the sides plus these rows, and
+    _prepared sizes the chunks by the sides plus these rows, and
     run_suites merges batches by the same count."""
     held: dict[int, int] = {}
     for e in exprs:
@@ -338,9 +336,12 @@ def _held_rows(exprs: list) -> dict[int, int]:
     return held
 
 
-def _staging(exprs: list) -> tuple[list[Expr], list]:
-    """The roots to evaluate for the sides in exprs and how to fill the rows
-    of their staged entries.
+def _prepared(exprs: list, npts: int) -> tuple[Program, list, int]:
+    """The sides in exprs made ready for _scaled_residuals on npts points:
+    the Program of their roots, compiled for chunks of as many of the
+    points as keep the sides and _held_rows within REGISTER_BUDGET floats
+    (one point at least), how to fill the rows of their staged entries,
+    and the number of sides.
 
     A staged entry's row holds ZERO among the roots and is overwritten
     after evaluation.  Each distinct list of tensor roots (the torsion and
@@ -371,7 +372,9 @@ def _staging(exprs: list) -> tuple[list[Expr], list]:
         (tensor, placed[id(tensor.roots)], scale, np.array(dst), np.array(src))
         for (_, scale), (tensor, dst, src) in groups.items()
     ]
-    return roots, staged
+    width = max(1, expr.REGISTER_BUDGET // (len(exprs) + sum(_held_rows(exprs).values())))
+    width = -(-npts // -(-npts // width))  # even chunks
+    return Program(roots, width), staged, len(exprs)
 
 
 def component_pairs(lhs, rhs) -> list[tuple[Expr, Expr]]:

@@ -23,6 +23,7 @@ from pqnverify.cli import (
     structure_to_doc,
 )
 from pqnverify.catalog import RecipeInput, closed_toda, r3_recipe
+from pqnverify import expr
 from pqnverify.expr import Chart, constant, div, Coord
 
 MINIMAL = {
@@ -177,6 +178,17 @@ def test_table_command_reports_the_involutivity_grid(tmp_path, capsys):
         assert grid[i][i] == 0.0
         for j in range(3):
             assert grid[i][j] == grid[j][i] >= 0.0
+
+
+def test_table_and_catalog_leave_only_zero_and_one_in_the_tables(tmp_path, capsys):
+    # A process that runs many commands holds one command's nodes at a time.
+    sf = tmp_path / "ct4.json"
+    for argv in (["catalog", "closed-toda", "--n", "4", "--out", str(sf)], ["table", str(sf)]):
+        assert main(argv) in (0, 1)
+        assert set(expr._TABLE.values()) == {expr.ZERO, expr.ONE}
+        assert not expr._DERIVED
+        assert [len(column) for column in expr._TAPE] == expr._PINNED_TAPE
+    capsys.readouterr()
 
 
 def test_table_requires_the_operator(tmp_path, capsys):

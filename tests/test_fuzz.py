@@ -15,7 +15,7 @@ import tempfile
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, assume, example, given, settings
 
-from pqnverify.cli import main
+from pqnverify.cli import _emit, main
 
 NAMES = ["x", "y", "z"]
 
@@ -314,3 +314,15 @@ def test_unparseable_sampling_flags_exit_two(command, flag, text):
     assume(_refused(float if flag == "--tol" else int)(text))
     # the flag is refused before the file is read
     assert _exits_cleanly([command, "unread.json", f"{flag}={text}"]) == 2
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(text=st.text(st.characters(exclude_categories=())))
+@example(text='"\\\n\t\x00\x7f')
+@example(text="é² \U0001f600")
+@example(text="\ud800 and \udfff alone")
+def test_report_strings_are_written_as_json_dumps_writes_them(text):
+    # The golden digests pin report bytes that json.dumps wrote, with its
+    # default ASCII escapes, for every string and every key.
+    assert _emit(text) == json.dumps(text)
+    assert _emit({text: None}) == "{\n  " + json.dumps(text) + ": null\n}"

@@ -266,12 +266,17 @@ def test_a_small_budget_splits_a_batch_without_changing_its_reports(plan, monkey
         calls.append(len(exprs) * len(pts))
         return original(exprs, pts)
 
+    compiles = []
+    compile_ = expr._compile
+    monkeypatch.setattr(expr, "_compile", lambda *args: compiles.append(1) or compile_(*args))
     monkeypatch.setattr(verify_module, "evaluate_batch", counting)
     monkeypatch.setattr(expr, "REGISTER_BUDGET", 64)
     assert [_report_bits(r) for r in run_checks(checks, plan, 1e-8)] == want
     # 16 roots at 4 points a chunk, then the resampled points of 3 checks
     assert len(calls) > 16 and max(calls) <= 64
-    assert not expr._PROGRAM  # the schedule of the last chunk is not kept
+    # one program for every chunk of the batch, and one for each check
+    # that resamples: resampling, shared and nowhere
+    assert len(compiles) == 1 + 3
 
 
 def test_a_rebound_run_pairs_sees_every_check(plan, monkeypatch):
@@ -356,29 +361,28 @@ def test_a_rebound_run_pairs_receives_staged_checks_as_expressions(plan, monkeyp
 
 def test_resampling_rounds_share_one_compiled_program(tmp_path, monkeypatch):
     # The golden r3-recipe-log resample case: 75 checks replace points in
-    # 8 rounds each.  A round evaluates the check's roots again on no more
-    # points than the last, so only a change of roots compiles a program.
+    # 8 rounds each.  A settled batch compiles one program for all its
+    # chunks, and a check that resamples one for all its rounds.
     compiles = []
     compile_ = expr._compile
     monkeypatch.setattr(expr, "_compile", lambda *args: compiles.append(1) or compile_(*args))
-    roots = []
-    evaluate = verify_module.evaluate_batch
-
-    def recording(exprs, pts):
-        roots.append([id(e) for e in exprs])
-        return evaluate(exprs, pts)
-
-    monkeypatch.setattr(verify_module, "evaluate_batch", recording)
+    settled, calls = [], []
+    settle, evaluate = verify_module.run_checks, verify_module.evaluate_batch
+    monkeypatch.setattr(
+        verify_module, "run_checks", lambda *args: settled.append(1) or settle(*args)
+    )
+    monkeypatch.setattr(
+        verify_module, "evaluate_batch", lambda exprs, pts: calls.append(1) or evaluate(exprs, pts)
+    )
     structure, out = tmp_path / "log.json", tmp_path / "report.json"
     assert cli.main(["catalog", "r3-recipe", "--lam", "log(x)", "--a", "y", "--g", "0",
                      "--out", str(structure)]) == 0
-    del roots[:], compiles[:]
+    del compiles[:], calls[:]
     flags = ["--samples", "1024", "--seed", "7", "--resample-limit", "4096"]
     assert cli.main(["verify", str(structure), *flags, "--out", str(out)]) == 1
-    changes = sum(1 for i, r in enumerate(roots) if i == 0 or r != roots[i - 1])
     resampled = sum("resampled 995 points" in c["detail"] for c in json.loads(out.read_text())["checks"])
-    assert resampled == 75 and len(roots) > 600
-    assert len(compiles) == changes < 100
+    assert resampled == 75 and len(calls) > 600
+    assert len(compiles) == len(settled) + resampled
 
 
 def test_check_identity_accepts_structured_values(plan):
@@ -989,15 +993,21 @@ def test_a_cleared_tape_does_not_reuse_an_old_program(monkeypatch):
     expr.clear_tables()
     first = add(mul(expr.coord(0), expr.coord(1)), expr.coord(2))
     slot = expr._tape_index(first)
-    before = evaluate_batch([first], pts)
-    # the same roots on as many points again run the kept program
-    np.testing.assert_array_equal(bits(evaluate_batch([first], pts[::-1])), bits(before[:, ::-1]))
+    program = expr.Program([first], len(pts))
+    before = evaluate_batch(program, pts)
+    # the program runs again on as many points without compiling
+    np.testing.assert_array_equal(bits(evaluate_batch(program, pts[::-1])), bits(before[:, ::-1]))
     assert len(compiled) == 1
+    np.testing.assert_array_equal(bits(before), bits(reference_evaluate_batch([first], pts)))
     expr.clear_tables()
     second = sub(mul(expr.coord(1), expr.coord(2)), expr.coord(0))
     assert expr._tape_index(second) == slot
-    got = evaluate_batch([second], pts)
+    # first's program, held across the clear, is compiled again
+    again = evaluate_batch(program, pts)
     assert len(compiled) == 2
+    np.testing.assert_array_equal(bits(again), bits(before))
+    got = evaluate_batch([second], pts)
+    assert len(compiled) == 3
     np.testing.assert_array_equal(bits(got), bits(reference_evaluate_batch([second], pts)))
     assert not np.array_equal(got, before)
 
