@@ -5,7 +5,9 @@ and prints a report document, ``catalog`` writes a named example as a
 structure file, ``table`` prints the involutivity table of the trace
 invariants.  Report documents are deterministic byte for byte at fixed
 inputs and flags: no timestamps, floats at 17 significant digits, checks
-sorted by name.
+sorted by name, and the input identified by the SHA-256 of its bytes,
+computed with CPython's built-in module so that a verdict does not load
+OpenSSL.
 
 Exit codes: 0 all non-skipped checks pass, 1 at least one failed,
 2 malformed input (bad file, bad expression, bad flag combination).
@@ -15,11 +17,18 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii
+
+try:  # CPython's own SHA-256: hashlib loads OpenSSL, 3.6 MB of peak RSS
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .catalog import by_name
 from .expr import Chart, ExprError, clear_tables, is_zero, parse, sample_plan, to_string, ZERO
@@ -371,10 +380,10 @@ def report_document(checks, metadata: dict, table=None) -> dict:
     return doc
 
 
-def _metadata(args, digest: str, st: Structure, box, suites=None) -> dict:
+def _metadata(args, raw: bytes, st: Structure, box, suites=None) -> dict:
     meta = {
         "command": args.command,
-        "input_digest": f"sha256:{digest}",
+        "input_digest": f"sha256:{sha256(raw).hexdigest()}",
         "structure_name": st.name,
         "seed": args.seed,
         "samples": args.samples,
@@ -498,8 +507,7 @@ def _cmd_verify(args) -> int:
         checks = run_suites(st, plan, args.tol, suites=suites, kmax=args.kmax)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    digest = hashlib.sha256(raw).hexdigest()
-    meta = _metadata(args, digest, st, box, suites=suites or SUITES)
+    meta = _metadata(args, raw, st, box, suites=suites or SUITES)
     _write_output(emit_document(report_document(checks, meta)), args.out)
     return _exit_code(checks)
 
@@ -512,8 +520,7 @@ def _cmd_table(args) -> int:
         raise InputError(f"{source}: table needs a bivector and an endomorphism")
     plan, box = _plan_for(args, st)
     result = verify_recursion_involutivity(st.pi, st.n, args.kmax, plan, args.tol)
-    digest = hashlib.sha256(raw).hexdigest()
-    meta = _metadata(args, digest, st, box)
+    meta = _metadata(args, raw, st, box)
     table = {"kmax": result.kmax, "residuals": [list(row) for row in result.table]}
     _write_output(
         emit_document(report_document(result.reports, meta, table=table)), args.out

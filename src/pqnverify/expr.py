@@ -631,11 +631,12 @@ class Program(tuple):
     """Root expressions with the schedule _compile built for them, for
     calls of up to npts points, and base, the tape epoch it was built in.
     A schedule built for fewer points may hold a register per value,
-    which would leave room for only a few points per block."""
+    which would leave room for only a few points per block.  No roots
+    need no schedule: _run returns before it reads one."""
 
     def __new__(cls, roots, npts: int):
         self = super().__new__(cls, roots)
-        self.npts, self.base, self.schedule = npts, _BASE, _compile(self, npts)
+        self.npts, self.base, self.schedule = npts, _BASE, _compile(self, npts) if self else None
         return self
 
 

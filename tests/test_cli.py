@@ -9,13 +9,16 @@ import sys
 import types
 from pathlib import Path
 
+import hypothesis.strategies as hst
 import pytest
+from hypothesis import example, given, settings
 
 from pqnverify.cli import (
     MAX_KMAX,
     MAX_POINTS,
     MAX_SITES,
     InputError,
+    _metadata,
     _parse_box,
     emit_document,
     main,
@@ -39,19 +42,25 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
-def run_cli_process(args):
-    """The CLI in a fresh interpreter, so that anything written to stderr,
-    warnings included, is seen."""
+def run_python(args):
+    """A fresh interpreter with the package on its path, so that anything
+    written to stderr, warnings included, and every module it loads are
+    seen."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "pqnverify.cli", *args],
+        [sys.executable, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def run_cli_process(args):
+    """The CLI in a fresh interpreter."""
+    return run_python(["-m", "pqnverify.cli", *args])
 
 
 def write_structure(tmp_path, doc, name="structure.json"):
@@ -139,6 +148,86 @@ def test_python_dash_m_pqnverify_keeps_the_exit_codes(tmp_path):
         )
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# Runs each command line given as a JSON list, as `python -m pqnverify`
+# would, then prints the exit codes and which OpenSSL modules are loaded.
+OPENSSL_PROBE = """
+import json, runpy, sys
+codes = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["pqnverify", *argv]
+    try:
+        runpy.run_module("pqnverify", run_name="__main__")
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps([codes, sorted({"_hashlib", "_ssl"} & set(sys.modules))]))
+"""
+
+
+def test_no_command_loads_openssl(tmp_path):
+    # The input digest comes from CPython's built-in SHA-256, so a verdict
+    # does not map OpenSSL's libcrypto.
+    mv, do2 = str(tmp_path / "mv.json"), str(tmp_path / "do2.json")
+    commands = [
+        ["catalog", "magri-veselov", "--out", mv],
+        ["verify", mv, "--out", str(tmp_path / "mv-report.json")],
+        ["catalog", "das-okubo", "--n", "2", "--out", do2],
+        ["table", do2, "--kmax", "3", "--out", str(tmp_path / "do2-table.json")],
+    ]
+    proc = run_python(["-c", OPENSSL_PROBE, json.dumps(commands)])
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes[0] == codes[2] == 0
+    assert codes[1] in (0, 1) and codes[3] in (0, 1)
+    assert loaded == []
+
+
+VERDICT_ARGS = types.SimpleNamespace(
+    command="verify", seed=42, samples=64, tol=1e-8, kmax=5, resample_limit=1024
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    raw=hst.one_of(
+        hst.binary(max_size=300),
+        # past 64 KiB, a multiple of SHA-256's 64-byte block or not
+        hst.tuples(hst.binary(min_size=1, max_size=65), hst.integers(0, 63)).map(
+            lambda t: t[0] * (65536 // len(t[0]) + 1) + bytes(t[1])
+        ),
+    )
+)
+@example(raw=b"")
+@example(raw=bytes(range(256)) * 256)
+def test_the_input_digest_is_the_sha256_of_the_input_bytes(raw):
+    st = structure_from_doc(MINIMAL, "<mem>")
+    meta = _metadata(VERDICT_ARGS, raw, st, ((-1.0, 1.0),) * 3)
+    assert meta["input_digest"] == "sha256:" + hashlib.sha256(raw).hexdigest()
+
+
+# Without CPython's built-in SHA-256 modules, the digest comes from hashlib.
+FALLBACK_PROBE = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from pqnverify import cli
+import hashlib
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, cli.sha256 is hashlib.sha256]))
+"""
+
+
+def test_a_build_without_builtin_sha256_writes_the_same_digest(tmp_path, capsys):
+    path = write_structure(tmp_path, MINIMAL)
+    out = tmp_path / "report.json"
+    proc = run_python(["-c", FALLBACK_PROBE, "verify", path, "--suites", "poisson", "--out", str(out)])
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [0, True]
+    code, builtin, _ = run_cli(["verify", path, "--suites", "poisson"], capsys)
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == builtin
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    assert json.loads(builtin)["metadata"]["input_digest"] == f"sha256:{digest}"
 
 
 def test_catalog_then_verify_round_trip(tmp_path, capsys):

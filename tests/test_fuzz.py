@@ -15,7 +15,9 @@ import tempfile
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, assume, example, given, settings
 
-from pqnverify.cli import _emit, main
+from pqnverify import expr
+from pqnverify.catalog import magri_veselov
+from pqnverify.cli import _emit, main, structure_to_doc
 
 NAMES = ["x", "y", "z"]
 
@@ -118,23 +120,9 @@ def documents(draw):
     return doc
 
 
-@settings(
-    max_examples=150,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(documents())
-# A constant power that overflows a float once raised OverflowError while
-# the expression was built.
-@example(
-    {
-        "chart": {"dim": 3, "coords": ["x", "y", "z"]},
-        "bivector": {"components": {"1,2": "x"}},
-        "chain": [{"components": {"1,3": "x", "1,2": "((2.5)^21)^37"}}],
-    }
-)
-def test_verify_exits_cleanly_on_generated_documents(doc):
+def verify_exits_cleanly(doc):
+    """`verify` on doc ends in exit 0 or 1 with a report whose failed checks
+    agree with the exit code, or in exit 2 with one line on stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "structure.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -152,6 +140,26 @@ def test_verify_exits_cleanly_on_generated_documents(doc):
         assert err.getvalue() == ""
         report = json.loads(out.getvalue())
         assert (code == 1) == any(c["status"] == "fail" for c in report["checks"])
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(documents())
+# A constant power that overflows a float once raised OverflowError while
+# the expression was built.
+@example(
+    {
+        "chart": {"dim": 3, "coords": ["x", "y", "z"]},
+        "bivector": {"components": {"1,2": "x"}},
+        "chain": [{"components": {"1,3": "x", "1,2": "((2.5)^21)^37"}}],
+    }
+)
+def test_verify_exits_cleanly_on_generated_documents(doc):
+    verify_exits_cleanly(doc)
 
 
 # Sampling flags on a small 3d structure with the cheap poisson suite.
@@ -326,3 +334,50 @@ def test_report_strings_are_written_as_json_dumps_writes_them(text):
     # default ASCII escapes, for every string and every key.
     assert _emit(text) == json.dumps(text)
     assert _emit({text: None}) == "{\n  " + json.dumps(text) + ": null\n}"
+
+
+# The magri-veselov structure; one endomorphism entry is replaced by a
+# large expression.
+MAGRI_VESELOV = structure_to_doc(magri_veselov())
+ENTRIES = MAGRI_VESELOV["endomorphism"]["components"]
+FACTORS = ["x", "y", "z", "2", "0.5", "(x+1)", "sin(y)"]
+UNARY = ["exp", "log", "sin", "cos", "sqrt"]
+
+
+def _cycled(pattern, count):
+    return [pattern[i % len(pattern)] for i in range(count)]
+
+
+@st.composite
+def large_expressions(draw):
+    """A product of up to 3,000 factors, unary functions nested up to 300
+    deep, or a power whose integer exponent reaches just past the largest
+    the parser takes."""
+    kind = draw(st.sampled_from(["product", "nested", "power"]))
+    if kind == "product":
+        factors = draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3))
+        return "*".join(_cycled(factors, draw(st.integers(1, 3000))))
+    if kind == "nested":
+        fns = draw(st.lists(st.sampled_from(UNARY), min_size=1, max_size=3))
+        depth = draw(st.integers(1, 300))
+        return "".join(f + "(" for f in _cycled(fns, depth)) + "x" + ")" * depth
+    limit = expr._MAX_EXPONENT
+    exponent = draw(
+        st.one_of(st.integers(0, 64), st.integers(limit - 2, limit + 2), st.integers(0, limit + 2))
+    )
+    return f"{draw(st.sampled_from(FACTORS))}^{exponent}"
+
+
+@settings(
+    max_examples=30,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(key=st.sampled_from(["1,1", "1,3", "2,1", "3,2", "3,3"]), text=large_expressions())
+@example(key="1,3", text="*".join(["x"] * 3000))
+@example(key="1,3", text="sin(" * 300 + "x" + ")" * 300)
+@example(key="1,3", text=f"x^{expr._MAX_EXPONENT}")
+@example(key="1,3", text=f"x^{expr._MAX_EXPONENT + 1}")
+def test_large_expressions_in_an_endomorphism_exit_cleanly(key, text):
+    verify_exits_cleanly(dict(MAGRI_VESELOV, endomorphism={"components": {**ENTRIES, key: text}}))

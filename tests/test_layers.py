@@ -17,6 +17,10 @@ from pqnverify import expr, verify
 LAYERS = ("expr", "fields", "calculus", "catalog", "verify", "cli")
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pqnverify"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+# CPython's built-in SHA-256 module is _sha256 up to 3.11 and _sha2 from
+# 3.12; cli tries both, so one of them is always a standard-library module
+# of another version than the one running.
+STDLIB = sys.stdlib_module_names | {"_sha2", "_sha256"}
 
 
 def _rank(module: str) -> int:
@@ -59,7 +63,7 @@ def test_a_module_imports_only_modules_below_it(module):
     inside, outside = _imports(module)
     above = sorted(m for m in inside if _rank(m) >= _rank(module))
     assert above == [], f"{module} imports {above}, which are not below it"
-    foreign = sorted(m for m in outside if m != "numpy" and m not in sys.stdlib_module_names)
+    foreign = sorted(m for m in outside if m != "numpy" and m not in STDLIB)
     assert foreign == [], f"{module} imports {foreign}, outside the standard library and numpy"
 
 

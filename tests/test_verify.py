@@ -1012,6 +1012,15 @@ def test_a_cleared_tape_does_not_reuse_an_old_program(monkeypatch):
     assert not np.array_equal(got, before)
 
 
+def test_a_program_of_no_roots_runs_to_an_empty_result():
+    pts = point_block(sample_plan(CH, seed=11), 0, 8)
+    program = expr.Program([], len(pts))
+    assert len(program) == 0
+    got = evaluate_batch(program, pts)
+    assert got.shape == (0, 8)
+    assert evaluate_batch([], pts).shape == (0, 8)
+
+
 def test_a_node_outlives_the_tables_it_was_built_in(tmp_path, capsys):
     expr.clear_tables()
     e = div(add(mul(X, intpow(Y, 3)), expr.exp(Z)), sub(X, constant(0.5)))
