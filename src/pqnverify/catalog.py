@@ -157,9 +157,27 @@ class RecipeInput:
             raise ValueError("g must depend on z only")
 
 
+# Highest power of y the catalog expands lam_z - a_x to: a product of
+# polynomials costs the product of their term counts.
+_MAX_Y_DEGREE = 300
+
+
+def _poly_product(left: dict[int, Expr], right: dict[int, Expr]) -> dict[int, Expr]:
+    if max(left) + max(right) > _MAX_Y_DEGREE:
+        raise ValueError(
+            f"lam_z - a_x has degree over {_MAX_Y_DEGREE} in y; supply an explicit b"
+        )
+    out: dict[int, Expr] = {}
+    for ka, va in left.items():
+        for kb, vb in right.items():
+            out[ka + kb] = add(out.get(ka + kb, ZERO), mul(va, vb))
+    return out
+
+
 def _poly_coeffs(e: Expr, idx: int) -> dict[int, Expr] | None:
     """Structural decomposition of e as a polynomial in coordinate idx,
-    mapping exponent to coefficient; None when e is not polynomial there."""
+    mapping exponent to coefficient; None when e is not polynomial there,
+    a ValueError when its degree there passes _MAX_Y_DEGREE."""
     if isinstance(e, Constant):
         return {0: e}
     if isinstance(e, Coord):
@@ -184,11 +202,7 @@ def _poly_coeffs(e: Expr, idx: int) -> dict[int, Expr] | None:
         right = _poly_coeffs(e.b, idx)
         if left is None or right is None:
             return None
-        out: dict[int, Expr] = {}
-        for ka, va in left.items():
-            for kb, vb in right.items():
-                out[ka + kb] = add(out.get(ka + kb, ZERO), mul(va, vb))
-        return out
+        return _poly_product(left, right)
     if isinstance(e, Div):
         if idx in used_coords(e.b):
             return None
@@ -197,16 +211,14 @@ def _poly_coeffs(e: Expr, idx: int) -> dict[int, Expr] | None:
             return None
         return {k: div(v, e.b) for k, v in top.items()}
     if isinstance(e, IntPow):
+        if idx not in used_coords(e.base):
+            return {0: e}
         base = _poly_coeffs(e.base, idx)
         if base is None:
             return None
         out = {0: ONE}
         for _ in range(e.exponent):
-            nxt: dict[int, Expr] = {}
-            for ka, va in out.items():
-                for kb, vb in base.items():
-                    nxt[ka + kb] = add(nxt.get(ka + kb, ZERO), mul(va, vb))
-            out = nxt
+            out = _poly_product(out, base)
         return out
     if isinstance(e, (Exp, Log, Sin, Cos, Sqrt)):
         return {0: e} if idx not in used_coords(e.arg) else None

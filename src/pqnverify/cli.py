@@ -3,11 +3,16 @@
 Three subcommands: ``verify`` runs check suites against a structure file
 and prints a report document, ``catalog`` writes a named example as a
 structure file, ``table`` prints the involutivity table of the trace
-invariants.  Report documents are deterministic byte for byte at fixed
-inputs and flags: no timestamps, floats at 17 significant digits, checks
-sorted by name, and the input identified by the SHA-256 of its bytes,
-computed with CPython's built-in module so that a verdict does not load
-OpenSSL.
+invariants.
+
+The structure-file format lives in one table, ``_BLOCKS``: each block
+after chart and name with the Structure member it holds, its reader and
+its writer, so files are read and written from the same entries.
+
+Report documents are deterministic byte for byte at fixed inputs and
+flags: no timestamps, floats at 17 significant digits, checks sorted by
+name, and the input identified by the SHA-256 of its bytes, computed with
+CPython's built-in module so that a verdict does not load OpenSSL.
 
 Exit codes: 0 all non-skipped checks pass, 1 at least one failed,
 2 malformed input (bad file, bad expression, bad flag combination).
@@ -47,21 +52,6 @@ MAX_KMAX = 32
 # Upper bound on catalog --n: a lattice of n sites has a 2n-coordinate
 # chart and a dense 2n x 2n endomorphism; twice it bounds chart.dim.
 MAX_SITES = 64
-
-_BLOCKS = (
-    "chart",
-    "name",
-    "volume",
-    "bivector",
-    "endomorphism",
-    "threeform",
-    "twoform",
-    "oneform",
-    "scalars",
-    "vectorfield",
-    "chain",
-)
-
 
 class InputError(Exception):
     """Anything wrong with the command input; mapped to exit code 2."""
@@ -113,16 +103,13 @@ def _expr(chart: Chart, value, where: str):
         raise InputError(f"{where}: {exc}") from exc
 
 
-def _components_of(block, where: str) -> dict:
+def _object(block, where: str, keys: set) -> dict:
     if not isinstance(block, dict):
         raise InputError(f"{where}: expected an object")
-    stray = sorted(set(block) - {"components"})
+    stray = sorted(set(block) - keys)
     if stray:
         raise InputError(f"{where}: unknown keys: {', '.join(stray)}")
-    comps = block.get("components", {})
-    if not isinstance(comps, dict):
-        raise InputError(f"{where}.components: expected an object")
-    return comps
+    return block
 
 
 def _indices(key: str, size: int, dim: int, where: str, increasing: bool):
@@ -141,38 +128,100 @@ def _indices(key: str, size: int, dim: int, where: str, increasing: bool):
     return tuple(v - 1 for v in nums)
 
 
-def _form_from_doc(chart: Chart, block, degree: int, where: str) -> KForm:
-    if degree > chart.dim:
-        raise InputError(f"{where}: needs a chart of dimension at least {degree}")
-    comps = {}
-    raw = _components_of(block, where)
-    for key in sorted(raw):
-        idx = _indices(key, degree, chart.dim, where, increasing=True)
-        comps[idx] = _expr(chart, raw[key], f"{where}.components[{key!r}]")
-    return KForm(chart, degree, comps)
+def _components(arity: int, increasing: bool, build):
+    """The reader of a components block: keys of `arity` 1-based indices,
+    strictly increasing for a form, read in key order into {0-based
+    indices: expression}, from which build(chart, components=...) makes
+    the member."""
+
+    def read(chart: Chart, block, where: str):
+        if increasing and arity > chart.dim:
+            raise InputError(f"{where}: needs a chart of dimension at least {arity}")
+        raw = _object(block, where, {"components"}).get("components", {})
+        if not isinstance(raw, dict):
+            raise InputError(f"{where}.components: expected an object")
+        comps = {}
+        for key in sorted(raw):
+            idx = _indices(key, arity, chart.dim, where, increasing)
+            comps[idx] = _expr(chart, raw[key], f"{where}.components[{key!r}]")
+        return build(chart, components=comps)
+
+    return read
 
 
-def _endomorphism_from_doc(chart: Chart, block, where: str) -> Endomorphism:
-    dim = chart.dim
-    rows = [[ZERO] * dim for _ in range(dim)]
-    raw = _components_of(block, where)
-    for key in sorted(raw):
-        i, j = _indices(key, 2, dim, where, increasing=False)
-        rows[i][j] = _expr(chart, raw[key], f"{where}.components[{key!r}]")
-    return Endomorphism(chart, tuple(tuple(row) for row in rows))
+def _write_components(chart: Chart, member) -> dict:
+    """A form, an endomorphism or a vector field as a components block,
+    without its structural zeros."""
+    if isinstance(member, KForm):
+        entries = member.components.items()
+    elif isinstance(member, Endomorphism):
+        entries = (((i, j), e) for i, row in enumerate(member.matrix) for j, e in enumerate(row))
+    else:
+        entries = (((i,), e) for i, e in enumerate(member.components))
+    comps = {
+        ",".join(str(i + 1) for i in idx): to_string(e, chart)
+        for idx, e in entries
+        if not is_zero(e)
+    }
+    return {"components": comps}
 
 
-def _vectorfield_from_doc(chart: Chart, block, where: str) -> VectorField:
-    slots = [ZERO] * chart.dim
-    raw = _components_of(block, where)
-    for key in sorted(raw):
-        (i,) = _indices(key, 1, chart.dim, where, increasing=False)
-        slots[i] = _expr(chart, raw[key], f"{where}.components[{key!r}]")
-    return VectorField(chart, tuple(slots))
+def _matrix(chart: Chart, components: dict) -> Endomorphism:
+    span = range(chart.dim)
+    return Endomorphism(chart, [[components.get((i, j), ZERO) for j in span] for i in span])
+
+
+def _vector(chart: Chart, components: dict) -> VectorField:
+    return VectorField(chart, tuple(components.get((i,), ZERO) for i in range(chart.dim)))
+
+
+def _form(degree: int):
+    return _components(degree, True, functools.partial(KForm, degree=degree))
+
+
+_read_endomorphism = _components(2, False, _matrix)
+
+
+def _read_volume(chart: Chart, block, where: str) -> KForm:
+    if not isinstance(block, dict) or set(block) != {"coeff"}:
+        raise InputError(f"{where}: expected an object with a coeff entry")
+    coeff = _expr(chart, block["coeff"], f"{where}.coeff")
+    return KForm(chart, chart.dim, {tuple(range(chart.dim)): coeff})
+
+
+def _read_scalars(chart: Chart, block, where: str):
+    block = _object(block, where, {"lambda"})
+    return _expr(chart, block["lambda"], f"{where}.lambda") if "lambda" in block else None
+
+
+def _read_chain(chart: Chart, block, where: str) -> tuple:
+    if not isinstance(block, list) or not block:
+        raise InputError(f"{where}: expected a non-empty list of endomorphism blocks")
+    return tuple(_read_endomorphism(chart, e, f"{where}[{pos}]") for pos, e in enumerate(block))
+
+
+# The structure-file format after chart and name: each block with the
+# Structure member it holds, its reader (chart, block, where) and its
+# writer (chart, member), in the order blocks are read and written.
+_BLOCKS = {
+    "volume": (
+        "volume",
+        _read_volume,
+        lambda chart, vol: {"coeff": to_string(vol.component(*range(chart.dim)), chart)},
+    ),
+    "bivector": ("pi", _components(2, True, Bivector), _write_components),
+    "endomorphism": ("n", _read_endomorphism, _write_components),
+    "threeform": ("phi", _form(3), _write_components),
+    "twoform": ("omega", _form(2), _write_components),
+    "oneform": ("theta", _form(1), _write_components),
+    "scalars": ("lam", _read_scalars, lambda chart, lam: {"lambda": to_string(lam, chart)}),
+    "vectorfield": ("z", _components(1, False, _vector), _write_components),
+    "chain": ("chain", _read_chain, lambda chart, ms: [_write_components(chart, m) for m in ms]),
+}
 
 
 def structure_from_doc(doc: dict, source: str) -> Structure:
-    stray = sorted(set(doc) - set(_BLOCKS))
+    stray = sorted(set(doc) - {"chart", "name", *_BLOCKS})
     if stray:
         raise InputError(f"{source}: unknown blocks: {', '.join(stray)}")
     if "chart" not in doc:
@@ -201,88 +250,12 @@ def structure_from_doc(doc: dict, source: str) -> Structure:
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise InputError("name: expected a string")
-
-    volume = None
-    if "volume" in doc:
-        vblock = doc["volume"]
-        if not isinstance(vblock, dict) or set(vblock) != {"coeff"}:
-            raise InputError("volume: expected an object with a coeff entry")
-        coeff = _expr(chart, vblock["coeff"], "volume.coeff")
-        volume = KForm(chart, dim, {tuple(range(dim)): coeff})
-
-    pi = None
-    if "bivector" in doc:
-        pi = Bivector(chart, _form_from_doc(chart, doc["bivector"], 2, "bivector").components)
-    n = None
-    if "endomorphism" in doc:
-        n = _endomorphism_from_doc(chart, doc["endomorphism"], "endomorphism")
-    phi = None
-    if "threeform" in doc:
-        phi = _form_from_doc(chart, doc["threeform"], 3, "threeform")
-    omega = None
-    if "twoform" in doc:
-        omega = _form_from_doc(chart, doc["twoform"], 2, "twoform")
-    theta = None
-    if "oneform" in doc:
-        theta = _form_from_doc(chart, doc["oneform"], 1, "oneform")
-
-    lam = None
-    if "scalars" in doc:
-        sblock = doc["scalars"]
-        if not isinstance(sblock, dict):
-            raise InputError("scalars: expected an object")
-        stray = sorted(set(sblock) - {"lambda"})
-        if stray:
-            raise InputError(f"scalars: unknown keys: {', '.join(stray)}")
-        if "lambda" in sblock:
-            lam = _expr(chart, sblock["lambda"], "scalars.lambda")
-
-    z = None
-    if "vectorfield" in doc:
-        z = _vectorfield_from_doc(chart, doc["vectorfield"], "vectorfield")
-
-    chain = None
-    if "chain" in doc:
-        cdoc = doc["chain"]
-        if not isinstance(cdoc, list) or not cdoc:
-            raise InputError("chain: expected a non-empty list of endomorphism blocks")
-        chain = tuple(
-            _endomorphism_from_doc(chart, entry, f"chain[{pos}]")
-            for pos, entry in enumerate(cdoc)
-        )
-
-    return Structure(
-        chart=chart,
-        volume=volume,
-        pi=pi,
-        n=n,
-        phi=phi,
-        lam=lam,
-        z=z,
-        theta=theta,
-        omega=omega,
-        chain=chain,
-        name=name,
-    )
-
-
-def _form_doc(form: KForm) -> dict:
-    chart = form.chart
-    comps = {}
-    for key in sorted(form.components):
-        label = ",".join(str(i + 1) for i in key)
-        comps[label] = to_string(form.components[key], chart)
-    return {"components": comps}
-
-
-def _endo_doc(endo: Endomorphism) -> dict:
-    chart = endo.chart
-    comps = {}
-    for i, row in enumerate(endo.matrix):
-        for j, entry in enumerate(row):
-            if not is_zero(entry):
-                comps[f"{i + 1},{j + 1}"] = to_string(entry, chart)
-    return {"components": comps}
+    members = {
+        member: read(chart, doc[block], block)
+        for block, (member, read, _) in _BLOCKS.items()
+        if block in doc
+    }
+    return Structure(chart=chart, name=name, **members)
 
 
 def structure_to_doc(st: Structure) -> dict:
@@ -292,28 +265,10 @@ def structure_to_doc(st: Structure) -> dict:
     doc: dict = {"chart": {"dim": chart.dim, "coords": list(chart.coord_names)}}
     if st.name:
         doc["name"] = st.name
-    if st.volume is not None:
-        doc["volume"] = {"coeff": to_string(st.volume.component(*range(chart.dim)), chart)}
-    if st.pi is not None:
-        doc["bivector"] = _form_doc(st.pi)
-    if st.n is not None:
-        doc["endomorphism"] = _endo_doc(st.n)
-    if st.phi is not None:
-        doc["threeform"] = _form_doc(st.phi)
-    if st.omega is not None:
-        doc["twoform"] = _form_doc(st.omega)
-    if st.theta is not None:
-        doc["oneform"] = _form_doc(st.theta)
-    if st.lam is not None:
-        doc["scalars"] = {"lambda": to_string(st.lam, chart)}
-    if st.z is not None:
-        comps = {}
-        for i, entry in enumerate(st.z.components):
-            if not is_zero(entry):
-                comps[str(i + 1)] = to_string(entry, chart)
-        doc["vectorfield"] = {"components": comps}
-    if st.chain is not None:
-        doc["chain"] = [_endo_doc(m) for m in st.chain]
+    for block, (member, _, write) in _BLOCKS.items():
+        value = getattr(st, member)
+        if value is not None:
+            doc[block] = write(chart, value)
     return doc
 
 

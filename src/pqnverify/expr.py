@@ -1028,6 +1028,10 @@ def to_string(e: Expr, chart: Chart) -> str:
 #   factor := ["-"] power
 #   power  := atom ["^" integer]
 #   atom   := number | coord | func "(" expr ")" | "(" expr ")"
+# Each level of parentheses or function call costs five frames, so the
+# depth is bounded here, well inside the default recursion limit of 1,000.
+
+_MAX_NESTING = 150
 
 _FUNC_CTORS = {"exp": exp, "log": log, "sin": sin, "cos": cos, "sqrt": sqrt}
 
@@ -1091,6 +1095,7 @@ class _Parser:
     def __init__(self, text: str, chart: Chart):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.chart = chart
 
     def peek(self) -> _Token:
@@ -1143,6 +1148,18 @@ class _Parser:
             return intpow(base, int(digits))
         return base
 
+    def parse_group(self) -> Expr:
+        """A parenthesised expression, one level deeper; past _MAX_NESTING
+        levels a RecursionError, whatever the interpreter's own limit."""
+        self.expect("(")
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise RecursionError(f"input nested more than {_MAX_NESTING} deep")
+        inner = self.parse_expr()
+        self.expect(")")
+        self.depth -= 1
+        return inner
+
     def parse_atom(self) -> Expr:
         t = self.peek()
         if t.kind == "num":
@@ -1152,23 +1169,19 @@ class _Parser:
             self.advance()
             ctor = _FUNC_CTORS.get(t.text)
             if ctor is not None:
-                self.expect("(")
-                inner = self.parse_expr()
-                self.expect(")")
-                return ctor(inner)
+                return ctor(self.parse_group())
             if t.text in self.chart.coord_names:
                 return coord(self.chart.coord_names.index(t.text))
             raise ExprError(f"unknown identifier {t.text!r}", t.offset)
         if t.kind == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
+            return self.parse_group()
         raise ExprError(f"unexpected token {t.text!r}" if t.kind != "end" else "unexpected end of input", t.offset)
 
 
 def parse(text: str, chart: Chart) -> Expr:
-    """Parse concrete syntax into an expression over the chart's coordinates."""
+    """Parse concrete syntax into an expression over the chart's coordinates.
+    Parentheses and function calls nested more than _MAX_NESTING deep raise
+    RecursionError."""
     p = _Parser(text, chart)
     e = p.parse_expr()
     t = p.peek()

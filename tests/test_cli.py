@@ -42,7 +42,7 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
-def run_python(args):
+def run_python(args, timeout=120):
     """A fresh interpreter with the package on its path, so that anything
     written to stderr, warnings included, and every module it loads are
     seen."""
@@ -54,7 +54,7 @@ def run_python(args):
         env=env,
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -101,6 +101,36 @@ def test_volume_blocks_round_trip_to_their_bytes(chart, coeff, written):
     assert st.volume.degree == chart["dim"]
     want = {"chart": chart, "volume": {"coeff": written}}
     assert emit_document(structure_to_doc(st)) == json.dumps(want, indent=2) + "\n"
+
+
+# The SHA-256 of each catalog document's bytes: the round-trip tests compare
+# a document only with itself, so these hold the writers to the format.
+CATALOG_DIGESTS = {
+    ("closed-toda", "--n", "2"): "5224a48a51e19d827a112cd0a777ceddf2e670640bae939f59517f09e29c7a54",
+    ("closed-toda", "--n", "3"): "21667d0ac6d2f76d3acc97599a95c72b1eafd348796e967ef1b7f7d7aba9f56b",
+    ("closed-toda", "--n", "4"): "9a74b25f9bc7684978bc178aef8cfdcdaa04b17827e8f57636b0a1db87016fca",
+    ("closed-toda", "--n", "8"): "cf0e33fe78a2540b5052eab03f3b77fa52fd1dcff1b3540bb446baa87d0f40e2",
+    ("das-okubo", "--n", "2"): "ed7d3e0bafb0314dbc7b5a4c0d67bf7cc5530e229c5c8b99560880c8afd693b9",
+    ("das-okubo", "--n", "3"): "7fe457d2d15b99e7a9190274d6becade6a74a381facf96327c9513744d024961",
+    ("das-okubo", "--n", "4"): "2aa082c40e1229d2580521063251d75b15dd6cfdadd22bc43a0f9a8e097693f7",
+    ("das-okubo", "--n", "8"): "3c367d8c4ce8c125fbdad6e0d9763b51b7f6895071d5c8d06860e3bab73bf33d",
+    ("magri-veselov",): "37ac0005c995a0802bb475453091e9f46a7b740afaee62c51854955516a9fffd",
+    ("prop-local", "--lam", "z/2", "--a", "x/2", "--g", "z"):
+        "fbcd266782421849d43ded8098bac05315a371d387cd6906e732a40253fd1a87",
+    ("r3-recipe", "--lam", "z", "--a", "y", "--g", "0"):
+        "f8222539c319a5609ccb32f7e184ef7132bbbdb20eba6fa8797a3def3095abc5",
+    ("r3-recipe", "--lam", "z/2", "--a", "x/2", "--g", "z"):
+        "c1750fa3cd87f87e4e177f84cbf4acbbe7c78c92a1d6b8af4d793442d8fb4ca7",
+    ("r3-recipe", "--lam", "z*sin(y)", "--a", "0", "--g", "0", "--b=-cos(y)"):
+        "ade78a22133e43bb4b47813992d218edd60ef0707ed181141d85b6ee59ccb51d",
+}
+
+
+@pytest.mark.parametrize("args", CATALOG_DIGESTS, ids=" ".join)
+def test_catalog_documents_keep_their_bytes(capsys, args):
+    code, out, err = run_cli(["catalog", *args], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_DIGESTS[args]
 
 
 def test_verify_passes_on_a_flat_bivector(tmp_path, capsys):
@@ -322,6 +352,29 @@ CHART2 = {"dim": 2, "coords": ["x", "y"]}
         # str.isdigit() takes these digits, which int() and float() refuse
         *((json.dumps({"chart": CHART2, "bivector": {"components": {"1,2": entry}}}),
            "unexpected character") for entry in ["²", "x^²", "2²", "٣"]),
+        # each reader's error paths, with the whole message line
+        *((json.dumps({"chart": CHART2, **blocks}), f"pqnverify: {line}\n") for blocks, line in [
+            ({"bivector": 5}, "bivector: expected an object"),
+            ({"vectorfield": {"foo": 1}}, "vectorfield: unknown keys: foo"),
+            ({"endomorphism": {"components": {"1": "x"}}},
+             "endomorphism: key '1' needs 2 comma-separated indices"),
+            ({"vectorfield": {"components": {"1,2": "x"}}},
+             "vectorfield: key '1,2' needs 1 comma-separated indices"),
+            ({"bivector": {"components": {"1,a": "x"}}},
+             "bivector: key '1,a' is not a list of integers"),
+            ({"endomorphism": {"components": {"3,1": "x"}}},
+             "endomorphism: index 3 out of range 1..2 in key '3,1'"),
+            ({"oneform": {"components": {"1": 3}}},
+             "oneform.components['1']: expected an expression string"),
+            ({"volume": {}}, "volume: expected an object with a coeff entry"),
+            ({"chain": []}, "chain: expected a non-empty list of endomorphism blocks"),
+            ({"chain": [{"components": {}}, 7]}, "chain[1]: expected an object"),
+            # blocks are read in a fixed order, whatever the file's order
+            ({"chain": [{"components": {"1": "x"}}],
+              "vectorfield": {"components": {"9": "x"}},
+              "bivector": {"components": {"2,1": "x"}}},
+             "bivector: key '2,1' must be strictly increasing"),
+        ]),
     ],
 )
 def test_malformed_inputs_exit_two(tmp_path, capsys, payload, fragment):
@@ -651,6 +704,54 @@ def test_deeply_nested_input_exits_two(tmp_path, component):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "pqnverify: input nested too deeply\n"
+
+
+@pytest.mark.parametrize("opener", ["(", "sin("])
+def test_the_nesting_limit_holds_whatever_the_recursion_limit(tmp_path, capsys, opener):
+    # The parser counts its own depth: a raised recursion limit (Hypothesis
+    # raises it too) must not let deeper input through.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        results = []
+        for depth in (150, 151):  # the parser's limit and one level more
+            component = opener * depth + "x" + ")" * depth
+            doc = dict(MINIMAL, bivector={"components": {"1,2": component}})
+            results.append(run_cli(["verify", write_structure(tmp_path, doc)], capsys))
+    finally:
+        sys.setrecursionlimit(limit)
+    (code, out, err), past = results
+    assert (code, err) == (0, "")
+    assert {c["status"] for c in json.loads(out)["checks"]} <= {"pass", "skipped"}
+    assert past == (2, "", "pqnverify: input nested too deeply\n")
+
+
+@pytest.mark.parametrize(
+    "name, lam, where, b",
+    [
+        ("r3-recipe", "z*x^1000000000", ("vectorfield", "2"), "x^1000000000*y"),
+        ("r3-recipe", "z*x^1000", ("vectorfield", "2"), "x^1000*y"),
+        ("prop-local", "z*x^1000000000", ("twoform", "1,3"), "-(x^1000000000*y)"),
+        ("r3-recipe", "z*(y+1)^20000", None, None),
+        ("prop-local", "z*(y+1)^20000", None, None),
+    ],
+    ids=["r3-x-power", "r3-x-power-1000", "prop-local-x-power", "r3-y-degree", "prop-local-y-degree"],
+)
+def test_catalog_recipes_with_large_powers_end(name, lam, where, b):
+    # A power of x is one coefficient of the y-polynomial, not a product
+    # expanded factor by factor; a y-degree past the cap asks for b.
+    proc = run_python(
+        ["-m", "pqnverify", "catalog", name, "--lam", lam, "--a", "0", "--g", "0"], timeout=30
+    )
+    if b is None:
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "pqnverify: lam_z - a_x has degree over 300 in y; supply an explicit b\n"
+        )
+    else:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        block, key = where
+        assert json.loads(proc.stdout)[block]["components"][key] == b
 
 
 def test_a_400_term_sum_still_verifies(tmp_path, capsys):
