@@ -30,15 +30,7 @@ from .verify import (
     check_identity,
     deform_3d,
     run_suites,
-    verify_3d_conditions,
-    verify_haantjes_structure,
-    verify_lm_chain,
-    verify_minpoly,
-    verify_pn,
-    verify_poisson,
-    verify_pqn,
     verify_recursion_involutivity,
-    verify_theo_inv,
 )
 from .catalog import RecipeInput, by_name, closed_toda, das_okubo, magri_veselov, r3_recipe
 
@@ -75,14 +67,6 @@ __all__ = [
     "run_suites",
     "sample_plan",
     "to_string",
-    "verify_3d_conditions",
-    "verify_haantjes_structure",
-    "verify_lm_chain",
-    "verify_minpoly",
-    "verify_pn",
-    "verify_poisson",
-    "verify_pqn",
     "verify_recursion_involutivity",
-    "verify_theo_inv",
     "__version__",
 ]

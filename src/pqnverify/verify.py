@@ -18,13 +18,14 @@ Every universally quantified identity here is tensorial in its vector
 arguments, so checking it on coordinate fields at sampled points is
 equivalent to checking it on arbitrary fields.
 
-Each suite has a builder that returns its entries: (name, pairs, detail)
-check triples and reports already decided.  A public verify_* function
-settles its builder's entries in one run_checks batch.  run_suites builds
-the suites in table order and merges consecutive batches while the merged
-batch is evaluated in one chunk of points, so a verdict's small suites
-share one evaluation; a batch too large for one chunk is settled alone.
-An evaluation does not depend on which roots share it, so the grouping
+Each suite has a builder, named in _SUITE_TABLE, that takes (structure,
+plan, tol, kmax) and returns the suite's entries in batches: lists of
+(name, pairs, detail) check triples and reports already decided.
+run_suites is the one entry point that settles them: it builds the suites
+in table order and merges consecutive batches while the merged batch is
+evaluated in one chunk of points, so a verdict's small suites share one
+evaluation; a batch too large for one chunk is settled alone.  An
+evaluation does not depend on which roots share it, so the grouping
 changes no report.
 """
 from __future__ import annotations
@@ -478,21 +479,16 @@ def xi_form(pi: Bivector, volume: KForm) -> KForm:
     return star(pi, volume)
 
 
-def verify_poisson(
-    pi: Bivector, plan: SamplePlan, tol: float, volume: KForm | None = None
-) -> list[CheckReport]:
+def verify_poisson(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
     """Jacobi identity on coordinate triples; on an oriented 3d chart also
     the integrability of the dual one-form and that the sharp map kills it."""
-    return _run_in_order(_poisson_entries(pi, volume), plan, tol)
-
-
-def _poisson_entries(pi: Bivector, volume: KForm | None) -> list:
+    pi = st.pi
     checks = [("poisson.jacobi", [(side, ZERO) for side in jacobi_sides(pi)], "")]
-    if volume is not None and pi.chart.dim == 3:
-        xi = xi_form(pi, volume)
+    if st.volume is not None and pi.chart.dim == 3:
+        xi = xi_form(pi, st.volume)
         checks.append(_identity("poisson.integrability", wedge(xi, d(xi))))
         checks.append(_identity("poisson.sharp_annihilates_xi", sharp(pi, xi)))
-    return checks
+    return [checks]
 
 
 @per_verdict
@@ -512,27 +508,17 @@ def _compatibility_pairs(pi: Bivector, n: Endomorphism):
     return tuple(c1), tuple(c2)
 
 
-def verify_pn(
-    pi: Bivector, n: Endomorphism, plan: SamplePlan, tol: float
-) -> list[CheckReport]:
+def verify_pn(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
     """Both compatibility conditions plus a vanishing torsion check."""
-    return _run_in_order(_pn_entries(pi, n), plan, tol)
+    c1, c2 = _compatibility_pairs(st.pi, st.n)
+    torsion = _identity("pn.torsion", nijenhuis_torsion(st.n))
+    return [[("pn.C1", c1, ""), ("pn.C2", c2, ""), torsion]]
 
 
-def _pn_entries(pi: Bivector, n: Endomorphism) -> list:
-    c1, c2 = _compatibility_pairs(pi, n)
-    return [("pn.C1", c1, ""), ("pn.C2", c2, ""), _identity("pn.torsion", nijenhuis_torsion(n))]
-
-
-def verify_pqn(
-    pi: Bivector, n: Endomorphism, phi: KForm, plan: SamplePlan, tol: float
-) -> list[CheckReport]:
+def verify_pqn(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
     """Compatibility, closedness of the 3-form under d and under the
     induced derivation, and the prescribed-torsion condition."""
-    return _run_in_order(_pqn_entries(pi, n, phi, tol), plan, tol)
-
-
-def _pqn_entries(pi: Bivector, n: Endomorphism, phi: KForm, tol: float) -> list:
+    pi, n, phi = st.pi, st.n, st.phi
     chart = pi.chart
     if phi.degree != 3:
         raise ValueError("the structure form must have degree 3")
@@ -555,7 +541,7 @@ def _pqn_entries(pi: Bivector, n: Endomorphism, phi: KForm, tol: float) -> list:
             )
             pairs.extend(zip(t.pair(a, b), rhs.components))
     entries.append(("pqn.torsion_prescribed", pairs, ""))
-    return entries
+    return [entries]
 
 
 def reconstruct_decomposition(
@@ -633,30 +619,15 @@ def _torsion_closed_form_pairs(
     return pairs
 
 
-def verify_3d_conditions(
-    pi: Bivector,
-    n: Endomorphism,
-    phi: KForm | None,
-    volume: KForm,
-    plan: SamplePlan,
-    tol: float,
-    lam: Expr | None = None,
-    z: VectorField | None = None,
-) -> list[CheckReport]:
+def verify_3d_conditions(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
     """Structure conditions specific to oriented 3d charts: the rank-one
     split of N, the divergence equation coupling its ingredients, the
     volume multiple giving the 3-form, and the closed form of the torsion.
 
-    When lam and Z are not supplied they are reconstructed from N and the
-    dual one-form; all four checks are skipped if that fails.
+    When the structure carries no lam and Z they are reconstructed from N
+    and the dual one-form; all four checks are skipped if that fails.
     """
-    return _run_in_order(_threed_entries(pi, n, phi, volume, plan, tol, lam, z), plan, tol)
-
-
-def _threed_entries(
-    pi: Bivector, n: Endomorphism, phi: KForm | None, volume: KForm, plan: SamplePlan,
-    tol: float, lam: Expr | None, z: VectorField | None,
-) -> list:
+    pi, n, phi, volume = st.pi, st.n, st.phi, st.volume
     chart = pi.chart
     if chart.dim != 3:
         raise ValueError("these conditions are specific to 3d charts")
@@ -667,10 +638,10 @@ def _threed_entries(
         "3d.phi_value",
         "3d.torsion_closed_form",
     )
-    split = _split(n, xi, plan, lam, z)
+    split = _split(n, xi, plan, st.lam, st.z)
     if split is None:
         note = "the dual one-form vanishes at every probe point; no split available"
-        return [_skip(nm, tol, note) for nm in names]
+        return [[_skip(nm, tol, note) for nm in names]]
     lam, z = split
     model = add_endomorphisms(
         scale_endomorphism(lam, identity_endomorphism(chart)), tensor_product(z, xi)
@@ -685,7 +656,7 @@ def _threed_entries(
     checks.append(_identity(names[2], phi, model_phi))
     pairs = _torsion_closed_form_pairs(nijenhuis_torsion(n), xi, ds, z, zlam)
     checks.append((names[3], pairs, ""))
-    return checks
+    return [checks]
 
 
 def _theta_on_torsion(theta: KForm, n: Endomorphism) -> list[tuple[Expr, Expr]]:
@@ -697,46 +668,33 @@ def _theta_on_torsion(theta: KForm, n: Endomorphism) -> list[tuple[Expr, Expr]]:
 
 
 def verify_haantjes_structure(
-    n: Endomorphism, theta: KForm, plan: SamplePlan, tol: float
-) -> list[CheckReport]:
+    st: Structure, plan: SamplePlan, tol: float, kmax: int
+) -> list[list]:
     """The four defining conditions for a compatible pair of an
     endomorphism and a closed one-form."""
-    return _run_in_order(_haantjes_entries(n, theta), plan, tol)
-
-
-def _haantjes_entries(n: Endomorphism, theta: KForm) -> list:
+    n, theta = st.n, st.theta
     if theta.degree != 1:
         raise ValueError("the structure one-form must have degree 1")
-    return [
+    return [[
         _identity("haantjes.H1_tensor_vanishes", haantjes_tensor(n)),
         _identity("haantjes.H2_theta_closed", d(theta)),
         _identity("haantjes.H3_theta_n_closed", d_n(n, theta)),
         ("haantjes.H4_torsion_annihilated", _theta_on_torsion(theta, n), ""),
-    ]
+    ]]
 
 
-def verify_lm_chain(
-    chain,
-    theta: KForm,
-    plan: SamplePlan,
-    tol: float,
-    n: Endomorphism | None = None,
-) -> list[CheckReport]:
+def verify_lm_chain(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
     """Chain conditions for a family N_0, N_1, ... with a one-form theta:
-    the family starts at the identity (and continues with N when given),
-    every later member has vanishing Haantjes tensor, members commute,
-    theta is closed for every member's derivation, and theta annihilates
-    every torsion.
+    the family starts at the identity (and continues with the structure's
+    N when it has one), every later member has vanishing Haantjes tensor,
+    members commute, theta is closed for every member's derivation, and
+    theta annihilates every torsion.
 
     Closedness of the product forms N_i* N_j* theta is reported separately
     under chain.product_closed; for a genuine chain it is a consequence of
     the conditions, not one of them.
     """
-    return _run_in_order(_chain_entries(chain, theta, n), plan, tol)
-
-
-def _chain_entries(chain, theta: KForm, n: Endomorphism | None) -> list:
-    chain = tuple(chain)
+    chain, theta, n = tuple(st.chain), st.theta, st.n
     if not chain:
         raise ValueError("chain must contain at least one endomorphism")
     chart = chain[0].chart
@@ -764,24 +722,21 @@ def _chain_entries(chain, theta: KForm, n: Endomorphism | None) -> list:
         for j in range(i, len(chain)):
             theta_ij = dual_apply(chain[i], dual_apply(chain[j], theta))
             checks.append(_identity(f"chain.product_closed[{i},{j}]", d(theta_ij)))
-    return checks
+    return [checks]
 
 
-def verify_minpoly(
-    n: Endomorphism,
-    lam: Expr,
-    z: VectorField,
-    xi: KForm,
-    plan: SamplePlan,
-    tol: float,
-) -> list[CheckReport]:
+def verify_minpoly(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
     """The quadratic polynomial annihilating a scalar-plus-rank-one
     endomorphism: N^2 - (s + 2 lam) N + (lam^2 + s lam) I with
-    s = <xi, Z>."""
-    return _run_in_order(_minpoly_entries(n, lam, z, xi), plan, tol)
-
-
-def _minpoly_entries(n: Endomorphism, lam: Expr, z: VectorField, xi: KForm) -> list:
+    s = <xi, Z>.  When the structure carries no lam and Z they are
+    reconstructed from N and xi; the suite is skipped if that fails."""
+    n = st.n
+    xi = xi_form(st.pi, st.volume)
+    split = _split(n, xi, plan, st.lam, st.z)
+    if split is None:
+        note = "no split data and reconstruction found no usable point"
+        return [[_skip("minpoly.skipped", tol, note)]]
+    lam, z = split
     chart = n.chart
     s = pairing(xi, z)
     coeff1 = add(s, mul(constant(2.0), lam))
@@ -790,7 +745,7 @@ def _minpoly_entries(n: Endomorphism, lam: Expr, z: VectorField, xi: KForm) -> l
         sub_endomorphisms(compose(n, n), scale_endomorphism(coeff1, n)),
         scale_endomorphism(coeff0, identity_endomorphism(chart)),
     )
-    return [_identity("minpoly.quadratic_annihilator", model)]
+    return [[_identity("minpoly.quadratic_annihilator", model)]]
 
 
 def _bracket_from_differentials(pi: Bivector, df: KForm, dg: KForm) -> Expr:
@@ -855,6 +810,12 @@ def _cells(kmax: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, kmax + 1) for j in range(i, kmax + 1)]
 
 
+def _recursion_batches(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
+    """The recursion suite's builder: verify_recursion_involutivity's
+    checks, without its table."""
+    return [_recursion_entries(st.pi, st.n, kmax)]
+
+
 def _recursion_entries(pi: Bivector, n: Endomorphism, kmax: int) -> list:
     """The recursion steps, the bracket differences and then one check
     per involutivity cell."""
@@ -884,39 +845,28 @@ def _recursion_entries(pi: Bivector, n: Endomorphism, kmax: int) -> list:
     return checks
 
 
-def verify_theo_inv(
-    pi: Bivector,
-    n: Endomorphism,
-    phi: KForm,
-    omega: KForm,
-    pmax: int,
-    plan: SamplePlan,
-    tol: float,
-) -> list[CheckReport]:
+def verify_theo_inv(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
     """The two sufficient involutivity conditions tied to a 2-form: the
     3-form factors through it against the differential of the first trace
     invariant, and it pairs to zero on the deficiency fields of the
-    recursion."""
-    return _run_in_order(_theoinv_entries(pi, n, phi, omega, pmax), plan, tol)
-
-
-def _theoinv_entries(pi: Bivector, n: Endomorphism, phi: KForm, omega: KForm, pmax: int) -> list:
+    recursion up to kmax."""
+    pi, n, phi, omega = st.pi, st.n, st.phi, st.omega
     if omega.degree != 2:
         raise ValueError("expected a 2-form")
-    if pmax < 1:
-        raise ValueError("pmax must be at least 1")
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
     di1 = d_invariant(n, 1)
     lhs = add_kforms(phi, scale_kform(constant(2.0), wedge(di1, omega)))
     checks = [_identity("theoinv.factorization", lhs)]
-    xs = {k: sharp(pi, d_invariant(n, k)) for k in range(1, pmax + 1)}
+    xs = {k: sharp(pi, d_invariant(n, k)) for k in range(1, kmax + 1)}
     # the deficiency fields y_k = N^{k-1} X_1 - X_k
     ys = {
         k: sub_vectors(apply_endomorphism(power(n, k - 1), xs[1]), xs[k])
-        for k in range(1, pmax + 1)
+        for k in range(1, kmax + 1)
     }
     pairs = []
-    for j in range(1, pmax + 1):
-        for k in range(1, pmax + 1):
+    for j in range(1, kmax + 1):
+        for k in range(1, kmax + 1):
             val = ZERO
             for (a, b), e in omega.components.items():
                 val = add(
@@ -931,7 +881,7 @@ def _theoinv_entries(pi: Bivector, n: Endomorphism, phi: KForm, omega: KForm, pm
                 )
             pairs.append((val, ZERO))
     checks.append(("theoinv.obstruction_pairings", pairs, ""))
-    return checks
+    return [checks]
 
 
 @dataclass(frozen=True)
@@ -1042,7 +992,8 @@ def deform_3d(
                     "neither sign matches the derivation term",
                 )
             )
-    deformed = verify_pqn(pi, n_tilde, phi_tilde, plan, tol)
+    [batch] = verify_pqn(Structure(chart, pi=pi, n=n_tilde, phi=phi_tilde), plan, tol, kmax=5)
+    deformed = _run_in_order(batch, plan, tol)
     reports.extend(replace(r, name=f"deform.{r.name}") for r in deformed)
     return DeformationResult(n_tilde, phi_tilde, reports, sign)
 
@@ -1059,14 +1010,8 @@ def _f_poly(lam: Expr, s: Expr, k: int) -> Expr:
     return acc
 
 
-def rank_one_identity_reports(
-    w: VectorField, eta: KForm, plan: SamplePlan, tol: float
-) -> list[CheckReport]:
-    """Closed forms of the torsion and Haantjes tensors of W (x) eta."""
-    return run_checks(_rank_one_checks(w, eta), plan, tol)
-
-
 def _rank_one_checks(w: VectorField, eta: KForm) -> list:
+    """Closed forms of the torsion and Haantjes tensors of W (x) eta."""
     chart = w.chart
     m = tensor_product(w, eta)
     t = nijenhuis_torsion(m)
@@ -1095,15 +1040,9 @@ def _rank_one_checks(w: VectorField, eta: KForm) -> list:
     ]
 
 
-def affine_scaling_report(
-    n: Endomorphism, f: Expr, g: Expr, plan: SamplePlan, tol: float
-) -> CheckReport:
+def _affine_scaling_check(n: Endomorphism, f: Expr, g: Expr) -> tuple:
     """The Haantjes tensor of f I + g N is g^4 times that of N; the right
     side is each staged entry of H_N scaled by g^4 after contraction."""
-    return run_checks([_affine_scaling_check(n, f, g)], plan, tol)[0]
-
-
-def _affine_scaling_check(n: Endomorphism, f: Expr, g: Expr) -> tuple:
     chart = n.chart
     m = add_endomorphisms(
         scale_endomorphism(f, identity_endomorphism(chart)), scale_endomorphism(g, n)
@@ -1122,18 +1061,16 @@ def _affine_scaling_check(n: Endomorphism, f: Expr, g: Expr) -> tuple:
 _KPOW = 5
 
 
-def run_identity_battery(structure: Structure, plan: SamplePlan, tol: float) -> list[CheckReport]:
-    """One named report per closed-form identity: powers and torsions of
+def run_identity_battery(
+    structure: Structure, plan: SamplePlan, tol: float, kmax: int
+) -> list[list]:
+    """One named check per closed-form identity: powers and torsions of
     scalar-plus-rank-one endomorphisms on oriented 3d charts, eigenform
     scaling, the sharp/interior exchange, rank-one closed forms, and the
     quartic scaling of the Haantjes tensor.  Identities whose members are
-    absent from the structure are reported as skipped."""
-    batches = _battery_batches(structure, plan, tol)
-    return [r for batch in batches for r in _run_in_order(batch, plan, tol)]
+    absent from the structure are reported as skipped.
 
-
-def _battery_batches(structure: Structure, plan: SamplePlan, tol: float) -> list[list]:
-    """The battery's entries in three batches: the 3d closed forms and the
+    The entries come in three batches: the 3d closed forms and the
     sharp/interior exchange, the rank-one identities, and the affine
     scaling.  At scale each of the last two is larger than one chunk of
     points, and is settled alone."""
@@ -1270,42 +1207,24 @@ def _missing(tol: float, suite: str, members: dict) -> list[CheckReport]:
     return [_skip(f"{suite}.skipped", tol, "missing members: " + ", ".join(absent))]
 
 
-def _minpoly_batch(st: Structure, plan: SamplePlan, tol: float) -> list:
-    xi = xi_form(st.pi, st.volume)
-    split = _split(st.n, xi, plan, st.lam, st.z)
-    if split is None:
-        note = "no split data and reconstruction found no usable point"
-        return [_skip("minpoly.skipped", tol, note)]
-    return _minpoly_entries(st.n, *split, xi)
-
-
-# suite -> (members it needs, builder).  A builder takes (structure s, plan
-# p, tol t, kmax k) and returns the suite's entries in batches: lists of
-# run_checks triples and reports already decided, in report order.  Each
-# suite is one batch but the battery, which is three, as
-# run_identity_battery settles them.  Builders are looked up by
-# module-level name when called.  "3d chart" is a pseudo-member, present on
-# three-dimensional charts.
+# suite -> (members it needs, name of its builder).  A builder takes
+# (structure, plan, tol, kmax) and returns the suite's entries in batches:
+# lists of run_checks triples and reports already decided, in report
+# order.  Each suite is one batch but the battery, which is three.  A
+# builder is looked up on the module when called, so one rebound there, as
+# a tracer or a test rebinds it, is the one called.  "3d chart" is a
+# pseudo-member, present on three-dimensional charts.
 _SUITE_TABLE = {
-    "poisson": (("pi",), lambda s, p, t, k: [_poisson_entries(s.pi, s.volume)]),
-    "pn": (("pi", "n"), lambda s, p, t, k: [_pn_entries(s.pi, s.n)]),
-    "pqn": (("pi", "n", "phi"), lambda s, p, t, k: [_pqn_entries(s.pi, s.n, s.phi, t)]),
-    "3d": (
-        ("pi", "n", "volume", "3d chart"),
-        lambda s, p, t, k: [_threed_entries(s.pi, s.n, s.phi, s.volume, p, t, s.lam, s.z)],
-    ),
-    "haantjes": (("n", "theta"), lambda s, p, t, k: [_haantjes_entries(s.n, s.theta)]),
-    "chain": (("chain", "theta"), lambda s, p, t, k: [_chain_entries(s.chain, s.theta, s.n)]),
-    "recursion": (("pi", "n"), lambda s, p, t, k: [_recursion_entries(s.pi, s.n, k)]),
-    "minpoly": (
-        ("pi", "n", "volume", "3d chart"),
-        lambda s, p, t, k: [_minpoly_batch(s, p, t)],
-    ),
-    "theoinv": (
-        ("pi", "n", "phi", "omega"),
-        lambda s, p, t, k: [_theoinv_entries(s.pi, s.n, s.phi, s.omega, k)],
-    ),
-    "battery": ((), lambda s, p, t, k: _battery_batches(s, p, t)),
+    "poisson": (("pi",), "verify_poisson"),
+    "pn": (("pi", "n"), "verify_pn"),
+    "pqn": (("pi", "n", "phi"), "verify_pqn"),
+    "3d": (("pi", "n", "volume", "3d chart"), "verify_3d_conditions"),
+    "haantjes": (("n", "theta"), "verify_haantjes_structure"),
+    "chain": (("chain", "theta"), "verify_lm_chain"),
+    "recursion": (("pi", "n"), "_recursion_batches"),
+    "minpoly": (("pi", "n", "volume", "3d chart"), "verify_minpoly"),
+    "theoinv": (("pi", "n", "phi", "omega"), "verify_theo_inv"),
+    "battery": ((), "run_identity_battery"),
 }
 SUITES = tuple(_SUITE_TABLE)
 
@@ -1320,7 +1239,7 @@ def _suite_batches(structure: Structure, plan: SamplePlan, tol: float, suites, k
         if any(value is None for value in have.values()):
             yield _missing(tol, suite, have)
         else:
-            yield from builder(structure, plan, tol, kmax)
+            yield from globals()[builder](structure, plan, tol, kmax)
 
 
 def _groups(batches, count: int):

@@ -24,25 +24,18 @@ from pqnverify.catalog import (
 )
 from pqnverify.cli import main
 from pqnverify.expr import ONE, Chart, derive, evaluate, parse, sample_plan, splitmix64
-from pqnverify.fields import Bivector, KForm, power, sharp_flat, sub_endomorphisms
+from pqnverify.fields import Bivector, KForm, Structure, power, sharp_flat, sub_endomorphisms
 from pqnverify.verify import (
-    affine_scaling_report,
+    _affine_scaling_check,
+    _rank_one_checks,
     check_identity,
     deform_3d,
     random_oneform,
     random_polynomial,
     random_vectorfield,
-    rank_one_identity_reports,
-    run_identity_battery,
-    verify_3d_conditions,
-    verify_haantjes_structure,
-    verify_lm_chain,
-    verify_minpoly,
-    verify_pn,
-    verify_poisson,
-    verify_pqn,
+    run_checks,
+    run_suites,
     verify_recursion_involutivity,
-    xi_form,
 )
 
 from builders import points, random_endomorphism, staged_values
@@ -74,7 +67,7 @@ def test_criterion_1_open_lattices_are_poisson_nijenhuis():
     worst = 0.0
     for sites in (2, 3):
         st = das_okubo(sites)
-        reports = verify_pn(st.pi, st.n, sample_plan(st.chart), TOL)
+        reports = run_suites(st, sample_plan(st.chart), TOL, suites=("pn",))
         ok = ok and all(r.status == "pass" for r in reports)
         worst = max(worst, max(r.max_scaled_residual for r in reports))
     elapsed = time.perf_counter() - t0
@@ -92,9 +85,9 @@ def test_criterion_2_periodic_lattices_are_quasi_but_not_nijenhuis():
     for sites in (2, 3):
         st = closed_toda(sites)
         plan = sample_plan(st.chart)
-        pqn = verify_pqn(st.pi, st.n, st.phi, plan, TOL)
+        pqn = run_suites(st, plan, TOL, suites=("pqn",))
         ok = ok and all(r.status == "pass" for r in pqn)
-        pn = {r.name: r for r in verify_pn(st.pi, st.n, plan, TOL)}
+        pn = {r.name: r for r in run_suites(st, plan, TOL, suites=("pn",))}
         ok = ok and pn["pn.C1"].status == "pass"
         ok = ok and pn["pn.C2"].status == "pass"
         torsion = pn["pn.torsion"]
@@ -139,17 +132,8 @@ def test_criterion_4_flat_recipe_instances_pass_every_suite():
     for idx, inp in enumerate(RECIPES, start=1):
         st = r3_recipe(inp)
         plan = sample_plan(st.chart)
-        reports = list(verify_pqn(st.pi, st.n, st.phi, plan, TOL))
-        reports += verify_3d_conditions(
-            st.pi, st.n, st.phi, st.volume, plan, TOL, lam=st.lam, z=st.z
-        )
-        reports += verify_minpoly(
-            st.n, st.lam, st.z, xi_form(st.pi, st.volume), plan, TOL
-        )
-        reports += verify_haantjes_structure(st.n, st.theta, plan, TOL)
-        reports += verify_lm_chain(st.chain, st.theta, plan, TOL, n=st.n)
-        reports += run_identity_battery(st, plan, TOL)
-        reports += verify_recursion_involutivity(st.pi, st.n, 5, plan, TOL).reports
+        suites = ("pqn", "3d", "haantjes", "chain", "recursion", "minpoly", "battery")
+        reports = run_suites(st, plan, TOL, suites=suites, kmax=5)
         bad = sorted(r.name for r in reports if r.status != "pass")
         ok = ok and not bad
         tag = f"recipe {idx}: {len(reports)} checks"
@@ -164,7 +148,7 @@ def test_criterion_5_cubic_flow_chain_stalls_at_torsion_annihilation():
     plan = sample_plan(mv.chart)
     ok = all(
         r.status == "pass"
-        for r in verify_haantjes_structure(mv.n, mv.theta, plan, TOL)
+        for r in run_suites(mv, plan, TOL, suites=("haantjes",))
     )
     t1 = nijenhuis_torsion(mv.n).expression()
     t2 = nijenhuis_torsion(power(mv.n, 2)).expression()
@@ -173,7 +157,7 @@ def test_criterion_5_cubic_flow_chain_stalls_at_torsion_annihilation():
         ok = ok and max(abs(got1[0] + 1.0), abs(got1[1]), abs(got1[2])) <= 1e-10
         got2 = [evaluate(ti.component(0, 1), p) for ti in t2]
         ok = ok and max(abs(got2[0]), abs(got2[1] + 8.0), abs(got2[2])) <= 1e-10
-    chain_reports = verify_lm_chain(mv.chain, mv.theta, plan, TOL, n=mv.n)
+    chain_reports = run_suites(mv, plan, TOL, suites=("chain",))
     failing_c = sorted(
         r.name for r in chain_reports if r.status == "fail" and ".C" in r.name
     )
@@ -218,21 +202,24 @@ def test_criterion_7_random_batteries_and_poisson_discrimination():
         n = random_endomorphism(R3, gen)
         f = random_polynomial(R3, gen)
         g = random_polynomial(R3, gen)
-        ok = ok and affine_scaling_report(n, f, g, plan, TOL).status == "pass"
+        [affine] = run_checks([_affine_scaling_check(n, f, g)], plan, TOL)
+        ok = ok and affine.status == "pass"
     for _ in range(20):
         w = random_vectorfield(R3, gen)
         eta = random_oneform(R3, gen)
         ok = ok and all(
             r.status == "pass"
-            for r in rank_one_identity_reports(w, eta, plan, TOL)
+            for r in run_checks(_rank_one_checks(w, eta), plan, TOL)
         )
     vol = KForm(R3, 3, {(0, 1, 2): ONE})
     flat = Bivector(R3, {(0, 1): ONE})
     ok = ok and all(
-        r.status == "pass" for r in verify_poisson(flat, plan, TOL, volume=vol)
+        r.status == "pass"
+        for r in run_suites(Structure(R3, volume=vol, pi=flat), plan, TOL, suites=("poisson",))
     )
     twisted = Bivector(R3, {(0, 1): ONE, (1, 2): parse("0 - y", R3)})
-    by_name = {r.name: r for r in verify_poisson(twisted, plan, TOL, volume=vol)}
+    twisted_st = Structure(R3, volume=vol, pi=twisted)
+    by_name = {r.name: r for r in run_suites(twisted_st, plan, TOL, suites=("poisson",))}
     for name in ("poisson.jacobi", "poisson.integrability"):
         rep = by_name[name]
         ok = ok and rep.status == "fail" and rep.max_scaled_residual > 0.1

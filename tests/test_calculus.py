@@ -79,7 +79,6 @@ from pqnverify.fields import (
 from pqnverify.verify import (
     evaluate_batch,
     random_polynomial,
-    run_identity_battery,
     run_suites,
 )
 
@@ -503,6 +502,13 @@ def test_contraction_matches_the_expansion_where_constants_cancel(seed):
     _assert_contraction_bits(haantjes_tensor(Endomorphism(chart, rows)), pts)
 
 
+def _run_battery(st, plan) -> None:
+    """Build the battery and settle its batches, keeping the tables (and
+    with them the per-verdict memo) that run_suites would empty."""
+    for batch in verify_module.run_identity_battery(st, plan, 1e-8, 5):
+        verify_module._run_in_order(batch, plan, 1e-8)
+
+
 @pytest.mark.parametrize("sites", [2, 3, 4, 6])
 def test_battery_contractions_match_the_evaluated_expansion(sites, monkeypatch):
     expr.clear_tables()  # no tensor of an equal N kept from an earlier test
@@ -512,7 +518,7 @@ def test_battery_contractions_match_the_evaluated_expansion(sites, monkeypatch):
         verify_module, "haantjes_tensor", lambda n: built.append(haantjes_tensor(n)) or built[-1]
     )
     plan = sample_plan(st.chart)
-    run_identity_battery(st, plan, 1e-8)
+    _run_battery(st, plan)
     # the rank-one W (x) eta, then f I + g N and N
     assert len(built) == 3 and built[2].n is st.n
     # battery.rank_one_torsion reads the torsion the Haantjes tensor contracts
@@ -531,7 +537,7 @@ def test_haantjes_stages_run_only_products_without_a_structural_zero(monkeypatch
     monkeypatch.setattr(
         verify_module, "haantjes_tensor", lambda n: built.append(haantjes_tensor(n)) or built[-1]
     )
-    run_identity_battery(st, sample_plan(st.chart), 1e-8)
+    _run_battery(st, sample_plan(st.chart))
     # the rank-one W (x) eta, then f I + g N and N
     assert len(built) == 3 and built[2].n is st.n
     dim = st.chart.dim
@@ -729,7 +735,7 @@ def test_sparse_builders_visit_terms_in_proportion_to_the_nonzeros(monkeypatch):
     calls = []
     bracket = calculus.poisson_bracket
     monkeypatch.setattr(calculus, "poisson_bracket", lambda *a: calls.append(a) or bracket(*a))
-    verify_module.verify_poisson(st.pi, sample_plan(st.chart), 1e-8)
+    verify_module.verify_poisson(fields.Structure(st.chart, pi=st.pi), sample_plan(st.chart), 1e-8, 5)
     assert len(calls) == 2 * len(st.pi.components) < math.comb(dim, 3)
     chart = Chart(tuple(f"x{i}" for i in range(8)))
     p = _awkward_bivector(chart, 8)

@@ -594,6 +594,23 @@ def test_a_box_wider_than_a_float_holds_exits_two(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_a_structure_file_with_a_one_member_chain_exits_zero(tmp_path, capsys):
+    # The file keeps its endomorphism, which a chain of N_0 alone does not
+    # reach: its first terms are N_0 = I only.
+    sf = tmp_path / "mv.json"
+    run_cli(["catalog", "magri-veselov", "--out", str(sf)], capsys)
+    doc = json.loads(sf.read_text(encoding="utf-8"))
+    doc["chain"] = doc["chain"][:1]
+    path = write_structure(tmp_path, doc, "mv1.json")
+    code, out, err = run_cli(["verify", path, "--suites", "chain"], capsys)
+    assert (code, err) == (0, "")
+    assert [c["name"] for c in json.loads(out)["checks"]] == [
+        "chain.C0_first_terms",
+        "chain.C3_theta_closed[0]",
+        "chain.product_closed[0,0]",
+    ]
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -7,6 +7,8 @@ the standard library and numpy is imported."""
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -15,7 +17,8 @@ import pytest
 from pqnverify import expr, verify
 
 LAYERS = ("expr", "fields", "calculus", "catalog", "verify", "cli")
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pqnverify"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "pqnverify"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 # CPython's built-in SHA-256 module is _sha256 up to 3.11 and _sha2 from
 # 3.12; cli tries both, so one of them is always a standard-library module
@@ -71,3 +74,26 @@ def test_the_sampler_names_verify_binds_are_the_samplers_of_expr():
     # perfbench reads verify.sample_plan and wraps verify.point_stream
     assert verify.sample_plan is expr.sample_plan
     assert verify.point_stream is expr.point_stream
+
+
+def _spans():
+    """perfbench/spans.py, loaded from its file: it is a script's module,
+    not part of the package."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_function_the_tracer_wraps_is_in_its_module():
+    # The tracer wraps these names with getattr; one renamed away would
+    # fail only a traced benchmark run.
+    spans = _spans()
+    layers = {**spans.VERDICT_LAYERS, **spans.SETUP_LAYERS}
+    missing = [
+        f"{module}.{name}"
+        for module, names in layers.values()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"pqnverify.{module}"), name, None))
+    ]
+    assert missing == []

@@ -60,15 +60,7 @@ from pqnverify.verify import (
     run_checks,
     run_pairs,
     run_suites,
-    verify_3d_conditions,
-    verify_haantjes_structure,
-    verify_lm_chain,
-    verify_minpoly,
-    verify_pn,
-    verify_poisson,
-    verify_pqn,
     verify_recursion_involutivity,
-    verify_theo_inv,
     xi_form,
 )
 
@@ -426,7 +418,8 @@ def test_xi_form_is_the_volume_contraction(plan):
 
 class TestPoissonDiscrimination:
     def test_the_canonical_bivector_passes(self, plan):
-        reports = verify_poisson(CANONICAL, plan, 1e-8, volume=VOL)
+        st = Structure(CH, volume=VOL, pi=CANONICAL)
+        reports = run_suites(st, plan, 1e-8, suites=("poisson",))
         assert {r.name for r in reports} == {
             "poisson.jacobi",
             "poisson.integrability",
@@ -436,7 +429,8 @@ class TestPoissonDiscrimination:
 
     def test_the_twisted_bivector_fails_both_ways(self, plan):
         twisted = Bivector(CH, {(0, 1): ONE, (1, 2): neg(Y)})
-        by_name = {r.name: r for r in verify_poisson(twisted, plan, 1e-8, volume=VOL)}
+        st = Structure(CH, volume=VOL, pi=twisted)
+        by_name = {r.name: r for r in run_suites(st, plan, 1e-8, suites=("poisson",))}
         assert by_name["poisson.jacobi"].status == "fail"
         assert by_name["poisson.jacobi"].max_scaled_residual > 0.1
         assert by_name["poisson.integrability"].status == "fail"
@@ -446,7 +440,7 @@ class TestPoissonDiscrimination:
 def test_verify_pn_on_the_lattice_pair():
     do = das_okubo(2)
     plan = sample_plan(do.chart)
-    reports = verify_pn(do.pi, do.n, plan, 1e-8)
+    reports = run_suites(do, plan, 1e-8, suites=("pn",))
     assert [r.name for r in reports] == ["pn.C1", "pn.C2", "pn.torsion"]
     assert all(r.status == "pass" for r in reports)
 
@@ -454,10 +448,10 @@ def test_verify_pn_on_the_lattice_pair():
 def test_verify_pqn_on_the_periodic_lattice():
     td = closed_toda(2)
     plan = sample_plan(td.chart)
-    reports = verify_pqn(td.pi, td.n, td.phi, plan, 1e-8)
+    reports = run_suites(td, plan, 1e-8, suites=("pqn",))
     assert all(r.status == "pass" for r in reports)
     with pytest.raises(ValueError):
-        verify_pqn(td.pi, td.n, KForm(td.chart, 2, {}), plan, 1e-8)
+        verify_module.verify_pqn(replace(td, phi=KForm(td.chart, 2, {})), plan, 1e-8, 5)
 
 
 def test_reconstruct_decomposition_round_trips(plan):
@@ -481,16 +475,16 @@ def test_reconstruct_decomposition_gives_up_on_the_zero_form(plan):
 
 def test_verify_3d_conditions_on_the_recipe(plan):
     st = r3_recipe(RECIPE)
-    reports = verify_3d_conditions(
-        st.pi, st.n, st.phi, st.volume, plan, 1e-8, lam=st.lam, z=st.z
-    )
+    reports = run_suites(st, plan, 1e-8, suites=("3d",))
     assert all(r.status == "pass" for r in reports)
 
 
 def test_verify_3d_conditions_survive_a_volume_rescale(plan):
     st = r3_recipe(RECIPE)
     vol = KForm(CH, 3, {(0, 1, 2): parse("1 + x^2/4", CH)})
-    reports = verify_3d_conditions(st.pi, st.n, st.phi, vol, plan, 1e-8)
+    # without lam and Z, which are reconstructed
+    st = replace(st, volume=vol, lam=None, z=None)
+    reports = run_suites(st, plan, 1e-8, suites=("3d",))
     assert all(r.status == "pass" for r in reports)
 
 
@@ -498,26 +492,42 @@ def test_verify_3d_conditions_need_three_coordinates():
     do = das_okubo(2)
     plan = sample_plan(do.chart)
     with pytest.raises(ValueError):
-        verify_3d_conditions(do.pi, do.n, None, KForm(do.chart, 4, {(0, 1, 2, 3): ONE}), plan, 1e-8)
+        verify_module.verify_3d_conditions(
+            Structure(do.chart, volume=KForm(do.chart, 4, {(0, 1, 2, 3): ONE}), pi=do.pi, n=do.n),
+            plan,
+            1e-8,
+            5,
+        )
 
 
 def test_verify_haantjes_structure_passes_and_validates(plan):
     mv = magri_veselov()
-    reports = verify_haantjes_structure(mv.n, mv.theta, plan, 1e-8)
+    reports = run_suites(mv, plan, 1e-8, suites=("haantjes",))
     assert all(r.status == "pass" for r in reports)
     with pytest.raises(ValueError):
-        verify_haantjes_structure(mv.n, KForm(CH, 2, {}), plan, 1e-8)
+        verify_module.verify_haantjes_structure(replace(mv, theta=KForm(CH, 2, {})), plan, 1e-8, 5)
 
 
 def test_verify_lm_chain_flags_only_the_final_torsion(plan):
     mv = magri_veselov()
-    reports = verify_lm_chain(mv.chain, mv.theta, plan, 1e-8, n=mv.n)
+    reports = run_suites(mv, plan, 1e-8, suites=("chain",))
     failing = {
         r.name
         for r in reports
         if r.status == "fail" and not r.name.startswith("chain.product_closed")
     }
     assert failing == {"chain.C4_torsion_annihilated[2]"}
+
+
+def test_a_chain_of_one_endomorphism_leaves_n_out_of_its_first_terms(plan):
+    # N_1 = N is checked only when the chain has an N_1
+    mv = magri_veselov()
+    reports = run_suites(replace(mv, chain=mv.chain[:1]), plan, 1e-8, suites=("chain",))
+    assert [(r.name, r.status) for r in reports] == [
+        ("chain.C0_first_terms", "pass"),
+        ("chain.C3_theta_closed[0]", "pass"),
+        ("chain.product_closed[0,0]", "pass"),
+    ]
 
 
 def test_recursion_table_is_symmetric_with_exact_zero_diagonal():
@@ -542,8 +552,7 @@ def test_recursion_needs_at_least_two_invariants():
 
 def test_verify_minpoly_on_the_recipe(plan):
     st = r3_recipe(RECIPE)
-    xi = xi_form(st.pi, st.volume)
-    reports = verify_minpoly(st.n, st.lam, st.z, xi, plan, 1e-8)
+    reports = run_suites(st, plan, 1e-8, suites=("minpoly",))
     assert [r.name for r in reports] == ["minpoly.quadratic_annihilator"]
     assert reports[0].status == "pass"
 
@@ -551,7 +560,7 @@ def test_verify_minpoly_on_the_recipe(plan):
 def test_verify_theo_inv_accepts_the_factored_form(plan):
     st = r3_recipe(RECIPE)
     omega = KForm(CH, 2, {(0, 1): div(Z, constant(8.0))})
-    reports = verify_theo_inv(st.pi, st.n, st.phi, omega, 3, plan, 1e-8)
+    reports = run_suites(replace(st, omega=omega), plan, 1e-8, suites=("theoinv",), kmax=3)
     assert {r.name for r in reports} == {
         "theoinv.factorization",
         "theoinv.obstruction_pairings",
@@ -567,16 +576,15 @@ def test_verify_theo_inv_builds_each_deficiency_field_once(plan, monkeypatch):
     monkeypatch.setattr(
         verify_module, "sub_vectors", lambda a, b: calls.append(1) or original(a, b)
     )
-    verify_theo_inv(st.pi, st.n, st.phi, omega, 4, plan, 1e-8)
+    run_suites(replace(st, omega=omega), plan, 1e-8, suites=("theoinv",), kmax=4)
     assert len(calls) == 4
 
 
 def test_verify_theo_inv_rejects_the_zero_form(plan):
     st = r3_recipe(RECIPE)
     omega = KForm(CH, 2, {})
-    by_name = {
-        r.name: r for r in verify_theo_inv(st.pi, st.n, st.phi, omega, 3, plan, 1e-8)
-    }
+    reports = run_suites(replace(st, omega=omega), plan, 1e-8, suites=("theoinv",), kmax=3)
+    by_name = {r.name: r for r in reports}
     assert by_name["theoinv.factorization"].status == "fail"
 
 
@@ -664,16 +672,16 @@ def test_run_suites_looks_suite_builders_up_when_called(plan, monkeypatch):
     # The suite table reaches builders rebound on the module, as a tracer
     # or a test rebinds them.
     builders = {
-        "poisson": "_poisson_entries",
-        "pn": "_pn_entries",
-        "pqn": "_pqn_entries",
-        "3d": "_threed_entries",
-        "haantjes": "_haantjes_entries",
-        "chain": "_chain_entries",
-        "recursion": "_recursion_entries",
-        "minpoly": "_minpoly_batch",
-        "theoinv": "_theoinv_entries",
-        "battery": "_battery_batches",
+        "poisson": "verify_poisson",
+        "pn": "verify_pn",
+        "pqn": "verify_pqn",
+        "3d": "verify_3d_conditions",
+        "haantjes": "verify_haantjes_structure",
+        "chain": "verify_lm_chain",
+        "recursion": "_recursion_batches",
+        "minpoly": "verify_minpoly",
+        "theoinv": "verify_theo_inv",
+        "battery": "run_identity_battery",
     }
     called = []
 
