@@ -25,12 +25,10 @@ from .fields import (
 from .verify import (
     CheckReport,
     DeformationResult,
-    RecursionResult,
     SUITES,
     check_identity,
     deform_3d,
     run_suites,
-    verify_recursion_involutivity,
 )
 from .catalog import RecipeInput, by_name, closed_toda, das_okubo, magri_veselov, r3_recipe
 
@@ -48,7 +46,6 @@ __all__ = [
     "ExprError",
     "KForm",
     "RecipeInput",
-    "RecursionResult",
     "SUITES",
     "SamplePlan",
     "Structure",
@@ -67,6 +64,5 @@ __all__ = [
     "run_suites",
     "sample_plan",
     "to_string",
-    "verify_recursion_involutivity",
     "__version__",
 ]

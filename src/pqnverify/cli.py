@@ -2,8 +2,9 @@
 
 Three subcommands: ``verify`` runs check suites against a structure file
 and prints a report document, ``catalog`` writes a named example as a
-structure file, ``table`` prints the involutivity table of the trace
-invariants.
+structure file, ``table`` prints the recursion suite's report with the
+involutivity table of the trace invariants, each cell (i, j) read from
+its ``involutivity.pair[min(i,j),max(i,j)]`` check.
 
 The structure-file format lives in one table, ``_BLOCKS``: each block
 after chart and name with the Structure member it holds, its reader and
@@ -38,7 +39,7 @@ except ImportError:
 from .catalog import by_name
 from .expr import Chart, ExprError, clear_tables, is_zero, parse, sample_plan, to_string, ZERO
 from .fields import Bivector, Endomorphism, KForm, Structure, VectorField
-from .verify import SUITES, CheckReport, run_suites, verify_recursion_involutivity
+from .verify import SUITES, CheckReport, run_suites
 
 SCHEMA_VERSION = 1
 
@@ -474,13 +475,14 @@ def _cmd_table(args) -> int:
     if st.pi is None or st.n is None:
         raise InputError(f"{source}: table needs a bivector and an endomorphism")
     plan, box = _plan_for(args, st)
-    result = verify_recursion_involutivity(st.pi, st.n, args.kmax, plan, args.tol)
+    checks = run_suites(st, plan, args.tol, suites=("recursion",), kmax=args.kmax)
+    cells = {r.name: r.max_scaled_residual for r in checks}
+    k = range(1, args.kmax + 1)
+    residuals = [[cells[f"involutivity.pair[{min(i, j)},{max(i, j)}]"] for j in k] for i in k]
     meta = _metadata(args, raw, st, box)
-    table = {"kmax": result.kmax, "residuals": [list(row) for row in result.table]}
-    _write_output(
-        emit_document(report_document(result.reports, meta, table=table)), args.out
-    )
-    return _exit_code(result.reports)
+    table = {"kmax": args.kmax, "residuals": residuals}
+    _write_output(emit_document(report_document(checks, meta, table=table)), args.out)
+    return _exit_code(checks)
 
 
 def _cmd_catalog(args) -> int:

@@ -765,19 +765,13 @@ def _bracket_from_differentials(pi: Bivector, df: KForm, dg: KForm) -> Expr:
     return acc
 
 
-@dataclass(frozen=True)
-class RecursionResult:
-    reports: list[CheckReport]
-    table: list[list[float | None]]
-    kmax: int
-
-
 def verify_recursion_involutivity(
-    pi: Bivector, n: Endomorphism, kmax: int, plan: SamplePlan, tol: float
-) -> RecursionResult:
+    st: Structure, plan: SamplePlan, tol: float, kmax: int
+) -> list[list]:
     """The recursion between consecutive trace invariants, the
-    bracket-difference identity it implies, and the full involutivity
-    table of the invariants up to kmax.
+    bracket-difference identity it implies, and one check per cell (i, j),
+    i <= j, of the involutivity table of the invariants up to kmax, named
+    involutivity.pair[i,j].
 
     With I_k = Tr(N^k)/(2k) and the one-forms of the phi sequence taken
     in the first slot of the torsion, the recursion reads
@@ -795,32 +789,9 @@ def verify_recursion_involutivity(
     for k > j >= 1.  Both forms were cross-checked numerically on a
     compatible, non-involutive pair, where every term is nonzero.
     """
-    checks = _recursion_entries(pi, n, kmax)
-    reports = _run_in_order(checks, plan, tol)
-    cells = _cells(kmax)
-    table: list[list[float | None]] = [[None] * kmax for _ in range(kmax)]
-    for (i, j), rep in zip(cells, reports[len(checks) - len(cells):]):
-        table[i - 1][j - 1] = rep.max_scaled_residual
-        table[j - 1][i - 1] = rep.max_scaled_residual
-    return RecursionResult(reports, table, kmax)
-
-
-def _cells(kmax: int) -> list[tuple[int, int]]:
-    """The involutivity table's cells (i, j), i <= j, row by row."""
-    return [(i, j) for i in range(1, kmax + 1) for j in range(i, kmax + 1)]
-
-
-def _recursion_batches(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
-    """The recursion suite's builder: verify_recursion_involutivity's
-    checks, without its table."""
-    return [_recursion_entries(st.pi, st.n, kmax)]
-
-
-def _recursion_entries(pi: Bivector, n: Endomorphism, kmax: int) -> list:
-    """The recursion steps, the bracket differences and then one check
-    per involutivity cell."""
     if kmax < 2:
         raise ValueError("kmax must be at least 2")
+    pi, n = st.pi, st.n
     dinv = {k: d_invariant(n, k) for k in range(1, kmax + 1)}
     phis = {s: phi_sequence_term(n, s) for s in range(kmax)}
     sharps = {k: sharp(pi, dinv[k]) for k in dinv}
@@ -839,10 +810,11 @@ def _recursion_entries(pi: Bivector, n: Endomorphism, kmax: int) -> list:
                 pairing(phis[k - 2], sharps[j]),
             )
             checks.append((f"recursion.bracket_difference[{k},{j}]", [(lhs, rhs)], ""))
-    for i, j in _cells(kmax):
-        bracket = _bracket_from_differentials(pi, dinv[i], dinv[j])
-        checks.append((f"involutivity.pair[{i},{j}]", [(bracket, ZERO)], ""))
-    return checks
+    for i in range(1, kmax + 1):
+        for j in range(i, kmax + 1):
+            bracket = _bracket_from_differentials(pi, dinv[i], dinv[j])
+            checks.append((f"involutivity.pair[{i},{j}]", [(bracket, ZERO)], ""))
+    return [checks]
 
 
 def verify_theo_inv(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
@@ -1221,7 +1193,7 @@ _SUITE_TABLE = {
     "3d": (("pi", "n", "volume", "3d chart"), "verify_3d_conditions"),
     "haantjes": (("n", "theta"), "verify_haantjes_structure"),
     "chain": (("chain", "theta"), "verify_lm_chain"),
-    "recursion": (("pi", "n"), "_recursion_batches"),
+    "recursion": (("pi", "n"), "verify_recursion_involutivity"),
     "minpoly": (("pi", "n", "volume", "3d chart"), "verify_minpoly"),
     "theoinv": (("pi", "n", "phi", "omega"), "verify_theo_inv"),
     "battery": ((), "run_identity_battery"),

@@ -35,7 +35,6 @@ from pqnverify.verify import (
     random_vectorfield,
     run_checks,
     run_suites,
-    verify_recursion_involutivity,
 )
 
 from builders import points, random_endomorphism, staged_values
@@ -103,9 +102,9 @@ def test_criterion_3_periodic_recursion_and_rank_one_split():
     t0 = time.perf_counter()
     st = closed_toda(3)
     plan = sample_plan(st.chart)
-    rec = verify_recursion_involutivity(st.pi, st.n, 4, plan, TOL)
-    ok = all(r.status == "pass" for r in rec.reports)
-    table_max = max(v for row in rec.table for v in row)
+    rec = run_suites(st, plan, TOL, suites=("recursion",), kmax=4)
+    ok = all(r.status == "pass" for r in rec)
+    table_max = max(r.max_scaled_residual for r in rec if r.name.startswith("involutivity.pair["))
     ok = ok and table_max <= TOL
     omega = KForm(st.chart, 2, {(3, 5): parse("0 - exp(q3 - q1)", st.chart)})
     split = check_identity(

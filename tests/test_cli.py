@@ -299,6 +299,29 @@ def test_table_command_reports_the_involutivity_grid(tmp_path, capsys):
             assert grid[i][j] == grid[j][i] >= 0.0
 
 
+def test_the_table_is_the_recursion_suites_report(tmp_path, capsys):
+    # closed-toda n=3 is involutive, but its off-diagonal cells are
+    # rounding residuals, nonzero and mostly distinct, so a cell read from
+    # the wrong check shows
+    sf = tmp_path / "ct3.json"
+    run_cli(["catalog", "closed-toda", "--n", "3", "--out", str(sf)], capsys)
+    flags = ["--kmax", "4", "--seed", "7", "--samples", "32"]
+    code, out, _ = run_cli(["table", str(sf), *flags], capsys)
+    assert code == 0
+    table = json.loads(out)
+    code, out, _ = run_cli(["verify", str(sf), "--suites", "recursion", *flags], capsys)
+    assert code == 0
+    assert table["checks"] == json.loads(out)["checks"]
+    residuals = {c["name"]: c["max_scaled_residual"] for c in table["checks"]}
+    grid = table["involutivity_table"]["residuals"]
+    assert len(grid) == 4 and all(len(row) == 4 for row in grid)
+    for i in range(1, 5):
+        for j in range(1, 5):
+            name = f"involutivity.pair[{min(i, j)},{max(i, j)}]"
+            assert grid[i - 1][j - 1] == residuals[name]
+            assert (grid[i - 1][j - 1] > 0.0) == (i != j)
+
+
 def test_table_and_catalog_leave_only_zero_and_one_in_the_tables(tmp_path, capsys):
     # A process that runs many commands holds one command's nodes at a time.
     sf = tmp_path / "ct4.json"

@@ -60,7 +60,6 @@ from pqnverify.verify import (
     run_checks,
     run_pairs,
     run_suites,
-    verify_recursion_involutivity,
     xi_form,
 )
 
@@ -204,8 +203,10 @@ def test_run_pairs_with_no_components_passes(plan):
 
 
 def test_status_tracks_the_tolerance(plan):
-    for tol in (1e-12, 1e-2, 2.0):
+    # a scaled residual equal to the tolerance passes
+    for tol in (1e-12, 1e-2, np.nextafter(0.5, 0.0), 0.5, 2.0):
         rep = run_pairs("gap", [(ZERO, constant(0.5))], plan, tol)
+        assert rep.max_scaled_residual == 0.5
         assert (rep.status == "pass") == (rep.max_scaled_residual <= tol)
 
 
@@ -530,24 +531,26 @@ def test_a_chain_of_one_endomorphism_leaves_n_out_of_its_first_terms(plan):
     ]
 
 
-def test_recursion_table_is_symmetric_with_exact_zero_diagonal():
-    do = das_okubo(2)
-    plan = sample_plan(do.chart)
-    result = verify_recursion_involutivity(do.pi, do.n, 3, plan, 1e-8)
-    assert result.kmax == 3
-    assert all(r.status == "pass" for r in result.reports)
+def test_recursion_table_is_symmetric_with_exact_zero_diagonal(tmp_path, capsys):
+    path = tmp_path / "do2.json"
+    path.write_text(json.dumps(cli.structure_to_doc(das_okubo(2))), encoding="utf-8")
+    assert cli.main(["table", str(path), "--kmax", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    table = report["involutivity_table"]
+    assert table["kmax"] == 3
+    assert all(c["status"] == "pass" for c in report["checks"])
     for i in range(3):
-        assert result.table[i][i] == 0.0
+        assert table["residuals"][i][i] == 0.0
         for j in range(3):
-            assert result.table[i][j] == result.table[j][i]
-            assert result.table[i][j] is not None
+            assert table["residuals"][i][j] == table["residuals"][j][i]
+            assert table["residuals"][i][j] is not None
 
 
 def test_recursion_needs_at_least_two_invariants():
     do = das_okubo(2)
     plan = sample_plan(do.chart)
     with pytest.raises(ValueError):
-        verify_recursion_involutivity(do.pi, do.n, 1, plan, 1e-8)
+        verify_module.verify_recursion_involutivity(do, plan, 1e-8, 1)
 
 
 def test_verify_minpoly_on_the_recipe(plan):
@@ -678,7 +681,7 @@ def test_run_suites_looks_suite_builders_up_when_called(plan, monkeypatch):
         "3d": "verify_3d_conditions",
         "haantjes": "verify_haantjes_structure",
         "chain": "verify_lm_chain",
-        "recursion": "_recursion_batches",
+        "recursion": "verify_recursion_involutivity",
         "minpoly": "verify_minpoly",
         "theoinv": "verify_theo_inv",
         "battery": "run_identity_battery",
@@ -978,6 +981,9 @@ def test_at_64_points_consecutive_suites_merge_within_one_chunk(monkeypatch):
     # closed-toda n=4: every suite but the battery in the first batch
     first = {name.split(".")[0] for name, _, _ in settled[0][0]}
     assert first == {"poisson", "pn", "pqn", "recursion", "involutivity", "theoinv"}
+    # Batches whose rows exactly fill one chunk of 64 points still merge.
+    monkeypatch.setattr(expr, "REGISTER_BUDGET", settle(recipe)[0][2] * 64)
+    assert len(settle(recipe)) == 1
     # With a budget of 600 rows a point, the lattice's battery batches take
     # more than one chunk each and its other suites split into groups.
     monkeypatch.setattr(expr, "REGISTER_BUDGET", 600 * 64)
