@@ -2,9 +2,10 @@
 
 Three subcommands: ``verify`` runs check suites against a structure file
 and prints a report document, ``catalog`` writes a named example as a
-structure file, ``table`` prints the recursion suite's report with the
-involutivity table of the trace invariants, each cell (i, j) read from
-its ``involutivity.pair[min(i,j),max(i,j)]`` check.
+structure file, ``table`` is the recursion suite's ``verify`` run plus
+the involutivity table of the trace invariants, each cell (i, j) read
+from its ``involutivity.pair[min(i,j),max(i,j)]`` check.  ``SamplePlan``
+checks the box and ``run_suites`` the suite names.
 
 The structure-file format lives in one table, ``_BLOCKS``: each block
 after chart and name with the Structure member it holds, its reader and
@@ -37,7 +38,7 @@ except ImportError:
         from hashlib import sha256
 
 from .catalog import by_name
-from .expr import Chart, ExprError, clear_tables, is_zero, parse, sample_plan, to_string, ZERO
+from .expr import Chart, ExprError, SamplePlan, clear_tables, is_zero, parse, sample_plan, to_string, ZERO
 from .fields import Bivector, Endomorphism, KForm, Structure, VectorField
 from .verify import SUITES, CheckReport, run_suites
 
@@ -277,11 +278,6 @@ def structure_to_doc(st: Structure) -> dict:
 # report documents
 
 
-def _fmt_float(v: float) -> str:
-    text = format(v, ".17g")
-    return text
-
-
 def _emit(value, indent: str = "") -> str:
     if value is None:
         return "null"
@@ -292,7 +288,7 @@ def _emit(value, indent: str = "") -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _fmt_float(value)
+        return format(value, ".17g")
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
@@ -325,28 +321,25 @@ def _check_doc(report: CheckReport) -> dict:
     }
 
 
-def report_document(checks, metadata: dict, table=None) -> dict:
-    doc: dict = {
+def report_document(checks, metadata: dict) -> dict:
+    return {
         "schema_version": SCHEMA_VERSION,
         "metadata": metadata,
         "checks": [_check_doc(r) for r in sorted(checks, key=lambda r: r.name)],
     }
-    if table is not None:
-        doc["involutivity_table"] = table
-    return doc
 
 
-def _metadata(args, raw: bytes, st: Structure, box, suites=None) -> dict:
+def _metadata(args, raw: bytes, st: Structure, plan: SamplePlan, suites=None) -> dict:
     meta = {
         "command": args.command,
         "input_digest": f"sha256:{sha256(raw).hexdigest()}",
         "structure_name": st.name,
-        "seed": args.seed,
-        "samples": args.samples,
+        "seed": plan.seed,
+        "samples": plan.count,
         "tol": args.tol,
-        "box": [[lo, hi] for lo, hi in box],
+        "box": [[lo, hi] for lo, hi in plan.box],
         "kmax": args.kmax,
-        "resample_limit": args.resample_limit,
+        "resample_limit": plan.resample_limit,
     }
     if suites is not None:
         meta["suites"] = list(suites)
@@ -378,60 +371,43 @@ def _write_output(text: str, out):
             raise InputError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _parse_box(text, dim: int):
-    if text is None:
-        return tuple((-1.0, 1.0) for _ in range(dim))
-    intervals = []
+def _parse_box(text: str):
+    """lo:hi[,lo:hi...] as float pairs: one (lo, hi), which sample_plan
+    broadcasts to every coordinate, or a tuple of them, one per
+    coordinate; SamplePlan checks the intervals."""
+    pairs = []
     for part in text.split(","):
         pieces = part.split(":")
         if len(pieces) != 2:
             raise InputError(f"bad box {text!r}: expected lo:hi[,lo:hi...]")
         try:
-            lo, hi = float(pieces[0]), float(pieces[1])
+            pairs.append((float(pieces[0]), float(pieces[1])))
         except ValueError:
             raise InputError(f"bad box {text!r}: non-numeric bound") from None
-        if not lo < hi:
-            raise InputError(f"bad box {text!r}: empty interval {part!r}")
-        intervals.append((lo, hi))
-    if len(intervals) == 1:
-        return tuple(intervals * dim)
-    if len(intervals) != dim:
-        raise InputError(
-            f"box lists {len(intervals)} intervals for {dim} coordinates"
-        )
-    return tuple(intervals)
+    return pairs[0] if len(pairs) == 1 else tuple(pairs)
 
 
 def _parse_suites(text):
+    """The --suites names, in order and once each; run_suites refuses unknown ones."""
     if text is None:
         return None
     names = [s.strip() for s in text.split(",") if s.strip()]
     if not names:
         raise InputError("empty --suites")
-    unknown = sorted(set(names) - set(SUITES))
-    if unknown:
-        raise InputError(
-            "unknown suites: "
-            + ", ".join(unknown)
-            + "; available: "
-            + ", ".join(SUITES)
-        )
     return tuple(dict.fromkeys(names))
 
 
-def _plan_for(args, st: Structure):
-    box = _parse_box(args.box, st.chart.dim)
+def _plan_for(args, st: Structure) -> SamplePlan:
     try:
-        plan = sample_plan(
+        return sample_plan(
             st.chart,
-            box=box,
+            box=_parse_box(args.box),
             count=args.samples,
             seed=args.seed,
             resample_limit=args.resample_limit,
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return plan, box
 
 
 def _check_flags(args):
@@ -454,34 +430,28 @@ def _exit_code(checks) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """verify, and table: the recursion suite's verify run, whose report
+    adds the involutivity table and leaves the suites out of its metadata."""
     _check_flags(args)
-    suites = _parse_suites(args.suites)
+    is_table = args.command == "table"
+    suites = ("recursion",) if is_table else _parse_suites(args.suites)
     raw, source = _read_input(args.file)
     st = structure_from_doc(_load_document(raw, source), source)
-    plan, box = _plan_for(args, st)
+    if is_table and (st.pi is None or st.n is None):
+        raise InputError(f"{source}: table needs a bivector and an endomorphism")
+    plan = _plan_for(args, st)
     try:
         checks = run_suites(st, plan, args.tol, suites=suites, kmax=args.kmax)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    meta = _metadata(args, raw, st, box, suites=suites or SUITES)
-    _write_output(emit_document(report_document(checks, meta)), args.out)
-    return _exit_code(checks)
-
-
-def _cmd_table(args) -> int:
-    _check_flags(args)
-    raw, source = _read_input(args.file)
-    st = structure_from_doc(_load_document(raw, source), source)
-    if st.pi is None or st.n is None:
-        raise InputError(f"{source}: table needs a bivector and an endomorphism")
-    plan, box = _plan_for(args, st)
-    checks = run_suites(st, plan, args.tol, suites=("recursion",), kmax=args.kmax)
-    cells = {r.name: r.max_scaled_residual for r in checks}
-    k = range(1, args.kmax + 1)
-    residuals = [[cells[f"involutivity.pair[{min(i, j)},{max(i, j)}]"] for j in k] for i in k]
-    meta = _metadata(args, raw, st, box)
-    table = {"kmax": args.kmax, "residuals": residuals}
-    _write_output(emit_document(report_document(checks, meta, table=table)), args.out)
+    meta = _metadata(args, raw, st, plan, suites=None if is_table else suites or SUITES)
+    doc = report_document(checks, meta)
+    if is_table:
+        cells = {r.name: r.max_scaled_residual for r in checks}
+        k = range(1, args.kmax + 1)
+        residuals = [[cells[f"involutivity.pair[{min(i, j)},{max(i, j)}]"] for j in k] for i in k]
+        doc["involutivity_table"] = {"kmax": args.kmax, "residuals": residuals}
+    _write_output(emit_document(doc), args.out)
     return _exit_code(checks)
 
 
@@ -502,7 +472,7 @@ def _add_sampling_flags(sub):
     sub.add_argument("--tol", type=float, default=1e-8, help="scaled residual bound")
     sub.add_argument(
         "--box",
-        default=None,
+        default="-1:1",
         help="sampling box, lo:hi broadcast or one lo:hi per coordinate",
     )
     sub.add_argument("--kmax", type=int, default=5, help="deepest invariant order")
@@ -552,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command, then empty the expression tables: a process that
     runs many commands holds the nodes of one at a time."""
-    handlers = {"verify": _cmd_verify, "table": _cmd_table, "catalog": _cmd_catalog}
+    handlers = {"verify": _cmd_verify, "table": _cmd_verify, "catalog": _cmd_catalog}
     try:
         args = _build_parser().parse_args(argv)
         return handlers[args.command](args)

@@ -1253,7 +1253,8 @@ def run_suites(
 ) -> list[CheckReport]:
     """Dispatch the named suites against whatever members the structure
     carries; a suite whose members are absent contributes one skipped
-    report naming them.
+    report naming them, and an unknown suite name raises ValueError,
+    which lists the available ones.
 
     The suites are built in table order.  Consecutive batches merge while
     the merged batch is evaluated in one chunk of the plan's points; a
@@ -1268,7 +1269,9 @@ def run_suites(
         suites = SUITES
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
-        raise ValueError("unknown suites: " + ", ".join(sorted(unknown)))
+        raise ValueError(
+            f"unknown suites: {', '.join(sorted(unknown))}; available: {', '.join(SUITES)}"
+        )
     reports: list[CheckReport] = []
     try:
         for group in _groups(_suite_batches(structure, plan, tol, suites, kmax), plan.count):

@@ -20,6 +20,7 @@ from pqnverify.cli import (
     InputError,
     _metadata,
     _parse_box,
+    _plan_for,
     emit_document,
     main,
     structure_from_doc,
@@ -28,6 +29,7 @@ from pqnverify.cli import (
 from pqnverify.catalog import RecipeInput, closed_toda, r3_recipe
 from pqnverify import expr
 from pqnverify.expr import Chart, constant, div, Coord
+from pqnverify.verify import SUITES
 
 MINIMAL = {
     "chart": {"dim": 3, "coords": ["x", "y", "z"]},
@@ -214,7 +216,7 @@ def test_no_command_loads_openssl(tmp_path):
 
 
 VERDICT_ARGS = types.SimpleNamespace(
-    command="verify", seed=42, samples=64, tol=1e-8, kmax=5, resample_limit=1024
+    command="verify", seed=42, samples=64, tol=1e-8, box="-1:1", kmax=5, resample_limit=1024
 )
 
 
@@ -232,7 +234,7 @@ VERDICT_ARGS = types.SimpleNamespace(
 @example(raw=bytes(range(256)) * 256)
 def test_the_input_digest_is_the_sha256_of_the_input_bytes(raw):
     st = structure_from_doc(MINIMAL, "<mem>")
-    meta = _metadata(VERDICT_ARGS, raw, st, ((-1.0, 1.0),) * 3)
+    meta = _metadata(VERDICT_ARGS, raw, st, _plan_for(VERDICT_ARGS, st))
     assert meta["input_digest"] == "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
@@ -311,7 +313,12 @@ def test_the_table_is_the_recursion_suites_report(tmp_path, capsys):
     table = json.loads(out)
     code, out, _ = run_cli(["verify", str(sf), "--suites", "recursion", *flags], capsys)
     assert code == 0
-    assert table["checks"] == json.loads(out)["checks"]
+    report = json.loads(out)
+    assert table["checks"] == report["checks"]
+    # one command path: the metadata differ only in the command and the suites
+    meta = dict(report["metadata"], command="table")
+    assert meta.pop("suites") == ["recursion"]
+    assert table["metadata"] == meta
     residuals = {c["name"]: c["max_scaled_residual"] for c in table["checks"]}
     grid = table["involutivity_table"]["residuals"]
     assert len(grid) == 4 and all(len(row) == 4 for row in grid)
@@ -337,8 +344,7 @@ def test_table_requires_the_operator(tmp_path, capsys):
     path = write_structure(tmp_path, MINIMAL)
     code, _, err = run_cli(["table", path], capsys)
     assert code == 2
-    assert "pqnverify:" in err
-    assert "bivector and an endomorphism" in err
+    assert err == f"pqnverify: {path}: table needs a bivector and an endomorphism\n"
 
 
 def test_catalog_writes_parseable_documents(tmp_path, capsys):
@@ -461,7 +467,7 @@ def test_unknown_suite_exits_two(tmp_path, capsys):
     path = write_structure(tmp_path, MINIMAL)
     code, _, err = run_cli(["verify", path, "--suites", "poisson,bogus"], capsys)
     assert code == 2
-    assert "bogus" in err
+    assert err == f"pqnverify: unknown suites: bogus; available: {', '.join(SUITES)}\n"
 
 
 @pytest.mark.parametrize(
@@ -490,21 +496,34 @@ def test_small_kmax_exits_two(tmp_path, capsys):
     assert "kmax must be at least 2" in err
 
 
-def test_bad_boxes_exit_two(tmp_path, capsys):
-    path = write_structure(tmp_path, MINIMAL)
-    for box in ("2:1", "0:1,0:2", "zero:one"):
-        code, _, err = run_cli(
-            ["verify", path, "--suites", "poisson", "--box", box], capsys
-        )
-        assert code == 2, box
-        assert err.startswith("pqnverify:")
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_bad_boxes_exit_two(tmp_path, capsys, command):
+    # the interval rules and their messages are SamplePlan's
+    path = write_structure(tmp_path, dict(MINIMAL, endomorphism={"components": {"3,3": "z"}}))
+    suites = ["--suites", "poisson"] if command == "verify" else []
+    for box, line in [
+        ("2:1", "empty box interval [2.0, 1.0]"),
+        ("0:1,0:2", "box must give one interval per coordinate"),
+        ("zero:one", "bad box 'zero:one': non-numeric bound"),
+        ("nan:1", "box bounds must be finite, got [nan, 1.0]"),
+    ]:
+        code, out, err = run_cli([command, path, *suites, "--box", box], capsys)
+        assert (code, out) == (2, ""), box
+        assert err == f"pqnverify: {line}\n"
 
 
 def test_box_parsing_broadcasts_and_splits():
-    assert _parse_box("0:1", 3) == ((0.0, 1.0),) * 3
-    assert _parse_box("-1:1,0:2,3:4", 3) == ((-1.0, 1.0), (0.0, 2.0), (3.0, 4.0))
+    st = structure_from_doc(MINIMAL, "<mem>")
+
+    def box(text):
+        return _plan_for(types.SimpleNamespace(**{**vars(VERDICT_ARGS), "box": text}), st).box
+
+    assert _parse_box("0:1") == (0.0, 1.0)
+    assert box("0:1") == ((0.0, 1.0),) * 3
+    split = ((-1.0, 1.0), (0.0, 2.0), (3.0, 4.0))
+    assert _parse_box("-1:1,0:2,3:4") == box("-1:1,0:2,3:4") == split
     with pytest.raises(InputError):
-        _parse_box("0:1,2:3", 3)
+        box("0:1,2:3")
 
 
 def test_unknown_catalog_name_exits_two(capsys):

@@ -602,6 +602,17 @@ def test_deform_3d_validates_its_inputs(plan):
         deform_3d(shifted, n1, None, omega, plan, 1e-8)
 
 
+def test_deform_3d_reports_an_indeterminate_sign_probe_as_skipped(plan):
+    # lam = x does not depend on z, so the z-derivative of the top omega
+    # coefficient vanishes and both signs of the probe pass.
+    n1, omega = prop_local_pair(RecipeInput(lam=X, a=Y, g=Z))
+    res = deform_3d(CANONICAL, n1, None, omega, plan, 1e-8)
+    assert res.derivative_term_sign is None
+    probe = {r.name: r for r in res.reports}["deform.derivative_term_sign"]
+    assert probe.status == "skipped"
+    assert probe.detail == "probe indeterminate: the term vanishes on the box"
+
+
 def test_run_suites_dispatches_and_skips(plan):
     mv = magri_veselov()
     reports = run_suites(mv, sample_plan(mv.chart), 1e-8)
