@@ -141,22 +141,20 @@ def haantjes_tensor(n: Endomorphism) -> "HaantjesTensor":
 
 
 class StagedEntry:
-    """Component `row` of a staged tensor, times `scale` unless that is
-    None: a check's side, filled in after evaluation, or expanded to the
-    component of its tensor's expression()."""
+    """Component `row` of a staged tensor: a check's side, filled in after
+    evaluation, or expanded to the component of its tensor's
+    expression()."""
 
-    __slots__ = ("tensor", "row", "scale")
+    __slots__ = ("tensor", "row")
 
-    def __init__(self, tensor: "StagedTensor", row: int, scale: Expr | None = None):
+    def __init__(self, tensor: "StagedTensor", row: int):
         self.tensor = tensor
         self.row = row
-        self.scale = scale
 
     def expand(self) -> Expr:
         """The entry as an expression, from its tensor's expansion."""
         q, i = divmod(self.row, self.tensor.chart.dim)
-        got = self.tensor.expression()[i].component(*self.tensor.pairs[q])
-        return got if self.scale is None else mul(self.scale, got)
+        return self.tensor.expression()[i].component(*self.tensor.pairs[q])
 
 
 class StagedTensor:
@@ -167,11 +165,11 @@ class StagedTensor:
 
     _expression: tuple[KForm, ...] | None = None
 
-    def pair(self, j: int, k: int, scale: Expr | None = None) -> tuple[StagedEntry, ...]:
-        """The components on the pair j < k, each times scale if given."""
+    def pair(self, j: int, k: int) -> tuple[StagedEntry, ...]:
+        """The components on the pair j < k."""
         dim = self.chart.dim
         first = self.pairs.index((j, k)) * dim
-        return tuple(StagedEntry(self, first + i, scale) for i in range(dim))
+        return tuple(StagedEntry(self, first + i) for i in range(dim))
 
     def entries(self) -> list[StagedEntry]:
         return [StagedEntry(self, r) for r in range(len(self.pairs) * self.chart.dim)]

@@ -38,7 +38,6 @@ import numpy as np
 
 from . import expr
 from .expr import (
-    Chart,
     Expr,
     Program,
     SamplePlan,
@@ -46,7 +45,6 @@ from .expr import (
     add,
     clear_tables,
     constant,
-    coord,
     derive,
     div,
     evaluate_batch,
@@ -58,7 +56,6 @@ from .expr import (
     point_block,
     point_stream,  # unused here; perfbench/spans.py wraps verify.point_stream
     sample_plan,  # unused here; perfbench/exact.py calls verify.sample_plan
-    splitmix64,
     sub,
 )
 from .fields import (
@@ -70,7 +67,6 @@ from .fields import (
     add_endomorphisms,
     add_kforms,
     apply_endomorphism,
-    apply_form,
     basis_oneform,
     basis_vector,
     compose,
@@ -288,16 +284,9 @@ def _scaled_residuals(
             out = evaluate_batch(program, pts[lo:lo + width])
             vals = out[:sides]
             contracted: dict = {}  # by tensor; a Haantjes tensor reads its torsion's
-            for tensor, first, scale, dst, src in staged:
+            for tensor, first, dst, src in staged:
                 values = out[first:first + len(tensor.roots)]
-                h, zero = tensor.contract(values, contracted)
-                if scale is None:
-                    vals[dst] = h[src]
-                else:
-                    # mul(scale, entry): ZERO if either is a structural zero
-                    row, scale_zero = scale
-                    vals[dst] = out[row] * h[src]
-                    vals[dst[zero[src] | scale_zero]] = 0.0
+                vals[dst] = tensor.contract(values, contracted)[0][src]
             lhs, rhs = vals[0::2], vals[1::2]
             residual = np.maximum.reduceat(np.abs(lhs - rhs), starts, axis=0)
             # np.maximum propagates nan, so the largest |side| is finite
@@ -316,9 +305,9 @@ def _scaled_residuals(
 
 def _held_rows(exprs: list) -> dict[int, int]:
     """Rows of values a chunk holds per point besides the sides in exprs,
-    by the id of what holds them: each distinct staged tensor's roots and
-    each distinct scale, which follow the sides among the roots
-    (_prepared), and each Haantjes tensor's torsion components.
+    by the id of what holds them: each distinct staged tensor's roots,
+    which follow the sides among the roots (_prepared), and each Haantjes
+    tensor's torsion components.
 
     A Haantjes contraction holds arrays of d^3 rows besides the roots'
     values.  Its torsion's components count with the roots, as they did
@@ -330,8 +319,6 @@ def _held_rows(exprs: list) -> dict[int, int]:
         if isinstance(e, Expr):
             continue
         held[id(e.tensor.roots)] = len(e.tensor.roots)
-        if e.scale is not None:
-            held[id(e.scale)] = 1
         if isinstance(e.tensor, HaantjesTensor):
             held[id(e.tensor.torsion)] = len(e.tensor.torsion.constants)
     return held
@@ -346,32 +333,24 @@ def _prepared(exprs: list, npts: int) -> tuple[Program, list, int]:
 
     A staged entry's row holds ZERO among the roots and is overwritten
     after evaluation.  Each distinct list of tensor roots (the torsion and
-    Haantjes tensors of one N share theirs) and each distinct scale follow
-    the sides once.  The entries come back in groups of one tensor and
-    scale: (tensor, its first root row, None or the scale's (root row,
-    whether it is a structural zero), rows to fill, the contraction's rows
-    they take)."""
+    Haantjes tensors of one N share theirs) follows the sides once.  The
+    entries come back in groups of one tensor: (tensor, its first root
+    row, rows to fill, the contraction's rows they take)."""
     roots = [e if isinstance(e, Expr) else ZERO for e in exprs]
-    placed: dict[int, int] = {}  # id of a root list or scale -> its first root
-
-    def place(key: int, nodes: list[Expr]) -> int:
-        if key not in placed:
-            placed[key] = len(roots)
-            roots.extend(nodes)
-        return placed[key]
-
-    groups: dict[tuple, tuple] = {}
+    placed: dict[int, int] = {}  # id of a root list -> its first root
+    groups: dict[int, tuple] = {}
     for r, e in enumerate(exprs):
         if isinstance(e, Expr):
             continue
-        first = place(id(e.tensor.roots), e.tensor.roots)
-        scale = None if e.scale is None else (place(id(e.scale), [e.scale]), is_zero(e.scale))
-        _, dst, src = groups.setdefault((id(e.tensor), scale), (e.tensor, [], []))
+        if id(e.tensor.roots) not in placed:
+            placed[id(e.tensor.roots)] = len(roots)
+            roots.extend(e.tensor.roots)
+        _, dst, src = groups.setdefault(id(e.tensor), (e.tensor, [], []))
         dst.append(r)
         src.append(e.row)
     staged = [
-        (tensor, placed[id(tensor.roots)], scale, np.array(dst), np.array(src))
-        for (_, scale), (tensor, dst, src) in groups.items()
+        (tensor, placed[id(tensor.roots)], np.array(dst), np.array(src))
+        for tensor, dst, src in groups.values()
     ]
     width = max(1, expr.REGISTER_BUDGET // (len(exprs) + sum(_held_rows(exprs).values())))
     width = -(-npts // -(-npts // width))  # even chunks
@@ -445,33 +424,6 @@ def _run_in_order(entries: list, plan: SamplePlan, tol: float) -> list[CheckRepo
     checks = [e for e in entries if not isinstance(e, CheckReport)]
     settled = iter(run_checks(checks, plan, tol) if checks else ())
     return [e if isinstance(e, CheckReport) else next(settled) for e in entries]
-
-
-# Deterministic random field generators for property-style identities.
-
-def random_polynomial(chart: Chart, gen) -> Expr:
-    """Random polynomial of at most three terms, each of degree at most two
-    with an integer coefficient, driven by a splitmix64 iterator."""
-    nterms = 1 + next(gen) % 3
-    acc = ZERO
-    for _ in range(nterms):
-        c = int(next(gen) % 7) - 3
-        if c == 0:
-            c = 1
-        term: Expr = constant(float(c))
-        degree = next(gen) % 3
-        for _ in range(degree):
-            term = mul(term, coord(next(gen) % chart.dim))
-        acc = add(acc, term)
-    return acc
-
-
-def random_vectorfield(chart: Chart, gen) -> VectorField:
-    return VectorField(chart, tuple(random_polynomial(chart, gen) for _ in range(chart.dim)))
-
-
-def random_oneform(chart: Chart, gen) -> KForm:
-    return KForm(chart, 1, {(i,): random_polynomial(chart, gen) for i in range(chart.dim)})
 
 
 def xi_form(pi: Bivector, volume: KForm) -> KForm:
@@ -982,53 +934,6 @@ def _f_poly(lam: Expr, s: Expr, k: int) -> Expr:
     return acc
 
 
-def _rank_one_checks(w: VectorField, eta: KForm) -> list:
-    """Closed forms of the torsion and Haantjes tensors of W (x) eta."""
-    chart = w.chart
-    m = tensor_product(w, eta)
-    t = nijenhuis_torsion(m)
-    h = haantjes_tensor(m)
-    f = pairing(eta, w)
-    df = d_scalar(chart, f)
-    # i_W (eta ^ d eta), contracted once and read on every pair
-    w_eta_deta = interior_mv(w, wedge(eta, d(eta))) if chart.dim >= 3 else None
-    pairs_t = []
-    pairs_h = []
-    for a in range(chart.dim):
-        for b in range(a + 1, chart.dim):
-            ea, eb = basis_vector(chart, a), basis_vector(chart, b)
-            bracket_term = sub(
-                mul(eta.component(a), pairing(df, eb)),
-                mul(eta.component(b), pairing(df, ea)),
-            )
-            vol3 = apply_form(w_eta_deta, ea, eb) if w_eta_deta is not None else ZERO
-            rhs_t = scale_vector(sub(bracket_term, vol3), w)
-            pairs_t.extend(zip(t.pair(a, b), rhs_t.components))
-            rhs_h = scale_vector(neg(mul(intpow(f, 2), vol3)), w)
-            pairs_h.extend(zip(h.pair(a, b), rhs_h.components))
-    return [
-        ("battery.rank_one_torsion", pairs_t, ""),
-        ("battery.rank_one_haantjes", pairs_h, ""),
-    ]
-
-
-def _affine_scaling_check(n: Endomorphism, f: Expr, g: Expr) -> tuple:
-    """The Haantjes tensor of f I + g N is g^4 times that of N; the right
-    side is each staged entry of H_N scaled by g^4 after contraction."""
-    chart = n.chart
-    m = add_endomorphisms(
-        scale_endomorphism(f, identity_endomorphism(chart)), scale_endomorphism(g, n)
-    )
-    hm = haantjes_tensor(m)
-    hn = haantjes_tensor(n)
-    g4 = intpow(g, 4)
-    pairs = []
-    for a in range(chart.dim):
-        for b in range(a + 1, chart.dim):
-            pairs.extend(zip(hm.pair(a, b), hn.pair(a, b, scale=g4)))
-    return "battery.haantjes_affine_scaling", pairs, ""
-
-
 # The battery checks its power identities on N^1 .. N^_KPOW.
 _KPOW = 5
 
@@ -1036,19 +941,13 @@ _KPOW = 5
 def run_identity_battery(
     structure: Structure, plan: SamplePlan, tol: float, kmax: int
 ) -> list[list]:
-    """One named check per closed-form identity: powers and torsions of
-    scalar-plus-rank-one endomorphisms on oriented 3d charts, eigenform
-    scaling, the sharp/interior exchange, rank-one closed forms, and the
-    quartic scaling of the Haantjes tensor.  Identities whose members are
-    absent from the structure are reported as skipped.
-
-    The entries come in three batches: the 3d closed forms and the
-    sharp/interior exchange, the rank-one identities, and the affine
-    scaling.  At scale each of the last two is larger than one chunk of
-    points, and is settled alone."""
+    """One named check per closed-form identity of the scalar-plus-rank-one
+    N = lam I + Z (x) xi on an oriented 3d chart: its powers, three forms
+    of its torsion and those of its powers, the scaling of xi as an
+    eigenform of N and of its powers, and its phi sequence.  Each states
+    something of the structure's own lam, Z and N; on a structure without
+    them every check is reported as skipped.  The entries are one batch."""
     chart = structure.chart
-    entries: list = []
-    gen = splitmix64(plan.seed ^ 0xB47759)
     threed_ready = (
         chart.dim == 3
         and structure.pi is not None
@@ -1066,106 +965,63 @@ def run_identity_battery(
         "battery.eigenform_power_scaling",
         "battery.phi_sequence_closed_form",
     )
-    if threed_ready:
-        lam, z, n = structure.lam, structure.z, structure.n
-        xi = xi_form(structure.pi, structure.volume)
-        s = pairing(xi, z)
-        zlam = pairing(d_scalar(chart, lam), z)
-
-        pairs = []
-        for k in range(1, _KPOW + 1):
-            model = add_endomorphisms(
-                scale_endomorphism(intpow(lam, k), identity_endomorphism(chart)),
-                scale_endomorphism(_f_poly(lam, s, k), tensor_product(z, xi)),
-            )
-            pairs.extend(component_pairs(power(n, k), model))
-        entries.append((threed_names[0], pairs, ""))
-
-        ds = d_scalar(chart, add(lam, s))
-        pairs = _torsion_closed_form_pairs(nijenhuis_torsion(n), xi, ds, z, zlam)
-        entries.append((threed_names[1], pairs, ""))
-
-        pairs = []
-        for (a, b), ixi in _xi_on_pairs(xi).items():
-            rhs = scale_vector(zlam, ixi)
-            pairs.extend(zip(nijenhuis_torsion(n).pair(a, b), rhs.components))
-        entries.append((threed_names[2], pairs, ""))
-
-        pairs = []
-        for k in range(1, _KPOW + 1):
-            t = nijenhuis_torsion(power(n, k))
-            coeff = mul(_f_poly(lam, s, k), pairing(d_scalar(chart, intpow(lam, k)), z))
-            for (a, b), ixi in _xi_on_pairs(xi).items():
-                rhs = scale_vector(coeff, ixi)
-                pairs.extend(zip(t.pair(a, b), rhs.components))
-        entries.append((threed_names[3], pairs, ""))
-
-        eig = add(lam, s)
-        entries.append(
-            _identity(threed_names[4], interior_endomorphism(n, xi), scale_kform(eig, xi))
-        )
-        pairs = []
-        for k in range(1, _KPOW + 1):
-            pairs.extend(
-                component_pairs(
-                    interior_endomorphism(power(n, k), xi), scale_kform(intpow(eig, k), xi)
-                )
-            )
-        entries.append((threed_names[5], pairs, ""))
-
-        pairs = []
-        for k in range(_KPOW):
-            lhs = phi_sequence_term(n, k)
-            rhs = scale_kform(mul(zlam, intpow(lam, k)), xi)
-            pairs.extend(component_pairs(lhs, rhs))
-        entries.append((threed_names[6], pairs, ""))
-    else:
+    if not threed_ready:
         note = "needs a 3d chart with bivector, volume, endomorphism and split data"
-        entries.extend(_skip(nm, tol, note) for nm in threed_names)
+        return [[_skip(nm, tol, note) for nm in threed_names]]
+    lam, z, n = structure.lam, structure.z, structure.n
+    xi = xi_form(structure.pi, structure.volume)
+    s = pairing(xi, z)
+    zlam = pairing(d_scalar(chart, lam), z)
+    entries = []
 
-    if chart.dim == 3 and structure.pi is not None and structure.phi is not None:
-        ipphi = interior_mv(structure.pi, structure.phi)
-        pairs = []
-        for a in range(3):
-            for b in range(a + 1, 3):
-                lhs = sharp(
-                    structure.pi,
-                    interior_mv(
-                        [basis_vector(chart, a), basis_vector(chart, b)], structure.phi
-                    ),
-                )
-                rhs = scale_vector(
-                    constant(-1.0),
-                    interior_form_on_bivectorfield(
-                        ipphi, basis_vector(chart, a), basis_vector(chart, b)
-                    ),
-                )
-                pairs.extend(zip(lhs.components, rhs.components))
-        entries.append(("battery.sharp_interior_exchange", pairs, ""))
-    else:
-        entries.append(
-            _skip(
-                "battery.sharp_interior_exchange",
-                tol,
-                "needs a 3d chart with bivector and 3-form",
+    pairs = []
+    for k in range(1, _KPOW + 1):
+        model = add_endomorphisms(
+            scale_endomorphism(intpow(lam, k), identity_endomorphism(chart)),
+            scale_endomorphism(_f_poly(lam, s, k), tensor_product(z, xi)),
+        )
+        pairs.extend(component_pairs(power(n, k), model))
+    entries.append((threed_names[0], pairs, ""))
+
+    ds = d_scalar(chart, add(lam, s))
+    pairs = _torsion_closed_form_pairs(nijenhuis_torsion(n), xi, ds, z, zlam)
+    entries.append((threed_names[1], pairs, ""))
+
+    pairs = []
+    for (a, b), ixi in _xi_on_pairs(xi).items():
+        rhs = scale_vector(zlam, ixi)
+        pairs.extend(zip(nijenhuis_torsion(n).pair(a, b), rhs.components))
+    entries.append((threed_names[2], pairs, ""))
+
+    pairs = []
+    for k in range(1, _KPOW + 1):
+        t = nijenhuis_torsion(power(n, k))
+        coeff = mul(_f_poly(lam, s, k), pairing(d_scalar(chart, intpow(lam, k)), z))
+        for (a, b), ixi in _xi_on_pairs(xi).items():
+            rhs = scale_vector(coeff, ixi)
+            pairs.extend(zip(t.pair(a, b), rhs.components))
+    entries.append((threed_names[3], pairs, ""))
+
+    eig = add(lam, s)
+    entries.append(
+        _identity(threed_names[4], interior_endomorphism(n, xi), scale_kform(eig, xi))
+    )
+    pairs = []
+    for k in range(1, _KPOW + 1):
+        pairs.extend(
+            component_pairs(
+                interior_endomorphism(power(n, k), xi), scale_kform(intpow(eig, k), xi)
             )
         )
+    entries.append((threed_names[5], pairs, ""))
 
-    w = structure.z if structure.z is not None else random_vectorfield(chart, gen)
-    eta = structure.theta
-    if eta is None and structure.pi is not None and structure.volume is not None and chart.dim == 3:
-        eta = xi_form(structure.pi, structure.volume)
-    if eta is None:
-        eta = random_oneform(chart, gen)
-    rank_one = _rank_one_checks(w, eta)
-
-    if structure.n is not None:
-        f = random_polynomial(chart, gen)
-        g = random_polynomial(chart, gen)
-        affine = _affine_scaling_check(structure.n, f, g)
-    else:
-        affine = _skip("battery.haantjes_affine_scaling", tol, "needs an endomorphism")
-    return [entries, rank_one, [affine]]
+    pairs = []
+    for k in range(_KPOW):
+        lhs = phi_sequence_term(n, k)
+        rhs = scale_kform(mul(zlam, intpow(lam, k)), xi)
+        pairs.extend(component_pairs(lhs, rhs))
+    entries.append((threed_names[6], pairs, ""))
+    return [entries]
 
 
 def _present(st: Structure, member: str):

@@ -1,5 +1,8 @@
 """Test-only builders and references: random inputs that no verdict needs,
-the plan's base points as tuples, a torsion's value on general vector
+the checks of three identities that hold for every choice of their
+arguments (rank-one torsion and Haantjes closed forms, affine scaling of
+the Haantjes tensor, the sharp/interior exchange on R^3), which no
+verdict runs, the plan's base points as tuples, a torsion's value on general vector
 fields, staged torsion and Haantjes components evaluated at points, the
 hand-written torsion and Haantjes loops whose nodes the staged tensors'
 expansions must return, the count of the Haantjes stages' terms with no
@@ -46,12 +49,15 @@ from pqnverify.expr import (
     _unary,
     add,
     constant,
+    coord,
     derive,
     div,
     evaluate_batch,
+    intpow,
     is_one,
     is_zero,
     mul,
+    neg,
     point_block,
     sub,
 )
@@ -61,6 +67,8 @@ from pqnverify.calculus import (
     _signed_add,
     d,
     d_scalar,
+    haantjes_tensor,
+    nijenhuis_torsion,
     pi_n,
     poisson_bracket,
 )
@@ -71,16 +79,49 @@ from pqnverify.fields import (
     KForm,
     VectorField,
     _require_same_chart,
+    add_endomorphisms,
     add_kforms,
+    apply_form,
+    basis_vector,
     dual_apply,
+    identity_endomorphism,
+    interior_form_on_bivectorfield,
     interior_mv,
     pairing,
     power,
+    scale_endomorphism,
+    scale_vector,
     sharp,
     sub_kforms,
+    tensor_product,
     trace,
+    wedge,
 )
-from pqnverify.verify import random_polynomial
+
+
+def random_polynomial(chart: Chart, gen) -> Expr:
+    """Random polynomial of at most three terms, each of degree at most two
+    with an integer coefficient, driven by a splitmix64 iterator."""
+    nterms = 1 + next(gen) % 3
+    acc = ZERO
+    for _ in range(nterms):
+        c = int(next(gen) % 7) - 3
+        if c == 0:
+            c = 1
+        term: Expr = constant(float(c))
+        degree = next(gen) % 3
+        for _ in range(degree):
+            term = mul(term, coord(next(gen) % chart.dim))
+        acc = add(acc, term)
+    return acc
+
+
+def random_vectorfield(chart: Chart, gen) -> VectorField:
+    return VectorField(chart, tuple(random_polynomial(chart, gen) for _ in range(chart.dim)))
+
+
+def random_oneform(chart: Chart, gen) -> KForm:
+    return KForm(chart, 1, {(i,): random_polynomial(chart, gen) for i in range(chart.dim)})
 
 
 def random_endomorphism(chart: Chart, gen) -> Endomorphism:
@@ -100,6 +141,66 @@ def random_bivector(chart: Chart, gen) -> Bivector:
     """A bivector with a small random polynomial on every pair a < b."""
     pairs = [(a, b) for a in range(chart.dim) for b in range(a + 1, chart.dim)]
     return Bivector(chart, {key: random_polynomial(chart, gen) for key in pairs})
+
+
+def rank_one_checks(w: VectorField, eta: KForm) -> list:
+    """run_checks triples of the closed forms of the torsion and Haantjes
+    tensors of W (x) eta, which hold for every W and eta."""
+    chart = w.chart
+    m = tensor_product(w, eta)
+    t = nijenhuis_torsion(m)
+    h = haantjes_tensor(m)
+    f = pairing(eta, w)
+    df = d_scalar(chart, f)
+    # i_W (eta ^ d eta), contracted once and read on every pair
+    w_eta_deta = interior_mv(w, wedge(eta, d(eta))) if chart.dim >= 3 else None
+    pairs_t = []
+    pairs_h = []
+    for a, b in combinations(range(chart.dim), 2):
+        ea, eb = basis_vector(chart, a), basis_vector(chart, b)
+        bracket_term = sub(
+            mul(eta.component(a), pairing(df, eb)),
+            mul(eta.component(b), pairing(df, ea)),
+        )
+        vol3 = apply_form(w_eta_deta, ea, eb) if w_eta_deta is not None else ZERO
+        rhs_t = scale_vector(sub(bracket_term, vol3), w)
+        pairs_t.extend(zip(t.pair(a, b), rhs_t.components))
+        rhs_h = scale_vector(neg(mul(intpow(f, 2), vol3)), w)
+        pairs_h.extend(zip(h.pair(a, b), rhs_h.components))
+    return [("rank_one_torsion", pairs_t, ""), ("rank_one_haantjes", pairs_h, "")]
+
+
+def affine_scaling_check(n: Endomorphism, f: Expr, g: Expr) -> tuple:
+    """The run_checks triple of H(f I + g N) = g^4 H(N), which holds for
+    every N, f and g; the right side is g^4 times each component of H_N's
+    expansion."""
+    chart = n.chart
+    m = add_endomorphisms(
+        scale_endomorphism(f, identity_endomorphism(chart)), scale_endomorphism(g, n)
+    )
+    hm, hn = haantjes_tensor(m), haantjes_tensor(n)
+    g4 = intpow(g, 4)
+    pairs = []
+    for a, b in combinations(range(chart.dim), 2):
+        pairs.extend(zip(hm.pair(a, b), (mul(g4, e.expand()) for e in hn.pair(a, b))))
+    return "haantjes_affine_scaling", pairs, ""
+
+
+def sharp_interior_exchange_check(p: Bivector, phi: KForm) -> tuple:
+    """The run_checks triple of P#(i_{d_a ^ d_b} phi) = -i_{i_P phi}(d_a ^ d_b)
+    for a bivector P and a 3-form phi on a 3d chart, on every pair a < b.
+    Both sides are linear over functions in P and in phi and take no
+    derivative, so the identity holds pointwise for every P and phi once
+    it holds for the basis bivectors and the volume form."""
+    chart = p.chart
+    ipphi = interior_mv(p, phi)
+    pairs = []
+    for a, b in combinations(range(3), 2):
+        ea, eb = basis_vector(chart, a), basis_vector(chart, b)
+        lhs = sharp(p, interior_mv([ea, eb], phi))
+        rhs = scale_vector(constant(-1.0), interior_form_on_bivectorfield(ipphi, ea, eb))
+        pairs.extend(zip(lhs.components, rhs.components))
+    return "sharp_interior_exchange", pairs, ""
 
 
 def points(plan) -> list[tuple[float, ...]]:

@@ -25,19 +25,18 @@ from pqnverify.catalog import (
 from pqnverify.cli import main
 from pqnverify.expr import ONE, Chart, derive, evaluate, parse, sample_plan, splitmix64
 from pqnverify.fields import Bivector, KForm, Structure, power, sharp_flat, sub_endomorphisms
-from pqnverify.verify import (
-    _affine_scaling_check,
-    _rank_one_checks,
-    check_identity,
-    deform_3d,
+from pqnverify.verify import check_identity, deform_3d, run_checks, run_suites
+
+from builders import (
+    affine_scaling_check,
+    points,
+    random_endomorphism,
     random_oneform,
     random_polynomial,
     random_vectorfield,
-    run_checks,
-    run_suites,
+    rank_one_checks,
+    staged_values,
 )
-
-from builders import points, random_endomorphism, staged_values
 
 TOL = 1e-8
 BUDGET = 10.0
@@ -201,14 +200,14 @@ def test_criterion_7_random_batteries_and_poisson_discrimination():
         n = random_endomorphism(R3, gen)
         f = random_polynomial(R3, gen)
         g = random_polynomial(R3, gen)
-        [affine] = run_checks([_affine_scaling_check(n, f, g)], plan, TOL)
+        [affine] = run_checks([affine_scaling_check(n, f, g)], plan, TOL)
         ok = ok and affine.status == "pass"
     for _ in range(20):
         w = random_vectorfield(R3, gen)
         eta = random_oneform(R3, gen)
         ok = ok and all(
             r.status == "pass"
-            for r in run_checks(_rank_one_checks(w, eta), plan, TOL)
+            for r in run_checks(rank_one_checks(w, eta), plan, TOL)
         )
     vol = KForm(R3, 3, {(0, 1, 2): ONE})
     flat = Bivector(R3, {(0, 1): ONE})

@@ -76,13 +76,10 @@ from pqnverify.fields import (
     tensor_product,
     wedge,
 )
-from pqnverify.verify import (
-    evaluate_batch,
-    random_polynomial,
-    run_suites,
-)
+from pqnverify.verify import evaluate_batch, run_checks, run_suites
 
 from builders import (
+    affine_scaling_check,
     bits,
     bracket_p,
     concomitant_visits,
@@ -100,6 +97,10 @@ from builders import (
     lie_derivative,
     random_bivector,
     random_endomorphism,
+    random_oneform,
+    random_polynomial,
+    random_vectorfield,
+    rank_one_checks,
     reference_components,
     torsion_apply,
     torsion_expression,
@@ -502,44 +503,42 @@ def test_contraction_matches_the_expansion_where_constants_cancel(seed):
     _assert_contraction_bits(haantjes_tensor(Endomorphism(chart, rows)), pts)
 
 
-def _run_battery(st, plan) -> None:
-    """Build the battery and settle its batches, keeping the tables (and
-    with them the per-verdict memo) that run_suites would empty."""
-    for batch in verify_module.run_identity_battery(st, plan, 1e-8, 5):
-        verify_module._run_in_order(batch, plan, 1e-8)
+def _seeded_haantjes(st) -> list:
+    """The Haantjes tensors of a dense rank-one W (x) eta, of f I + g N and
+    of the structure's N, with W, eta, f and g seeded random on its chart,
+    after rank_one_checks and affine_scaling_check have built and settled
+    their checks (which pass).  The tables are kept, and with them the
+    per-verdict memo, so the tensors are the ones the checks contracted."""
+    chart, gen = st.chart, splitmix64(0xB47773)
+    w, eta = random_vectorfield(chart, gen), random_oneform(chart, gen)
+    f, g = random_polynomial(chart, gen), random_polynomial(chart, gen)
+    checks = [*rank_one_checks(w, eta), affine_scaling_check(st.n, f, g)]
+    assert all(r.status == "pass" for r in run_checks(checks, sample_plan(chart), 1e-8))
+    m = add_endomorphisms(
+        scale_endomorphism(f, identity_endomorphism(chart)), scale_endomorphism(g, st.n)
+    )
+    return [haantjes_tensor(tensor_product(w, eta)), haantjes_tensor(m), haantjes_tensor(st.n)]
 
 
 @pytest.mark.parametrize("sites", [2, 3, 4, 6])
-def test_battery_contractions_match_the_evaluated_expansion(sites, monkeypatch):
+def test_rank_one_and_affine_contractions_match_the_evaluated_expansion(sites):
     expr.clear_tables()  # no tensor of an equal N kept from an earlier test
     st = closed_toda(sites)
-    built = []
-    monkeypatch.setattr(
-        verify_module, "haantjes_tensor", lambda n: built.append(haantjes_tensor(n)) or built[-1]
-    )
-    plan = sample_plan(st.chart)
-    _run_battery(st, plan)
-    # the rank-one W (x) eta, then f I + g N and N
-    assert len(built) == 3 and built[2].n is st.n
-    # battery.rank_one_torsion reads the torsion the Haantjes tensor contracts
+    built = _seeded_haantjes(st)
+    # rank_one_checks' torsion check reads the torsion the Haantjes tensor
+    # contracts
     assert built[0].torsion is nijenhuis_torsion(built[0].n)
-    pts = point_block(plan, 0, plan.count)
+    pts = point_block(sample_plan(st.chart), 0, 64)
     for h in built:
         _assert_contraction_bits(h, pts)
         _assert_contraction_bits(h.torsion, pts)
     expr.clear_tables()
 
 
-def test_haantjes_stages_run_only_products_without_a_structural_zero(monkeypatch):
+def test_haantjes_stages_run_only_products_without_a_structural_zero():
     expr.clear_tables()
     st = closed_toda(3)
-    built = []
-    monkeypatch.setattr(
-        verify_module, "haantjes_tensor", lambda n: built.append(haantjes_tensor(n)) or built[-1]
-    )
-    _run_battery(st, sample_plan(st.chart))
-    # the rank-one W (x) eta, then f I + g N and N
-    assert len(built) == 3 and built[2].n is st.n
+    built = _seeded_haantjes(st)
     dim = st.chart.dim
     npairs = dim * (dim - 1) // 2
     every = dim ** 3 * (dim - 1) + npairs * dim * (dim + 2) + npairs * dim * 2 * dim
@@ -770,10 +769,9 @@ def test_a_zero_product_is_skipped_unless_the_sum_is_negative_zero():
     assert calculus._signed_add(negative_zero, 1, constant(-3.0), ZERO) is negative_zero
 
 
-def test_a_lattice_verdict_builds_no_torsion_expression_for_the_battery(monkeypatch):
-    # The rank-one W (x) eta and f I + g N of the battery are staged only;
-    # the phi sequence of the recursion suite expands N's torsion, and no
-    # Haantjes tensor is expanded.
+def test_a_lattice_verdict_stages_and_expands_only_the_torsion_of_n(monkeypatch):
+    # Every torsion a lattice verdict stages is N's; the phi sequence of the
+    # recursion suite expands it, and no Haantjes tensor is expanded.
     st = closed_toda(4)
     staged, expanded = [], []
     build = calculus.nijenhuis_torsion.__wrapped__
@@ -786,7 +784,7 @@ def test_a_lattice_verdict_builds_no_torsion_expression_for_the_battery(monkeypa
     )
     expr.clear_tables()
     run_suites(st, sample_plan(st.chart), 1e-8)
-    assert len(staged) == len(set(staged)) == 3 and st.n.matrix in staged
+    assert staged == [st.n.matrix]
     assert [(type(t), t.n.matrix) for t in expanded] == [(calculus.TorsionTensor, st.n.matrix)]
 
 

@@ -51,7 +51,7 @@ CASES = {
     for command in ("verify", "table")
     if not (entry in NO_TABLE and command == "table")
 }
-# log(x) is undefined on half the box: 75 checks replace 995 of 1024 points,
+# log(x) is undefined on half the box: 71 checks replace 995 of 1024 points,
 # which pins how resampling continues the point stream.
 CASES["r3-recipe-log.verify.resample"] = (
     "r3-recipe-log",

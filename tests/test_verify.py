@@ -53,9 +53,6 @@ from pqnverify.verify import (
     check_identity,
     deform_3d,
     evaluate_batch,
-    random_oneform,
-    random_polynomial,
-    random_vectorfield,
     reconstruct_decomposition,
     run_checks,
     run_pairs,
@@ -68,7 +65,11 @@ from builders import (
     points,
     random_bivector,
     random_endomorphism,
+    random_oneform,
+    random_polynomial,
+    random_vectorfield,
     reference_evaluate_batch,
+    sharp_interior_exchange_check,
     topo_order,
 )
 
@@ -320,8 +321,7 @@ FAULT_RECIPE_LAMBDA_G = RecipeInput(
 STAGED_CHECKS = {
     "pn.torsion", "pqn.torsion_prescribed", "3d.torsion_closed_form",
     "battery.torsion_general_form", "battery.torsion_compatibility_form",
-    "battery.torsion_power_form", "battery.rank_one_torsion",
-    "chain.C1_haantjes[3]", "battery.rank_one_haantjes", "battery.haantjes_affine_scaling",
+    "battery.torsion_power_form", "chain.C1_haantjes[3]",
 }
 
 
@@ -353,7 +353,7 @@ def test_a_rebound_run_pairs_receives_staged_checks_as_expressions(plan, monkeyp
 
 
 def test_resampling_rounds_share_one_compiled_program(tmp_path, monkeypatch):
-    # The golden r3-recipe-log resample case: 75 checks replace points in
+    # The golden r3-recipe-log resample case: 71 checks replace points in
     # 8 rounds each.  A settled batch compiles one program for all its
     # chunks, and a check that resamples one for all its rounds.
     compiles = []
@@ -374,7 +374,7 @@ def test_resampling_rounds_share_one_compiled_program(tmp_path, monkeypatch):
     flags = ["--samples", "1024", "--seed", "7", "--resample-limit", "4096"]
     assert cli.main(["verify", str(structure), *flags, "--out", str(out)]) == 1
     resampled = sum("resampled 995 points" in c["detail"] for c in json.loads(out.read_text())["checks"])
-    assert resampled == 75 and len(calls) > 600
+    assert resampled == 71 and len(calls) > 8 * resampled
     assert len(compiles) == len(settled) + resampled
 
 
@@ -406,6 +406,46 @@ def test_random_generators_are_deterministic():
     assert [[to_string(e, CH) for e in row] for row in ea.matrix] == [
         [to_string(e, CH) for e in row] for row in eb.matrix
     ]
+
+
+def test_the_sharp_interior_exchange_holds_for_every_bivector_and_3_form(plan):
+    # P#(i_{d_a ^ d_b} phi) = -i_{i_P phi}(d_a ^ d_b) on R^3 holds for
+    # twenty seeded random pairs: it says nothing of a structure, so no
+    # verdict checks it (see sharp_interior_exchange_check).
+    gen = splitmix64(2024)
+    checks = [
+        sharp_interior_exchange_check(
+            random_bivector(CH, gen), KForm(CH, 3, {(0, 1, 2): random_polynomial(CH, gen)})
+        )
+        for _ in range(20)
+    ]
+    assert all(r.status == "pass" for r in run_checks(checks, plan, 1e-8))
+
+
+# identities that hold for every choice of their arguments, which the
+# battery does not check (tests/builders.py builds them)
+INPUT_FREE = {
+    "battery.rank_one_torsion", "battery.rank_one_haantjes",
+    "battery.haantjes_affine_scaling", "battery.sharp_interior_exchange",
+}
+
+
+@pytest.mark.parametrize("entry", [
+    ["closed-toda", "--n", "2"],
+    ["r3-recipe", "--lam", "z/2", "--a", "x/2", "--g", "z"],
+])
+def test_the_battery_checks_the_same_identities_at_every_seed(entry, tmp_path, capsys):
+    structure = tmp_path / "structure.json"
+    assert cli.main(["catalog", *entry, "--out", str(structure)]) == 0
+    names = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"report-{seed}.json"
+        assert cli.main(["verify", str(structure), "--seed", seed, "--out", str(out)]) in (0, 1)
+        names.append([c["name"] for c in json.loads(out.read_text())["checks"]])
+    capsys.readouterr()
+    battery = [[n for n in got if n.startswith("battery.")] for got in names]
+    assert battery[0] == battery[1] and len(battery[0]) == 7
+    assert not INPUT_FREE & {n for got in names for n in got}
 
 
 def test_xi_form_is_the_volume_contraction(plan):
@@ -633,7 +673,8 @@ def test_a_verdict_builds_each_torsion_once(monkeypatch):
         "__wrapped__",
         lambda m: builds.append((m.chart, m.matrix)) or build(m),
     )
-    st = closed_toda(2)
+    # the r3-recipe's suites stage the torsions of several endomorphisms
+    st = r3_recipe(RECIPE)
     plan = sample_plan(st.chart, count=8)
     expr.clear_tables()
     run_suites(st, plan, 1e-8)
@@ -952,18 +993,17 @@ def _chunk_rows(checks) -> int:
 def test_at_4096_points_each_suite_batch_settles_alone(monkeypatch):
     # No two batches of closed-toda n=3 fit one chunk of 4,096 points, so
     # each is settled alone, as the public suite functions settle them.
+    # The battery's checks need split data the lattice lacks, so they are
+    # all skipped and evaluate nothing.
     st = closed_toda(3)
     batches = _record_batches(monkeypatch)
-    run_suites(st, sample_plan(st.chart, count=4096), 1e-8)
+    reports = run_suites(st, sample_plan(st.chart, count=4096), 1e-8)
     names = [[name for name, _, _ in checks] for checks, _ in batches]
     assert [sorted({n.split(".")[0] for n in b}) for b in names] == [
         ["poisson"], ["pn"], ["pqn"], ["involutivity", "recursion"], ["theoinv"],
-        ["battery"], ["battery"],
     ]
-    assert names[-2:] == [
-        ["battery.rank_one_torsion", "battery.rank_one_haantjes"],
-        ["battery.haantjes_affine_scaling"],
-    ]
+    battery = [r for r in reports if r.name.startswith("battery.")]
+    assert len(battery) == 7 and all(r.status == "skipped" for r in battery)
     assert all(_chunk_rows(checks) * 4096 > expr.REGISTER_BUDGET for checks, _ in batches)
 
 
@@ -982,21 +1022,21 @@ def test_at_64_points_consecutive_suites_merge_within_one_chunk(monkeypatch):
         assert got == want[st.name]
         return [(checks, points, _chunk_rows(checks)) for checks, points in batches]
 
-    for st, count in ((recipe, 1), (lattice, 3)):
+    for st in (recipe, lattice):
         settled = settle(st)
-        assert len(settled) == count
+        assert len(settled) == 1
         for _, points, rows in settled:
             # every merged batch is evaluated in one chunk of 64 points
             assert rows * 64 <= expr.REGISTER_BUDGET
             assert points[0] == 64 and 64 not in points[1:]
-    # closed-toda n=4: every suite but the battery in the first batch
+    # closed-toda n=4: every suite that evaluates a check, in one batch
     first = {name.split(".")[0] for name, _, _ in settled[0][0]}
     assert first == {"poisson", "pn", "pqn", "recursion", "involutivity", "theoinv"}
     # Batches whose rows exactly fill one chunk of 64 points still merge.
     monkeypatch.setattr(expr, "REGISTER_BUDGET", settle(recipe)[0][2] * 64)
     assert len(settle(recipe)) == 1
-    # With a budget of 600 rows a point, the lattice's battery batches take
-    # more than one chunk each and its other suites split into groups.
+    # With a budget of 600 rows a point, the lattice's pn and pqn batches
+    # take more than one chunk each and its other suites split into groups.
     monkeypatch.setattr(expr, "REGISTER_BUDGET", 600 * 64)
     settled = settle(lattice)
     assert 3 < len(settled) < 7 and max(rows for *_, rows in settled) > 600
