@@ -19,14 +19,13 @@ arguments, so checking it on coordinate fields at sampled points is
 equivalent to checking it on arbitrary fields.
 
 Each suite has a builder, named in _SUITE_TABLE, that takes (structure,
-plan, tol, kmax) and returns the suite's entries in batches: lists of
-(name, pairs, detail) check triples and reports already decided.
-run_suites is the one entry point that settles them: it builds the suites
-in table order and merges consecutive batches while the merged batch is
-evaluated in one chunk of points, so a verdict's small suites share one
-evaluation; a batch too large for one chunk is settled alone.  An
-evaluation does not depend on which roots share it, so the grouping
-changes no report.
+plan, tol, kmax) and returns the suite's batch: a list of (name, pairs,
+detail) check triples and reports already decided.  run_suites is the
+one entry point that settles them: it builds the suites in table order
+and merges consecutive batches while the merged batch is evaluated in
+one chunk of points, so a verdict's small suites share one evaluation; a
+batch too large for one chunk is settled alone.  An evaluation does not
+depend on which roots share it, so the grouping changes no report.
 """
 from __future__ import annotations
 
@@ -431,7 +430,7 @@ def xi_form(pi: Bivector, volume: KForm) -> KForm:
     return star(pi, volume)
 
 
-def verify_poisson(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
+def verify_poisson(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list:
     """Jacobi identity on coordinate triples; on an oriented 3d chart also
     the integrability of the dual one-form and that the sharp map kills it."""
     pi = st.pi
@@ -440,7 +439,7 @@ def verify_poisson(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> li
         xi = xi_form(pi, st.volume)
         checks.append(_identity("poisson.integrability", wedge(xi, d(xi))))
         checks.append(_identity("poisson.sharp_annihilates_xi", sharp(pi, xi)))
-    return [checks]
+    return checks
 
 
 @per_verdict
@@ -460,14 +459,14 @@ def _compatibility_pairs(pi: Bivector, n: Endomorphism):
     return tuple(c1), tuple(c2)
 
 
-def verify_pn(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
+def verify_pn(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list:
     """Both compatibility conditions plus a vanishing torsion check."""
     c1, c2 = _compatibility_pairs(st.pi, st.n)
     torsion = _identity("pn.torsion", nijenhuis_torsion(st.n))
-    return [[("pn.C1", c1, ""), ("pn.C2", c2, ""), torsion]]
+    return [("pn.C1", c1, ""), ("pn.C2", c2, ""), torsion]
 
 
-def verify_pqn(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
+def verify_pqn(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list:
     """Compatibility, closedness of the 3-form under d and under the
     induced derivation, and the prescribed-torsion condition."""
     pi, n, phi = st.pi, st.n, st.phi
@@ -493,7 +492,7 @@ def verify_pqn(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[l
             )
             pairs.extend(zip(t.pair(a, b), rhs.components))
     entries.append(("pqn.torsion_prescribed", pairs, ""))
-    return [entries]
+    return entries
 
 
 def reconstruct_decomposition(
@@ -571,7 +570,7 @@ def _torsion_closed_form_pairs(
     return pairs
 
 
-def verify_3d_conditions(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
+def verify_3d_conditions(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list:
     """Structure conditions specific to oriented 3d charts: the rank-one
     split of N, the divergence equation coupling its ingredients, the
     volume multiple giving the 3-form, and the closed form of the torsion.
@@ -593,7 +592,7 @@ def verify_3d_conditions(st: Structure, plan: SamplePlan, tol: float, kmax: int)
     split = _split(n, xi, plan, st.lam, st.z)
     if split is None:
         note = "the dual one-form vanishes at every probe point; no split available"
-        return [[_skip(nm, tol, note) for nm in names]]
+        return [_skip(nm, tol, note) for nm in names]
     lam, z = split
     model = add_endomorphisms(
         scale_endomorphism(lam, identity_endomorphism(chart)), tensor_product(z, xi)
@@ -608,7 +607,7 @@ def verify_3d_conditions(st: Structure, plan: SamplePlan, tol: float, kmax: int)
     checks.append(_identity(names[2], phi, model_phi))
     pairs = _torsion_closed_form_pairs(nijenhuis_torsion(n), xi, ds, z, zlam)
     checks.append((names[3], pairs, ""))
-    return [checks]
+    return checks
 
 
 def _theta_on_torsion(theta: KForm, n: Endomorphism) -> list[tuple[Expr, Expr]]:
@@ -619,23 +618,21 @@ def _theta_on_torsion(theta: KForm, n: Endomorphism) -> list[tuple[Expr, Expr]]:
             for j, k in combinations(range(n.chart.dim), 2)]
 
 
-def verify_haantjes_structure(
-    st: Structure, plan: SamplePlan, tol: float, kmax: int
-) -> list[list]:
+def verify_haantjes_structure(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list:
     """The four defining conditions for a compatible pair of an
     endomorphism and a closed one-form."""
     n, theta = st.n, st.theta
     if theta.degree != 1:
         raise ValueError("the structure one-form must have degree 1")
-    return [[
+    return [
         _identity("haantjes.H1_tensor_vanishes", haantjes_tensor(n)),
         _identity("haantjes.H2_theta_closed", d(theta)),
         _identity("haantjes.H3_theta_n_closed", d_n(n, theta)),
         ("haantjes.H4_torsion_annihilated", _theta_on_torsion(theta, n), ""),
-    ]]
+    ]
 
 
-def verify_lm_chain(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
+def verify_lm_chain(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list:
     """Chain conditions for a family N_0, N_1, ... with a one-form theta:
     the family starts at the identity (and continues with the structure's
     N when it has one), every later member has vanishing Haantjes tensor,
@@ -674,10 +671,10 @@ def verify_lm_chain(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> l
         for j in range(i, len(chain)):
             theta_ij = dual_apply(chain[i], dual_apply(chain[j], theta))
             checks.append(_identity(f"chain.product_closed[{i},{j}]", d(theta_ij)))
-    return [checks]
+    return checks
 
 
-def verify_minpoly(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
+def verify_minpoly(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list:
     """The quadratic polynomial annihilating a scalar-plus-rank-one
     endomorphism: N^2 - (s + 2 lam) N + (lam^2 + s lam) I with
     s = <xi, Z>.  When the structure carries no lam and Z they are
@@ -687,7 +684,7 @@ def verify_minpoly(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> li
     split = _split(n, xi, plan, st.lam, st.z)
     if split is None:
         note = "no split data and reconstruction found no usable point"
-        return [[_skip("minpoly.skipped", tol, note)]]
+        return [_skip("minpoly.skipped", tol, note)]
     lam, z = split
     chart = n.chart
     s = pairing(xi, z)
@@ -697,7 +694,7 @@ def verify_minpoly(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> li
         sub_endomorphisms(compose(n, n), scale_endomorphism(coeff1, n)),
         scale_endomorphism(coeff0, identity_endomorphism(chart)),
     )
-    return [[_identity("minpoly.quadratic_annihilator", model)]]
+    return [_identity("minpoly.quadratic_annihilator", model)]
 
 
 def _bracket_from_differentials(pi: Bivector, df: KForm, dg: KForm) -> Expr:
@@ -717,9 +714,7 @@ def _bracket_from_differentials(pi: Bivector, df: KForm, dg: KForm) -> Expr:
     return acc
 
 
-def verify_recursion_involutivity(
-    st: Structure, plan: SamplePlan, tol: float, kmax: int
-) -> list[list]:
+def verify_recursion_involutivity(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list:
     """The recursion between consecutive trace invariants, the
     bracket-difference identity it implies, and one check per cell (i, j),
     i <= j, of the involutivity table of the invariants up to kmax, named
@@ -766,10 +761,10 @@ def verify_recursion_involutivity(
         for j in range(i, kmax + 1):
             bracket = _bracket_from_differentials(pi, dinv[i], dinv[j])
             checks.append((f"involutivity.pair[{i},{j}]", [(bracket, ZERO)], ""))
-    return [checks]
+    return checks
 
 
-def verify_theo_inv(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list[list]:
+def verify_theo_inv(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> list:
     """The two sufficient involutivity conditions tied to a 2-form: the
     3-form factors through it against the differential of the first trace
     invariant, and it pairs to zero on the deficiency fields of the
@@ -805,7 +800,7 @@ def verify_theo_inv(st: Structure, plan: SamplePlan, tol: float, kmax: int) -> l
                 )
             pairs.append((val, ZERO))
     checks.append(("theoinv.obstruction_pairings", pairs, ""))
-    return [checks]
+    return checks
 
 
 @dataclass(frozen=True)
@@ -916,8 +911,8 @@ def deform_3d(
                     "neither sign matches the derivation term",
                 )
             )
-    [batch] = verify_pqn(Structure(chart, pi=pi, n=n_tilde, phi=phi_tilde), plan, tol, kmax=5)
-    deformed = _run_in_order(batch, plan, tol)
+    entries = verify_pqn(Structure(chart, pi=pi, n=n_tilde, phi=phi_tilde), plan, tol, kmax=5)
+    deformed = _run_in_order(entries, plan, tol)
     reports.extend(replace(r, name=f"deform.{r.name}") for r in deformed)
     return DeformationResult(n_tilde, phi_tilde, reports, sign)
 
@@ -938,15 +933,13 @@ def _f_poly(lam: Expr, s: Expr, k: int) -> Expr:
 _KPOW = 5
 
 
-def run_identity_battery(
-    structure: Structure, plan: SamplePlan, tol: float, kmax: int
-) -> list[list]:
+def run_identity_battery(structure: Structure, plan: SamplePlan, tol: float, kmax: int) -> list:
     """One named check per closed-form identity of the scalar-plus-rank-one
-    N = lam I + Z (x) xi on an oriented 3d chart: its powers, three forms
-    of its torsion and those of its powers, the scaling of xi as an
-    eigenform of N and of its powers, and its phi sequence.  Each states
-    something of the structure's own lam, Z and N; on a structure without
-    them every check is reported as skipped.  The entries are one batch."""
+    N = lam I + Z (x) xi on an oriented 3d chart: its powers, its torsion
+    in general and compatibility form, the torsions of its powers, the
+    scaling of xi as an eigenform of N and of its powers, and its phi
+    sequence.  Each states something of the structure's own lam, Z and N;
+    on a structure without them every check is reported as skipped."""
     chart = structure.chart
     threed_ready = (
         chart.dim == 3
@@ -967,7 +960,7 @@ def run_identity_battery(
     )
     if not threed_ready:
         note = "needs a 3d chart with bivector, volume, endomorphism and split data"
-        return [[_skip(nm, tol, note) for nm in threed_names]]
+        return [_skip(nm, tol, note) for nm in threed_names]
     lam, z, n = structure.lam, structure.z, structure.n
     xi = xi_form(structure.pi, structure.volume)
     s = pairing(xi, z)
@@ -1021,7 +1014,7 @@ def run_identity_battery(
         rhs = scale_kform(mul(zlam, intpow(lam, k)), xi)
         pairs.extend(component_pairs(lhs, rhs))
     entries.append((threed_names[6], pairs, ""))
-    return [entries]
+    return entries
 
 
 def _present(st: Structure, member: str):
@@ -1036,9 +1029,8 @@ def _missing(tol: float, suite: str, members: dict) -> list[CheckReport]:
 
 
 # suite -> (members it needs, name of its builder).  A builder takes
-# (structure, plan, tol, kmax) and returns the suite's entries in batches:
-# lists of run_checks triples and reports already decided, in report
-# order.  Each suite is one batch but the battery, which is three.  A
+# (structure, plan, tol, kmax) and returns the suite's batch: a list of
+# run_checks triples and reports already decided, in report order.  A
 # builder is looked up on the module when called, so one rebound there, as
 # a tracer or a test rebinds it, is the one called.  "3d chart" is a
 # pseudo-member, present on three-dimensional charts.
@@ -1058,8 +1050,8 @@ SUITES = tuple(_SUITE_TABLE)
 
 
 def _suite_batches(structure: Structure, plan: SamplePlan, tol: float, suites, kmax: int):
-    """The named suites' batches in table order, each suite built when its
-    first batch is asked for."""
+    """The named suites' batches in table order, each built when it is
+    asked for."""
     for suite, (members, builder) in _SUITE_TABLE.items():
         if suite not in suites:
             continue
@@ -1067,7 +1059,7 @@ def _suite_batches(structure: Structure, plan: SamplePlan, tol: float, suites, k
         if any(value is None for value in have.values()):
             yield _missing(tol, suite, have)
         else:
-            yield from globals()[builder](structure, plan, tol, kmax)
+            yield globals()[builder](structure, plan, tol, kmax)
 
 
 def _groups(batches, count: int):
