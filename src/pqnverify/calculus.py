@@ -176,9 +176,9 @@ class StagedTensor:
 
     def contract(self, values, done: dict | None = None):
         """The components' values, one row per component and a column per
-        point, and which components are structural zeros, from the roots'
-        values.  done keeps each tensor's contraction of these values by
-        id, so the tensors of one N, which share its roots, share it."""
+        point, from the roots' values.  done keeps each tensor's
+        contraction of these values by id, so the tensors of one N, which
+        share its roots, share it."""
         if done is None:
             done = {}
         got = done.get(id(self))
@@ -244,7 +244,7 @@ class StagedTensor:
             work = max(max(stage.work for stage in built), last.active + last.work)
             got = _DERIVED[key] = built, len(const) - last.active, work
         self.stages, self._nrows, self._work = got
-        self.constants, self.zero = self.stages[-1].constants, self.stages[-1].zero
+        self.constants = self.stages[-1].constants
 
     def _contract(self, values, done):
         """Fills the table from the roots' values and runs the stages on it,
@@ -280,9 +280,9 @@ class StagedTensor:
         last = self.stages[-1]
         acc, work = work[:last.active], work[last.active:]
         last.run(v, acc, work)
-        out = np.zeros((len(self.zero), npts))
+        out = np.zeros((len(self.constants), npts))
         out[last.dst] = acc[last.src]
-        return out, self.zero
+        return out
 
 
 class TorsionTensor(StagedTensor):
@@ -384,7 +384,7 @@ class HaantjesTensor(StagedTensor):
         self._schedule(inputs, _haantjes_layout(n.chart.dim), rows)
 
     def _inputs(self, values, done) -> list:
-        return [values[:self.chart.dim ** 2], self.torsion.contract(values, done)[0]]
+        return [values[:self.chart.dim ** 2], self.torsion.contract(values, done)]
 
     def _input_nodes(self) -> list[Expr]:
         t = self.torsion.expression()

@@ -285,7 +285,7 @@ def _scaled_residuals(
             contracted: dict = {}  # by tensor; a Haantjes tensor reads its torsion's
             for tensor, first, dst, src in staged:
                 values = out[first:first + len(tensor.roots)]
-                vals[dst] = tensor.contract(values, contracted)[0][src]
+                vals[dst] = tensor.contract(values, contracted)[src]
             lhs, rhs = vals[0::2], vals[1::2]
             residual = np.maximum.reduceat(np.abs(lhs - rhs), starts, axis=0)
             # np.maximum propagates nan, so the largest |side| is finite

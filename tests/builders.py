@@ -240,7 +240,7 @@ def staged_values(tensor, pts) -> np.ndarray:
     then contracted."""
     pts = np.asarray(pts, dtype=float).reshape(-1, tensor.chart.dim)
     with np.errstate(all="ignore"):
-        return tensor.contract(evaluate_batch(tensor.roots, pts))[0]
+        return tensor.contract(evaluate_batch(tensor.roots, pts))
 
 
 def torsion_expression(n: Endomorphism) -> tuple[KForm, ...]:
